@@ -92,17 +92,19 @@ class ConvDeriv:
     def apply(self, F: Pat, t: Topology) -> Pat:
         """F cap the intersection over N of cl(W_N cap F).
 
-        The disagreement sets W_N decrease, so the intersection splits
-        exactly into the persistent members (intersection of the W_N cap F,
-        affine rules) plus the persistent limit points; the latter are the
-        limit part of cl(W_N cap F) once the start index passes every atom
-        flip, which is verified at two spread probes."""
-        from .functions import intersect_from
+        The intersection splits exactly into the persistent members plus
+        the persistent limit points.  The disagreement sets W_N decrease in
+        N, so a point lies in every W_N cap F exactly when it lies in all
+        late ones; `eventual` computes that set exactly by taking every
+        atom at N = omega.  The persistent limit points are the limit part
+        of cl(W_N cap F) once the start index passes every atom flip,
+        which is verified at two spread probes."""
+        from .functions import eventual
         from .patterns import subst_n
         from .space import sem_difference
         space = t.space
         wparam = and_(self.tail_disagreement_param(space), F)
-        core = canonicalize(intersect_from(wparam, 0, space), space)
+        core = canonicalize(eventual(wparam, space), space)
         n_star = 8 + _max_atom_base(wparam)
 
         def limit_part(n: int) -> Pat:
@@ -147,10 +149,7 @@ def _apply_cached(op: DerivativeOp, F: Pat) -> Pat:
 
 def apply(op: DerivativeOp, F: Pat) -> Pat:
     """One derivative step; result is closed and contained in F."""
-    try:
-        return _apply_cached(op, F)
-    except TypeError:  # unhashable custom variants in tests
-        return canonicalize(op.variant.apply(F, op.topology), op.topology.space)
+    return _apply_cached(op, F)
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +314,12 @@ def _fit_digit_slot(entries: list[tuple[int, DigitSet]]):
     tfit = _fit_int(mins)
     if tfit is not None and tfit[1] > 0:
         t0, d = tfit
-        base = ds_or_all(sets[0], t0)
-        if all(sets[j] == ds_and(base, ds_ge(t0 + d * j)) for j in range(len(sets))):
-            return ("cut", i0, 0, base, (t0, d))
+        if all(sets[j] == ds_and(sets[0], ds_ge(t0 + d * j)) for j in range(len(sets))):
+            return ("cut", i0, 0, sets[0], (t0, d))
         # shift: ds_j == ds_0 shifted up by d*j
         if all(sets[j] == sets[0].shift_up(d * j) for j in range(len(sets))):
             return ("shift", i0, 0, sets[0], (0, d))
     return None
-
-
-def ds_or_all(ds: DigitSet, t0: int) -> DigitSet:
-    """Extend a threshold-cut set downward so the cut at t0 reproduces it."""
-    # base := ds union everything below t0 that matches ds's tail pattern;
-    # using ds itself suffices because the cut re-intersects with >= t0.
-    return ds
 
 
 def match_template(window: list[tuple[Cell, ...]], space: SpaceDesc) -> StageTemplate | None:

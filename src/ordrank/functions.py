@@ -5,6 +5,12 @@ partition the space.  Families indexed by a natural n are step functions
 whose cell patterns may carry affine n-atoms; the map n -> f_n(x) is then
 a step function of n with computable breakpoints, which keeps pointwise
 limits, convergence oscillation and stabilization certificates exact.
+
+At every point the truth of an n-atom is monotone in n, so each atom has
+one limit: the atom taken at n = omega (`_atom_at_limit`).  A pointwise
+limit replaces every atom by its limit, digit thresholds and ordinal
+thresholds with any slope alike; an atom switches at a point at most
+once, and only where its values at n = 0 and at n = omega differ.
 """
 from __future__ import annotations
 
@@ -17,9 +23,8 @@ from .errors import (CertificateViolation, PartitionViolation,
                      UnsupportedProgression)
 from .ordinal import Ordinal
 from .patterns import (
-    FALSE, TRUE, Pat, PAnd, PDigit, PDigitGeN, PDigitLtN, PDiv, PDivN, PNot,
-    POr, POrdGe, POrdGeN, POrdLt, POrdLtN, and_, ds_and, ds_ge, ds_lt,
-    digit_in, holds_at, not_, or_, ord_ge, ord_lt, subst_n, DS_FULL,
+    FALSE, TRUE, Pat, PAnd, PDigitGeN, PDigitLtN, PDivN, PNot, POr, POrdGeN,
+    POrdLtN, and_, digit_in, holds_at, not_, or_, ord_ge, ord_lt, subst_n,
 )
 from .space import SpaceDesc, Topology, closure, is_open, member
 
@@ -199,13 +204,6 @@ class FnFamily:
                 return p
         return FALSE
 
-    def ever_pattern(self, value: Fraction, start: int) -> Pat:
-        """{y : f_n(y) = value for some n >= start}."""
-        for v, p in self.pieces:
-            if v == value:
-                return union_from(p, start, self.space)
-        return FALSE
-
     def eventual_pattern(self, value: Fraction) -> Pat:
         for v, p in self.pieces:
             if v == value:
@@ -244,36 +242,24 @@ def fam_clamp_hk(a: FnFamily, k: int) -> FnFamily:
 
 
 def _breakpoints(p: Pat, x: Ordinal) -> set[int]:
-    """n-values where the truth of p at x may switch."""
+    """n-values where the truth of p at x may switch.
+
+    An atom's truth at x is monotone in n, so it switches at most once,
+    and only when its value at n = 0 differs from its value at n = omega."""
     if isinstance(p, (PAnd, POr)):
-        out = set()
-        for q in p.parts:
-            out |= _breakpoints(q, x)
-        return out
+        return set().union(*(_breakpoints(q, x) for q in p.parts))
     if isinstance(p, PNot):
         return _breakpoints(p.part, x)
+    if (not isinstance(p, _PARAM)
+            or holds_at(subst_n(p, 0), x) == holds_at(_atom_at_limit(p), x)):
+        return set()
     if isinstance(p, (PDigitGeN, PDigitLtN)):
-        if p.slope == 0:
-            return set()
-        d = x.digit(p.i)
-        if d < p.base:
-            return {0}
-        return {(d - p.base) // p.slope + 1}
-    if isinstance(p, (POrdGeN, POrdLtN)):
-        if p.slope.is_zero:
-            return set()
-        if o.compare(x, p.base) < 0:
-            return {0}
-        r = o.left_sub(x, p.base)
-        return {_max_mult(p.slope, r) + 1}
+        return {(x.digit(p.i) - p.base) // p.slope + 1}
     if isinstance(p, PDivN):
-        if p.slope == 0:
-            return set()
-        me = x.min_exp()
-        if me is None or me < p.base:
-            return {0}
-        return {(me - p.base) // p.slope + 1}
-    return set()
+        return {(x.min_exp() - p.base) // p.slope + 1}
+    # base <= x < base + slope*omega: the switch is after the last
+    # threshold base + slope*n at or below x
+    return {_max_mult(p.slope, o.left_sub(x, p.base)) + 1}
 
 
 def _max_mult(step: Ordinal, r: Ordinal) -> int:
@@ -286,7 +272,7 @@ def _max_mult(step: Ordinal, r: Ordinal) -> int:
     return n
 
 
-# -- symbolic unions / intersections over the parameter ----------------------
+# -- symbolic limits and unions over the parameter ---------------------------
 
 def _param_cells(p: Pat) -> tuple[tuple[Pat, ...], ...]:
     from .patterns import _dnf, _nnf
@@ -295,31 +281,24 @@ def _param_cells(p: Pat) -> tuple[tuple[Pat, ...], ...]:
 
 _DECREASING = (PDigitGeN, POrdGeN, PDivN)   # sets shrink as n grows
 _INCREASING = (PDigitLtN, POrdLtN)          # sets grow as n grows
+_PARAM = _DECREASING + _INCREASING
 
 
 def _atom_at_limit(a: Pat) -> Pat:
-    """Limit of an increasing atom as n -> infinity."""
-    if isinstance(a, PDigitLtN):
-        return TRUE if a.slope > 0 else digit_in(a.i, ds_lt(a.base))
-    if isinstance(a, POrdLtN):
-        if a.slope.is_zero:
-            return ord_lt(a.base)
-        return ord_lt(o.add(a.base, o.mul(a.slope, o.W)))
-    raise UnsupportedProgression(repr(a))
+    """The natural-parameter atom a at n = omega.
 
-
-def _window_union(ge: PDigitGeN, lt: PDigitLtN, start: int):
-    """Union over n >= start of the sliding window [base1+dn, base2+dn)."""
-    d = ge.slope
-    a = ge.base + d * start
-    b = lt.base + d * start
-    if b <= a:
-        return None
-    if b - a >= d:
-        return ds_ge(a)
-    from .patterns import mk_digitset
-    residues = {(a + i) % d for i in range(b - a)}
-    return ds_and(ds_ge(a), mk_digitset((), d, residues))
+    At every fixed point the atom's truth is monotone in n, hence
+    eventually constant, and this pattern holds exactly where that
+    constant is true.  Slope-0 atoms do not move.  Digit and divisibility
+    thresholds with a positive slope pass every point, so decreasing kinds
+    become FALSE and increasing ones TRUE; ordinal thresholds climb to
+    base + slope*omega."""
+    if isinstance(a, (POrdGeN, POrdLtN)):
+        bound = o.add(a.base, o.mul(a.slope, o.W))
+        return ord_ge(bound) if isinstance(a, POrdGeN) else ord_lt(bound)
+    if a.slope == 0:
+        return subst_n(a, 0)
+    return FALSE if isinstance(a, _DECREASING) else TRUE
 
 
 def union_from_param(p: Pat, space: SpaceDesc) -> Pat:
@@ -328,127 +307,44 @@ def union_from_param(p: Pat, space: SpaceDesc) -> Pat:
     Decreasing cells keep their atoms (now read as functions of N),
     increasing atoms take their limit value, sliding windows leave a
     threshold plus a residue class."""
-    from .patterns import digit_mod, mk_digitset
+    from .patterns import mk_digitset
     cells_out = []
     for conj in _param_cells(p):
         dec = [a for a in conj if isinstance(a, _DECREASING)]
         inc = [a for a in conj if isinstance(a, _INCREASING)]
-        const = [a for a in conj if not isinstance(a, _DECREASING + _INCREASING)]
+        const = [a for a in conj if not isinstance(a, _PARAM)]
         if not dec:
-            cells_out.append(and_(*(const + [_atom_at_limit(a) for a in inc])))
+            cells_out.append(and_(*const, *map(_atom_at_limit, inc)))
         elif not inc:
             cells_out.append(and_(*conj))
+        elif (len(dec) == 1 and len(inc) == 1
+                and isinstance(dec[0], PDigitGeN) and isinstance(inc[0], PDigitLtN)
+                and dec[0].i == inc[0].i and dec[0].slope == inc[0].slope > 0):
+            # sliding window [a + d*n, b + d*n) on one digit
+            i, d = dec[0].i, dec[0].slope
+            a, b = dec[0].base, inc[0].base
+            if b <= a:
+                continue
+            if b - a >= d:
+                cells_out.append(and_(*const, PDigitGeN(i, a, d)))
+            else:
+                residues = {(a + k) % d for k in range(b - a)}
+                cells_out.append(and_(*const, PDigitGeN(i, a, d),
+                                      digit_in(i, mk_digitset((), d, residues))))
         else:
-            if (len(dec) == 1 and len(inc) == 1
-                    and isinstance(dec[0], PDigitGeN) and isinstance(inc[0], PDigitLtN)
-                    and dec[0].i == inc[0].i and dec[0].slope == inc[0].slope > 0):
-                d = dec[0].slope
-                a, b = dec[0].base, inc[0].base
-                if b <= a:
-                    continue
-                if b - a >= d:
-                    cells_out.append(and_(*(const + [PDigitGeN(dec[0].i, a, d)])))
-                else:
-                    residues = {(a + i) % d for i in range(b - a)}
-                    marks = tuple(r in residues for r in range(d))
-                    ds = mk_digitset((), d, residues)
-                    cells_out.append(and_(*(const + [PDigitGeN(dec[0].i, a, d),
-                                                     digit_in(dec[0].i, ds)])))
-            else:
-                raise UnsupportedProgression(
-                    "mixed-direction parametric cell: %r" % (conj,))
-    return or_(*cells_out)
-
-
-def union_from(p: Pat, start: int, space: SpaceDesc) -> Pat:
-    """{y : y in p(n) for some n >= start}; affine fragment only."""
-    cells_out = []
-    for conj in _param_cells(p):
-        dec = [a for a in conj if isinstance(a, _DECREASING)]
-        inc = [a for a in conj if isinstance(a, _INCREASING)]
-        const = [a for a in conj if not isinstance(a, _DECREASING + _INCREASING)]
-        if not dec and not inc:
-            cells_out.append(and_(*const))
-        elif dec and not inc:
-            cells_out.append(subst_n(and_(*conj), start))
-        elif inc and not dec:
-            cells_out.append(and_(*(const + [_atom_at_limit(a) for a in inc])))
-        else:
-            # sliding window: one digit GeN + matching LtN, same digit & slope
-            if (len(dec) == 1 and len(inc) == 1
-                    and isinstance(dec[0], PDigitGeN) and isinstance(inc[0], PDigitLtN)
-                    and dec[0].i == inc[0].i and dec[0].slope == inc[0].slope > 0):
-                w = _window_union(dec[0], inc[0], start)
-                if w is not None:
-                    cells_out.append(and_(*(const + [digit_in(dec[0].i, w)])))
-            else:
-                raise UnsupportedProgression(
-                    "mixed-direction parametric cell: %r" % (conj,))
-    return or_(*cells_out)
-
-
-def intersect_from(p: Pat, start: int, space: SpaceDesc) -> Pat:
-    """{y : y in p(n) for all n >= start}; affine fragment only."""
-    cells_out = []
-    for conj in _param_cells(p):
-        parts = []
-        dead = False
-        for a in conj:
-            if isinstance(a, PDigitGeN):
-                if a.slope > 0:
-                    dead = True
-                    break
-                parts.append(subst_n(a, start))
-            elif isinstance(a, PDivN):
-                if a.slope > 0:
-                    dead = True
-                    break
-                parts.append(subst_n(a, start))
-            elif isinstance(a, POrdGeN):
-                if a.slope.is_zero:
-                    parts.append(ord_ge(a.base))
-                else:
-                    parts.append(ord_ge(o.add(a.base, o.mul(a.slope, o.W))))
-            elif isinstance(a, _INCREASING):
-                parts.append(subst_n(a, start))
-            else:
-                parts.append(a)
-        if not dead:
-            cells_out.append(and_(*parts))
+            raise UnsupportedProgression(
+                "mixed-direction parametric cell: %r" % (conj,))
     return or_(*cells_out)
 
 
 def eventual(p: Pat, space: SpaceDesc) -> Pat:
-    """{y : y in p(n) for all large n}; affine fragment only."""
-    cells_out = []
-    for conj in _param_cells(p):
-        parts = []
-        dead = False
-        for a in conj:
-            if isinstance(a, _DECREASING):
-                slope = a.slope if isinstance(a, (PDigitGeN, PDivN)) else None
-                if isinstance(a, POrdGeN):
-                    if a.slope.is_zero:
-                        parts.append(ord_ge(a.base))
-                    else:
-                        dead = True
-                        break
-                elif slope and slope > 0:
-                    dead = True
-                    break
-                else:
-                    parts.append(subst_n(a, 0))
-            elif isinstance(a, _INCREASING):
-                slope_zero = (a.slope == 0 if isinstance(a, PDigitLtN)
-                              else a.slope.is_zero)
-                if slope_zero:
-                    parts.append(subst_n(a, 0))
-                # otherwise eventually true for every fixed y: drop
-            else:
-                parts.append(a)
-        if not dead:
-            cells_out.append(and_(*parts))
-    return or_(*cells_out)
+    """{y : y in p(n) for all large n}, exactly.
+
+    Every atom is eventually constant at each point, so p(n) eventually
+    agrees with p taken at n = omega, atom by atom."""
+    return or_(*(and_(*(_atom_at_limit(a) if isinstance(a, _PARAM) else a
+                        for a in conj))
+                 for conj in _param_cells(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -229,9 +229,9 @@ def test_criterion_3_and_4_alternating_decompositions():
         f, wits = _step_fixture(rng, space, bound)
         d = build_step_decomposition(f, wits, t)
         assert d.seq.norm_bound() <= f.norm()
-        lam = 0 if d.length.is_finite else (d.length.max_exp() or 1)
-        if d.length.is_finite:
-            lam = 1
+        lam = 1  # least lam >= 1 with length <= w^lam
+        while compare(d.length, omega_power(lam)) > 0:
+            lam += 1
         cert = length_upper_certificate(f, d, lam, t)
         pts = sample_points(TRUE, space, 40)[:40]
         total_points += len(pts)

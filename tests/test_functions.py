@@ -12,8 +12,8 @@ from ordrank.functions import (FnFamily, StepFn, UniformPresentation, char_fn,
                                oscillation, semi_borel_class, sup_dist,
                                usc_check)
 from ordrank.ordinal import W, ZERO, add, from_int, mul, omega_power
-from ordrank.patterns import (PDigitGeN, PDigitLtN, TRUE, and_, digit_mod,
-                              not_, or_, ord_ge, ord_lt)
+from ordrank.patterns import (PDigitGeN, PDigitLtN, POrdGeN, POrdLtN, TRUE,
+                              and_, digit_mod, not_, or_, ord_ge, ord_lt)
 from ordrank.space import SpaceDesc, base_topology, refine, sem_eq
 
 W1 = SpaceDesc(add(W, 1))
@@ -111,6 +111,49 @@ def test_fn_family_traces():
     lim = fam.pointwise_limit()
     assert lim.eval(from_int(9)) == 1
     assert lim.eval(W) == 1  # digit0(w) = 0, below every positive threshold
+    # f_n = chi{x >= n}: every f_n is 1 at w and beyond, so the limit is too
+    for space in (SpaceDesc(mul(W, 2)), SpaceDesc(None)):
+        fam = FnFamily(((Fraction(1), POrdGeN(ZERO, from_int(1))),
+                        (Fraction(0), POrdLtN(ZERO, from_int(1)))), space)
+        assert fam.value_trace(W) == ((0, 1),)
+        lim = fam.pointwise_limit()
+        assert [lim.eval(x) for x in (from_int(3), W, add(W, 5))] == [0, 1, 1]
+
+
+def _rand_param_atom(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return PDigitGeN(rng.randint(0, 1), rng.randint(0, 4), rng.randint(0, 2))
+    if kind == 1:
+        return PDigitLtN(rng.randint(0, 1), rng.randint(0, 4), rng.randint(0, 2))
+    if kind == 4:
+        return digit_mod(rng.randint(0, 1), rng.randint(2, 3), rng.randint(0, 1))
+    base = add(mul(W, rng.randint(0, 3)), rng.randint(0, 3))
+    slope = rng.choice([ZERO, from_int(1), from_int(2), W, add(W, 1)])
+    return (POrdGeN if kind == 2 else POrdLtN)(base, slope)
+
+
+def _rand_param_pattern(rng):
+    """A depth-2 and/or of natural-parameter and digit-residue atoms."""
+    outer, inner = (and_, or_) if rng.random() < 0.5 else (or_, and_)
+    return outer(*(inner(*(_rand_param_atom(rng) for _ in range(rng.randint(1, 2))))
+                   for _ in range(rng.randint(1, 3))))
+
+
+def test_fn_family_limits_random():
+    """Pointwise limit, per-point trace and a late member all agree."""
+    rng = random.Random(2024)
+    pts = [ZERO, from_int(4), W, add(W, 3), mul(W, 2), add(mul(W, 3), 1),
+           add(mul(W, 7), 7)]
+    cases = [(SpaceDesc(add(mul(W, 8), 8)), pts),
+             (SpaceDesc(None), pts + [omega_power(2), add(omega_power(2), W)])]
+    for space, xs in cases:
+        for _ in range(60):
+            p = _rand_param_pattern(rng)
+            fam = FnFamily(((Fraction(1), p), (Fraction(0), not_(p))), space)
+            lim, late = fam.pointwise_limit(), fam.at(64)
+            for x in xs:
+                assert lim.eval(x) == fam.final_value(x) == late.eval(x), (p, x)
 
 
 def test_monotonize_and_diff_trivial():

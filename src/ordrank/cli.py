@@ -60,12 +60,19 @@ def _emit(lines: list[str], as_json: bool, trace_lines: list[str] | None = None)
             print(ln)
 
 
+def _named(table: dict, kind: str, name: str):
+    """The fixture's declaration of ``name``; undeclared names are input errors."""
+    if name not in table:
+        raise FixtureParseError("no %s named %r in the fixture" % (kind, name))
+    return table[name]
+
+
 def cmd_rank(fx: Fixture, args) -> int:
     budget = _budget()
     lines = []
     traces = []
     if args.fn:
-        f = fx.fns[args.fn]
+        f = _named(fx.fns, "fn", args.fn)
         a = alpha_fn(f, fx.topology, budget)
         b = beta(f, fx.topology, budget)
         lines.append("fn %s" % args.fn)
@@ -75,7 +82,7 @@ def cmd_rank(fx: Fixture, args) -> int:
             traces = b.trace.log_lines()
         bad = isinstance(a.value, NotStabilized) or isinstance(b.value, NotStabilized)
     elif args.nfam:
-        fam = fx.nfams[args.nfam]
+        fam = _named(fx.nfams, "nfam", args.nfam)
         g = gamma_seq(fam, fx.topology, budget)
         lines.append("nfam %s" % args.nfam)
         lines.append("gamma = %s (eps %s)" % (_fmt_rank(g.value), g.witness_param))
@@ -83,7 +90,7 @@ def cmd_rank(fx: Fixture, args) -> int:
             traces = g.trace.log_lines()
         bad = isinstance(g.value, NotStabilized)
     else:
-        A, B = fx.sets[args.pair[0]], fx.sets[args.pair[1]]
+        A, B = (_named(fx.sets, "set", n) for n in args.pair)
         rep = alpha_pair(A, B, fx.topology, budget)
         lines.append("pair %s %s" % (args.pair[0], args.pair[1]))
         lines.append("alpha = %s" % _fmt_rank(rep.value))
@@ -95,8 +102,8 @@ def cmd_rank(fx: Fixture, args) -> int:
 
 
 def cmd_decompose(fx: Fixture, args) -> int:
-    f = fx.fns[args.fn]
-    wits = [fx.families[n] for n in args.witnesses]
+    f = _named(fx.fns, "fn", args.fn)
+    wits = [_named(fx.families, "family", n) for n in args.witnesses]
     d = build_step_decomposition(f, wits, fx.topology)
     cert = length_upper_certificate(f, d, args.lam, fx.topology)
     lines = ["decompose fn %s" % args.fn,
@@ -110,10 +117,10 @@ def cmd_decompose(fx: Fixture, args) -> int:
 
 def cmd_verify(fx: Fixture, args) -> int:
     from .ranks import alpha_xi_verify
-    fam = fx.families[args.family]
+    fam = _named(fx.families, "family", args.family)
     lines = []
     if args.pair:
-        A, B = fx.sets[args.pair[0]], fx.sets[args.pair[1]]
+        A, B = (_named(fx.sets, "set", n) for n in args.pair)
         cert = alpha_xi_verify(A, B, fam, args.xi, fx.topology)
         lines.append("alpha_%d(%s, %s) <= %s"
                      % (args.xi, args.pair[0], args.pair[1],
@@ -130,8 +137,8 @@ def cmd_verify(fx: Fixture, args) -> int:
 
 def cmd_phi(fx: Fixture, args) -> int:
     from .pseudouniform import phi_generate
-    A = fx.sets[args.set]
-    fam = fx.families[args.family]
+    A = _named(fx.sets, "set", args.set)
+    fam = _named(fx.families, "family", args.family)
     wit = phi_generate(A, fam, args.lam, fx.topology, budget=_budget())
     lines = ["phi lam=%d set %s" % (args.lam, args.set),
              "gamma = %s" % _fmt_rank(wit.gamma_report.value)]

@@ -481,7 +481,7 @@ def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> Itera
         trace.budget_used += 1
         if not subset(nxt, cur, space):
             raise AssertionError("derivative failed to contract")
-        if sem_eq(nxt, cur, space):
+        if subset(cur, nxt, space):  # with nxt <= cur above: nxt == cur
             trace.rank = None
             trace.fixpoint = True
             trace.stabilized = False

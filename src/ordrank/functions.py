@@ -263,12 +263,17 @@ def _breakpoints(p: Pat, x: Ordinal) -> set[int]:
 
 
 def _max_mult(step: Ordinal, r: Ordinal) -> int:
-    """Largest n with step*n <= r (0 if none beyond n=0)."""
-    n = 0
-    while o.compare(o.mul(step, n + 1), r) <= 0:
-        n += 1
-        if n > 1 << 20:
-            raise UnsupportedProgression("runaway multiplicity search")
+    """Largest n with step*n <= r (0 if none beyond n=0).
+
+    With step = w^e*c + t (t below w^e), step*n = w^e*(c*n) + t for n >= 1,
+    so the comparison with r = w^e*d + s reads off d and s."""
+    if step.is_zero or (r.max_exp() or 0) > step.max_exp():
+        raise UnsupportedProgression("no largest multiple of %s below %s" % (step, r))
+    e, c = step.terms[0]
+    d = r.digit(e)
+    n = d // c
+    if n >= 1 and c * n == d and step.terms[1:] > tuple(t for t in r.terms if t[0] < e):
+        n -= 1
     return n
 
 
@@ -310,6 +315,9 @@ def union_from_param(p: Pat, space: SpaceDesc) -> Pat:
     from .patterns import mk_digitset
     cells_out = []
     for conj in _param_cells(p):
+        # a slope-0 atom does not move with n: it is a constant
+        conj = [subst_n(a, 0) if isinstance(a, _PARAM) and a.slope == 0 else a
+                for a in conj]
         dec = [a for a in conj if isinstance(a, _DECREASING)]
         inc = [a for a in conj if isinstance(a, _INCREASING)]
         const = [a for a in conj if not isinstance(a, _PARAM)]

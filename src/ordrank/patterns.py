@@ -11,7 +11,10 @@ finitely presented.
 The normal form used by every decision procedure is a finite union of
 *cells*: digit-box times interval times divisibility constraint.  Digit
 constraints are eventually periodic subsets of the naturals, which keeps
-the whole algebra exact and closed under complement.
+the whole algebra exact and closed under complement.  The digit-set
+operations are pure functions of canonical, immutable values and are
+memoized; the cells of an or are the maximal cells among its parts' cached
+cells, so growing a pattern by a disjunct re-normalises only the new part.
 """
 from __future__ import annotations
 
@@ -117,22 +120,27 @@ DS_FULL = mk_digitset((), 1, {0})
 DS_EMPTY = mk_digitset((), 1, set())
 
 
+@lru_cache(maxsize=1024)
 def ds_eq(v: int) -> DigitSet:
     return mk_digitset((False,) * v + (True,), 1, set())
 
 
+@lru_cache(maxsize=1024)
 def ds_ge(v: int) -> DigitSet:
     return mk_digitset((False,) * v, 1, {0})
 
 
+@lru_cache(maxsize=1024)
 def ds_lt(v: int) -> DigitSet:
     return mk_digitset((True,) * v, 1, set())
 
 
+@lru_cache(maxsize=1024)
 def ds_window(a: int, b: int) -> DigitSet:
     return mk_digitset((False,) * a + (True,) * max(0, b - a), 1, set())
 
 
+@lru_cache(maxsize=1024)
 def ds_mod(m: int, r: int) -> DigitSet:
     if m < 1:
         raise ValueError("modulus must be >= 1")
@@ -149,16 +157,19 @@ def _aligned(a: DigitSet, b: DigitSet):
     return t, m, pa, pb, ra, rb
 
 
+@lru_cache(maxsize=65536)
 def ds_and(a: DigitSet, b: DigitSet) -> DigitSet:
     t, m, pa, pb, ra, rb = _aligned(a, b)
     return mk_digitset(tuple(x and y for x, y in zip(pa, pb)), m, ra & rb)
 
 
+@lru_cache(maxsize=65536)
 def ds_or(a: DigitSet, b: DigitSet) -> DigitSet:
     t, m, pa, pb, ra, rb = _aligned(a, b)
     return mk_digitset(tuple(x or y for x, y in zip(pa, pb)), m, ra | rb)
 
 
+@lru_cache(maxsize=16384)
 def ds_not(a: DigitSet) -> DigitSet:
     return mk_digitset(tuple(not x for x in a.prefix), a.period,
                        frozenset(range(a.period)) - a.residues)
@@ -608,6 +619,7 @@ def _cell_key(c: Cell):
             tuple((i,) + _ds_key(ds) for i, ds in c.digits), md_key)
 
 
+@lru_cache(maxsize=65536)
 def _ds_subset(a: DigitSet, b: DigitSet) -> bool:
     return ds_and(a, ds_not(b)).is_empty
 
@@ -726,15 +738,30 @@ def _cell_subsumes(big: Cell, small: Cell) -> bool:
 
 @lru_cache(maxsize=16384)
 def _cells_cached(p: Pat, space_bound: Ordinal | None) -> tuple[Cell, ...]:
-    nnf = _nnf(p, False)
-    cells = []
-    for conj in _dnf(nnf):
-        c = _merge_cell(conj, space_bound)
-        if c is not None and not cell_is_empty(c, space_bound):
-            cells.append(c)
+    if isinstance(p, POr):
+        # The DNF of an or is the concatenation of its parts' DNFs, and
+        # _cell_subsumes is a partial order (transitive, antisymmetric on
+        # canonical cells), so the maximal cells of the union are the maximal
+        # cells among the parts' own maximal cells: the result is unchanged.
+        cells = [c for q in p.parts for c in _cells_cached(q, space_bound)]
+    else:
+        cells = []
+        for conj in _dnf(_nnf(p, False)):
+            c = _merge_cell(conj, space_bound)
+            if c is not None and not cell_is_empty(c, space_bound):
+                cells.append(c)
     uniq = sorted(set(cells), key=_cell_key)
-    return tuple(c for c in uniq
-                 if not any(k != c and _cell_subsumes(k, c) for k in uniq))
+    # A subsumer k of c has k.div <= c.div and k.lo <= c.lo, so it lies in
+    # the prefix of the _cell_key order up to the last cell of c's (div, lo).
+    keys = [(c.div, c.lo.terms) for c in uniq]
+    out = []
+    end = 0
+    for j, c in enumerate(uniq):
+        while end < len(uniq) and keys[end] <= keys[j]:
+            end += 1
+        if not any(k != c and _cell_subsumes(k, c) for k in uniq[:end]):
+            out.append(c)
+    return tuple(out)
 
 
 def to_cells(p: Pat, space_bound: Ordinal | None) -> tuple[Cell, ...]:

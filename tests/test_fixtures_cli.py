@@ -1,8 +1,12 @@
 """Fixture grammar round-trips and CLI behavior."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ordrank
 from ordrank.cli import main
 from ordrank.errors import FixtureParseError
 from ordrank.fixtures import (fixture_to_sexpr, load_fixture, parse_sexpr,
@@ -136,6 +140,26 @@ def test_cli_broken_family_exit2(tmp_path, capsys):
 def test_cli_parse_error_exit1(tmp_path):
     path = _write(tmp_path, "(fixture (space (bound \"w\")) (wat)")
     assert main(["rank", path, "--fn", "nope"]) == 1
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["rank", "--fn", "nope"], "nope"),
+    (["rank", "--nfam", "nowhere"], "nowhere"),
+    (["rank", "--pair", "evens", "ghost"], "ghost"),
+    (["decompose", "--fn", "chi", "--witnesses", "absent"], "absent"),
+    (["verify", "--family", "missing"], "missing"),
+    (["phi", "--set", "unset", "--family", "tails"], "unset"),
+])
+def test_cli_undeclared_name_exit1(tmp_path, argv, missing):
+    path = _write(tmp_path, FIX)
+    src = os.path.dirname(os.path.dirname(ordrank.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "ordrank.cli", argv[0], path] + argv[1:],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert repr(missing) in proc.stderr
 
 
 def test_cli_reproduce(capsys):

@@ -4,16 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from ordrank.errors import CertificateViolation, PartitionViolation
+from ordrank.errors import (CertificateViolation, PartitionViolation,
+                            UnsupportedProgression)
 from ordrank.functions import (FnFamily, StepFn, UniformPresentation, char_fn,
                                clamp_hk, constant, fam_add, fn_add,
                                fn_add_const, fn_max, fn_max_const, fn_scale,
                                fn_sub, make_stepfn, monotonize_and_diff,
                                oscillation, semi_borel_class, sup_dist,
-                               usc_check)
-from ordrank.ordinal import W, ZERO, add, from_int, mul, omega_power
+                               union_from_param, usc_check, _max_mult)
+from ordrank.ordinal import (W, ZERO, Ordinal, add, compare, from_int, mul,
+                             omega_power)
 from ordrank.patterns import (PDigitGeN, PDigitLtN, POrdGeN, POrdLtN, TRUE,
-                              and_, digit_mod, not_, or_, ord_ge, ord_lt)
+                              and_, digit_mod, holds_at, not_, or_, ord_ge,
+                              ord_lt, subst_n)
 from ordrank.space import SpaceDesc, base_topology, refine, sem_eq
 
 W1 = SpaceDesc(add(W, 1))
@@ -118,6 +121,70 @@ def test_fn_family_traces():
         assert fam.value_trace(W) == ((0, 1),)
         lim = fam.pointwise_limit()
         assert [lim.eval(x) for x in (from_int(3), W, add(W, 5))] == [0, 1, 1]
+    # a far finite point: the switch index comes from the CNF terms directly
+    fam = FnFamily(((Fraction(1), POrdGeN(ZERO, from_int(1))),
+                    (Fraction(0), POrdLtN(ZERO, from_int(1)))),
+                   SpaceDesc(add(mul(W, 2), 1)))
+    assert fam.value_trace(from_int(3_000_000)) == ((0, 1), (3_000_001, 0))
+
+
+def _brute_max_mult(step, r):
+    n = 0
+    while compare(mul(step, n + 1), r) <= 0:
+        n += 1
+    return n
+
+
+def test_max_mult_against_search():
+    rng = random.Random(77)
+
+    def rand_ord():
+        return Ordinal(tuple((e, rng.randint(1, 5)) for e in range(2, -1, -1)
+                             if rng.random() < 0.5))
+
+    checked = 0
+    for _ in range(600):
+        step, r = rand_ord(), rand_ord()
+        if step.is_zero:
+            continue
+        if (r.max_exp() or 0) > step.max_exp():
+            with pytest.raises(UnsupportedProgression):
+                _max_mult(step, r)
+            continue
+        assert _max_mult(step, r) == _brute_max_mult(step, r), (step, r)
+        checked += 1
+    assert checked >= 300
+
+
+def test_union_from_param_against_window():
+    """union_from_param at N agrees with the union over n in [N, N+64]."""
+    rng = random.Random(4242)
+    pts = [ZERO, from_int(4), from_int(9), W, add(W, 3), mul(W, 2),
+           add(mul(W, 3), 1), add(mul(W, 7), 7)]
+    cases = [(SpaceDesc(add(mul(W, 8), 8)), pts),
+             (SpaceDesc(None), pts + [omega_power(2), add(omega_power(2), W)])]
+    # a slope-0 increasing atom beside a decreasing one is not mixed
+    fixed = [and_(PDigitGeN(0, 0, 1), PDigitLtN(1, 3, 0)),
+             and_(PDigitGeN(0, 2, 1), PDigitLtN(0, 5, 1)),
+             or_(and_(POrdGeN(W, from_int(1)), PDigitLtN(0, 2, 0)),
+                 POrdLtN(from_int(3), W))]
+    for space, xs in cases:
+        pats = fixed + [_rand_param_pattern(rng) for _ in range(80)]
+        checked = 0
+        for k, p in enumerate(pats):
+            try:
+                u = union_from_param(p, space)
+            except UnsupportedProgression:
+                assert k >= len(fixed), p
+                continue
+            checked += 1
+            at_n = [[holds_at(subst_n(p, n), x) for x in xs] for n in range(7 + 65)]
+            for n_from in (0, 1, 3, 7):
+                un = subst_n(u, n_from)
+                for j, x in enumerate(xs):
+                    brute = any(at_n[n][j] for n in range(n_from, n_from + 65))
+                    assert holds_at(un, x) == brute, (p, n_from, x)
+        assert checked >= 60
 
 
 def _rand_param_atom(rng):

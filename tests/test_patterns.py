@@ -9,9 +9,12 @@ from ordrank.ordinal import W, add, from_int, mul
 from ordrank.patterns import (DigitSet, ds_and, ds_eq, ds_ge, ds_lt, ds_mod,
                               ds_not, ds_or, ds_window, mk_digitset,
                               cells_difference, holds_at, not_, and_, or_,
-                              to_cells, cell_pattern)
+                              to_cells, cell_pattern, cell_is_empty,
+                              _cell_key, _cell_subsumes, _dnf, _merge_cell,
+                              _nnf)
 from ordrank.space import SpaceDesc, sample_points
 
+from test_closure_probe import rich_pattern
 from test_space import rand_pattern
 
 
@@ -37,6 +40,10 @@ def test_digitset_boolean_algebra(a, b):
     assert members(ds_and(a, b)) == members(a) & members(b)
     assert members(ds_or(a, b)) == members(a) | members(b)
     assert members(ds_not(a)) == set(range(REF_RANGE)) - members(a)
+    # the memoized algebra returns what the plain functions compute
+    assert ds_and(a, b) == ds_and(b, a) == ds_and.__wrapped__(a, b)
+    assert ds_or(a, b) == ds_or(b, a) == ds_or.__wrapped__(a, b)
+    assert ds_not(a) == ds_not.__wrapped__(a)
 
 
 @settings(max_examples=300)
@@ -95,6 +102,31 @@ def test_cells_difference_pointwise():
                 for j in range(i + 1, len(pieces)):
                     for x in sample_points(cell_pattern(pieces[i]), space, 3):
                         assert not pieces[j].holds(x)
+
+
+def _whole_formula_cells(p, bound):
+    """Reference normal form: merge every conjunction of the DNF of the
+    whole formula, drop empty cells, sort, then the full O(n^2) prune."""
+    cells = []
+    for conj in _dnf(_nnf(p, False)):
+        c = _merge_cell(conj, bound)
+        if c is not None and not cell_is_empty(c, bound):
+            cells.append(c)
+    uniq = sorted(set(cells), key=_cell_key)
+    return tuple(c for c in uniq
+                 if not any(k != c and _cell_subsumes(k, c) for k in uniq))
+
+
+def test_to_cells_of_union_matches_whole_formula():
+    rng = random.Random(8128)
+    for space in (SpaceDesc(add(mul(W, 8), 8)), SpaceDesc(None)):
+        for _ in range(120):
+            gen = rand_pattern if rng.random() < 0.5 else rich_pattern
+            parts = [gen(rng) for _ in range(rng.randint(2, 3))]
+            if rng.random() < 0.5:
+                to_cells(parts[0], space.bound)  # as closure does: p cached first
+            p = or_(*parts)
+            assert to_cells(p, space.bound) == _whole_formula_cells(p, space.bound), p
 
 
 def test_fundamental_sequence_supremum():

@@ -5,13 +5,13 @@ from .ordinal import (Ordinal, Parity, Kind, ZERO, ONE, W, add, mul, compare,
                       format_ordinal, omega_power, from_int)
 from .space import (SpaceDesc, Topology, BorelClass, base_topology, closure,
                     cb_derivative, borel_class, refine, member, is_empty,
-                    union, intersect, complement, difference, subset, sem_eq)
+                    subset, sem_eq)
 from .functions import (StepFn, FnFamily, UniformPresentation, make_stepfn,
                         char_fn, constant, oscillation, clamp_hk,
                         semi_borel_class, usc_check, monotonize_and_diff)
 from .family import TransfiniteFamily, Segment, tails_family, explicit_family
 from .derivative import (DerivativeOp, SeparationDeriv, OscDeriv, ConvDeriv,
-                         CantorBendixson, Budget, apply, iterate, rank_of)
+                         CantorBendixson, Budget, apply, iterate)
 from .altsum import (DUSBSeq, ComboSeq, LazyDUSB, verify_dusb, altsum_eval,
                      exit_parity_eval, build_char_decomposition,
                      build_step_decomposition, build_uniform_decomposition,

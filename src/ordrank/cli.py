@@ -2,7 +2,8 @@
 
 Reports are deterministic text (or JSON with --json); identical inputs and
 flags produce byte-identical output.  Exit codes: 1 parse error, 2
-verification failure, 3 budget exhaustion or an unsupported progression.
+verification failure, 3 budget exhaustion, an unsupported progression or
+an ordinal beyond the exponent ceiling.
 """
 from __future__ import annotations
 
@@ -18,11 +19,11 @@ from .altsum import (altsum_eval, build_char_decomposition,
                      length_upper_certificate)
 from .derivative import Budget, DEFAULT_BUDGET
 from .errors import (BudgetExceeded, CertificateViolation, ClassViolation,
-                     ExitNotFound, FixtureParseError, InclusionViolation,
-                     NotOracleSpace, PartitionViolation, PrecisionUnreachable,
-                     ResidualViolation, ToolkitError, Undecidable,
-                     UnsupportedProgression, VerificationError,
-                     WitnessMismatch)
+                     DepthExceeded, ExitNotFound, FixtureParseError,
+                     InclusionViolation, NotLimit, NotOracleSpace,
+                     PartitionViolation, PrecisionUnreachable,
+                     ResidualViolation, Undecidable, UnsupportedProgression,
+                     VerificationError, WitnessMismatch)
 from .fixtures import Fixture, load_fixture
 from .ordinal import format_ordinal
 from .ranks import NotStabilized, alpha_fn, alpha_pair, beta, gamma_seq
@@ -34,7 +35,7 @@ _VERIFY_ERRORS = (VerificationError, InclusionViolation, WitnessMismatch,
                   ResidualViolation, ExitNotFound, ClassViolation,
                   PartitionViolation, CertificateViolation, NotOracleSpace)
 _BUDGET_ERRORS = (BudgetExceeded, UnsupportedProgression, Undecidable,
-                  PrecisionUnreachable)
+                  PrecisionUnreachable, DepthExceeded, NotLimit)
 
 
 def _budget() -> Budget:

@@ -25,9 +25,8 @@ from .errors import BudgetExceeded, UnsupportedProgression
 from .functions import FnFamily, StepFn
 from .ordinal import Ordinal, ZERO, W
 from .patterns import (
-    Cell, DigitSet, FALSE, Pat, TRUE, and_, cell_pattern, cells_pattern,
-    digit_in, divpow, ds_and, ds_ge, ds_not, not_, or_, ord_ge, ord_lt,
-    to_cells,
+    Cell, DigitSet, FALSE, Pat, and_, cells_pattern, digit_in, divpow, ds_and,
+    ds_ge, or_, ord_ge, ord_lt, to_cells,
 )
 from .space import SpaceDesc, Topology, canonicalize, closure, is_closed, is_empty, sem_eq, subset
 
@@ -247,6 +246,16 @@ class CellTemplate:
         return True
 
 
+def _verified(tmpl, recompute, start_index: int, space: SpaceDesc,
+              probes=(7, 12)) -> bool:
+    """Check a template against freshly computed stages at probe offsets."""
+    for dj in probes:
+        want = canonicalize(tmpl.instantiate(dj), space)
+        if not sem_eq(want, recompute(start_index + dj), space):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class StageTemplate:
     cells: tuple[CellTemplate, ...]
@@ -257,18 +266,10 @@ class StageTemplate:
     def limit(self, space: SpaceDesc) -> Pat:
         return canonicalize(or_(*(c.limit_pattern() for c in self.cells)), space)
 
-    def verified(self, recompute, start_index: int, space: SpaceDesc,
-                 probes=(7, 19)) -> bool:
-        """Check the template against freshly computed stages at probe offsets."""
-        for dj in probes:
-            want = canonicalize(self.instantiate(dj), space)
-            got = recompute(start_index + dj)
-            if not sem_eq(want, got, space):
-                return False
-        return True
-
     def nonempty_forever(self, space: SpaceDesc) -> bool:
         return any(c.nonempty_forever(space) for c in self.cells)
+
+    verified = _verified
 
 
 def _fit_int(seq: list[int]) -> tuple[int, int] | None:
@@ -377,14 +378,7 @@ class PeriodicTemplate:
     def nonempty_forever(self, space: SpaceDesc) -> bool:
         return all(c.nonempty_forever(space) for c in self.classes)
 
-    def verified(self, recompute, start_index: int, space: SpaceDesc,
-                 probes=(7, 12)) -> bool:
-        for dj in probes:
-            want = canonicalize(self.instantiate(dj), space)
-            got = recompute(start_index + dj)
-            if not sem_eq(want, got, space):
-                return False
-        return True
+    verified = _verified
 
 
 def match_any_template(window: list[tuple[Cell, ...]], space: SpaceDesc):
@@ -450,12 +444,6 @@ class IterationTrace:
         from .fixtures import pattern_to_sexpr
         return ["stage %s set %s" % (stage, pattern_to_sexpr(pat))
                 for stage, pat in self.events]
-
-
-def rank_of(op: DerivativeOp, budget: Budget = DEFAULT_BUDGET) -> IterationTrace:
-    """Iterate from the whole space; the trace carries the rank, or the
-    omega_1-style markers (fixpoint / budget) instead of a number."""
-    return iterate(op, TRUE, budget)
 
 
 def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> IterationTrace:

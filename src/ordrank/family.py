@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ordinal as o
-from . import space as sp
 from .errors import UnsupportedProgression, VerificationError
 from .ordinal import Kind, Ordinal, ZERO, W
 from .patterns import (

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import ordinal as o
 from .errors import FixtureParseError
 from .family import Segment, TransfiniteFamily
 from .functions import StepFn, make_stepfn
@@ -353,14 +352,6 @@ def stepfn_to_sexpr(f: StepFn) -> str:
     pieces = " ".join("(piece %s %s)" % (v, pattern_to_sexpr(p))
                       for v, p in f.pieces)
     return "(stepfn %s)" % pieces
-
-
-def family_to_sexpr(fam: TransfiniteFamily) -> str:
-    segs = " ".join(
-        "(segment (from %s) (to %s) %s)"
-        % (_ord_token(s.lo), _ord_token(s.hi), pattern_to_sexpr(s.body))
-        for s in fam.segments)
-    return "(family (length %s) %s)" % (_ord_token(fam.length), segs)
 
 
 def fixture_to_sexpr(fx: Fixture) -> str:

@@ -24,7 +24,8 @@ from .errors import (CertificateViolation, PartitionViolation,
 from .ordinal import Ordinal
 from .patterns import (
     FALSE, TRUE, Pat, PAnd, PDigitGeN, PDigitLtN, PDivN, PNot, POr, POrdGeN,
-    POrdLtN, and_, digit_in, holds_at, not_, or_, ord_ge, ord_lt, subst_n,
+    POrdLtN, _dnf, _nnf, and_, digit_in, holds_at, not_, or_, ord_ge, ord_lt,
+    subst_n,
 )
 from .space import SpaceDesc, Topology, closure, is_open, member
 
@@ -215,10 +216,6 @@ class FnFamily:
         return make_stepfn(pieces, self.space)
 
 
-def fam_const(f: StepFn) -> FnFamily:
-    return FnFamily(f.pieces, f.space)
-
-
 def fam_add(a: FnFamily, b: FnFamily) -> FnFamily:
     assert a.space == b.space
     pieces = [(va + vb, and_(pa, pb)) for va, pa in a.pieces for vb, pb in b.pieces]
@@ -279,11 +276,6 @@ def _max_mult(step: Ordinal, r: Ordinal) -> int:
 
 # -- symbolic limits and unions over the parameter ---------------------------
 
-def _param_cells(p: Pat) -> tuple[tuple[Pat, ...], ...]:
-    from .patterns import _dnf, _nnf
-    return _dnf(_nnf(p, False))
-
-
 _DECREASING = (PDigitGeN, POrdGeN, PDivN)   # sets shrink as n grows
 _INCREASING = (PDigitLtN, POrdLtN)          # sets grow as n grows
 _PARAM = _DECREASING + _INCREASING
@@ -314,7 +306,7 @@ def union_from_param(p: Pat, space: SpaceDesc) -> Pat:
     threshold plus a residue class."""
     from .patterns import mk_digitset
     cells_out = []
-    for conj in _param_cells(p):
+    for conj in _dnf(_nnf(p, False)):
         # a slope-0 atom does not move with n: it is a constant
         conj = [subst_n(a, 0) if isinstance(a, _PARAM) and a.slope == 0 else a
                 for a in conj]
@@ -349,10 +341,15 @@ def eventual(p: Pat, space: SpaceDesc) -> Pat:
     """{y : y in p(n) for all large n}, exactly.
 
     Every atom is eventually constant at each point, so p(n) eventually
-    agrees with p taken at n = omega, atom by atom."""
-    return or_(*(and_(*(_atom_at_limit(a) if isinstance(a, _PARAM) else a
-                        for a in conj))
-                 for conj in _param_cells(p)))
+    agrees with p with each atom taken at n = omega; that holds under
+    negation too, so no normal form is needed."""
+    if isinstance(p, PAnd):
+        return and_(*(eventual(q, space) for q in p.parts))
+    if isinstance(p, POr):
+        return or_(*(eventual(q, space) for q in p.parts))
+    if isinstance(p, PNot):
+        return not_(eventual(p.part, space))
+    return _atom_at_limit(p) if isinstance(p, _PARAM) else p
 
 
 # ---------------------------------------------------------------------------

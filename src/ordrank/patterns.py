@@ -69,15 +69,6 @@ class DigitSet:
                 return v
         return None
 
-    def max_finite(self) -> int | None:
-        """Largest member of a finite set."""
-        if self.residues:
-            raise ValueError("infinite digit set")
-        for v in range(len(self.prefix) - 1, -1, -1):
-            if self.prefix[v]:
-                return v
-        return None
-
     def shift_up(self, k: int) -> "DigitSet":
         """{v + k : v in self}."""
         if k == 0:
@@ -475,11 +466,30 @@ def holds_at(p: Pat, x: Ordinal) -> bool:
 
 @dataclass(frozen=True)
 class Cell:
+    """Digit box times interval times divisibility constraint.
+
+    Every cell built by `_mk_cell` (so every cell `to_cells`, `cell_and`
+    and `cell_minus` return) is canonical:
+
+    - lo >= 1 whenever div >= 1 or md is set (both imply x != 0);
+    - md is None or a nonempty subset of {>= 1} other than {>= 1} itself,
+      since x != 0 alone is carried by lo;
+    - digits is sorted by index, every index is >= div, and every set is
+      nonempty and not full;
+    - hi is None when it would reach the space bound, and lo < hi;
+    - the cell has a member (`cell_is_empty` is False).
+
+    So equal sets of constraints give equal cells, `_cell_subsumes` can
+    compare field by field, `_cell_key` orders cells totally, and the
+    prune in `_cells_cached` may look only at cells of smaller (div, lo).
+    Cells built directly (the one-constraint cells `cell_minus` carves
+    with) need not be canonical; they are only ever passed to `cell_and`.
+    """
     lo: Ordinal
     hi: Ordinal | None  # exclusive; None means up to the space bound
-    digits: tuple[tuple[int, DigitSet], ...]  # sorted, non-full, indices >= div
+    digits: tuple[tuple[int, DigitSet], ...]
     div: int
-    md: DigitSet | None = None  # last-nonzero-coefficient constraint; implies x != 0
+    md: DigitSet | None = None  # last-nonzero-coefficient constraint
 
     def constraint(self, i: int) -> DigitSet:
         if i < self.div:
@@ -561,6 +571,30 @@ def _dnf(p: Pat) -> tuple[tuple[Pat, ...], ...]:
     return ((p,),)
 
 
+def _mk_cell(lo: Ordinal, hi: Ordinal | None, digits: dict[int, DigitSet],
+             div: int, md: DigitSet | None, bound: Ordinal | None) -> Cell | None:
+    """The canonical cell of these constraints (see `Cell`); None when empty."""
+    if md is not None:
+        md = ds_and(md, ds_ge(1))  # the last coefficient is always >= 1
+        if md.is_empty:
+            return None
+    if (div >= 1 or md is not None) and o.compare(lo, ONE) < 0:
+        lo = ONE  # both imply x != 0
+    if md is not None and md == ds_ge(1):
+        md = None  # x != 0 alone, which lo now says
+    for i, ds in digits.items():
+        if ds.is_empty or (i < div and 0 not in ds):
+            return None
+    if hi is not None and bound is not None and o.compare(hi, bound) >= 0:
+        hi = None  # clamp to the bound, represented as None
+    if hi is not None and o.compare(lo, hi) >= 0:
+        return None
+    packed = tuple(sorted((i, ds) for i, ds in digits.items()
+                          if i >= div and not ds.is_full))
+    out = Cell(lo, hi, packed, div, md)
+    return None if cell_is_empty(out, bound) else out
+
+
 def _merge_cell(atoms, space_bound: Ordinal | None) -> Cell | None:
     lo, hi = ZERO, None
     digits: dict[int, DigitSet] = {}
@@ -568,7 +602,7 @@ def _merge_cell(atoms, space_bound: Ordinal | None) -> Cell | None:
     md: DigitSet | None = None
     for a in atoms:
         if isinstance(a, PDigit):
-            digits[a.i] = ds_and(digits.get(a.i, DS_FULL), a.ds)
+            digits[a.i] = ds_and(digits[a.i], a.ds) if a.i in digits else a.ds
         elif isinstance(a, POrdGe):
             if o.compare(a.b, lo) > 0:
                 lo = a.b
@@ -581,31 +615,7 @@ def _merge_cell(atoms, space_bound: Ordinal | None) -> Cell | None:
             md = ds_and(md, a.ds) if md is not None else a.ds
         else:
             raise UnsupportedProgression("parametric atom in cell merge: %r" % (a,))
-    if md is not None:
-        md = ds_and(md, ds_ge(1))
-        if md.is_empty:
-            return None
-        if md == ds_ge(1):
-            md = None  # just x != 0
-            if o.compare(lo, ONE) < 0:
-                lo = ONE
-    if (div >= 1 or md is not None) and o.compare(lo, ONE) < 0:
-        lo = ONE
-    for i in list(digits):
-        if i < div:
-            ds = digits.pop(i)
-            if 0 not in ds:
-                return None
-    for ds in digits.values():
-        if ds.is_empty:
-            return None
-    if space_bound is not None:
-        if hi is None or o.compare(hi, space_bound) >= 0:
-            hi = None  # clamp to the bound, represented as None
-    if hi is not None and o.compare(lo, hi) >= 0:
-        return None
-    packed = tuple(sorted((i, ds) for i, ds in digits.items() if not ds.is_full))
-    return Cell(lo, hi, packed, div, md)
+    return _mk_cell(lo, hi, digits, div, md, space_bound)
 
 
 def _ds_key(ds: DigitSet):
@@ -624,89 +634,53 @@ def _ds_subset(a: DigitSet, b: DigitSet) -> bool:
     return ds_and(a, ds_not(b)).is_empty
 
 
-def _cell_with(c: Cell, lo=None, hi=None, digit=None, div=None, md=None,
-               bound=None) -> Cell | None:
-    """Rebuild a cell with one constraint tightened; None when it empties."""
-    lo2 = c.lo if lo is None else (lo if o.compare(lo, c.lo) > 0 else c.lo)
-    hi2 = c.hi
-    if hi is not None:
-        hi2 = hi if c.hi is None or o.compare(hi, c.hi) < 0 else c.hi
-    digits = dict(c.digits)
-    if digit is not None:
-        i, ds = digit
-        ds2 = ds_and(c.constraint(i), ds)
-        if ds2.is_empty:
-            return None
-        digits[i] = ds2
-    div2 = max(c.div, div or 0)
-    md2 = c.md
-    if md is not None:
-        md2 = ds_and(md2, md) if md2 is not None else ds_and(md, ds_ge(1))
-        if md2.is_empty:
-            return None
-        if md2 == ds_ge(1):
-            md2 = None
-            if o.compare(lo2, ONE) < 0:
-                lo2 = ONE
-    if (div2 >= 1 or md2 is not None) and o.compare(lo2, ONE) < 0:
-        lo2 = ONE
-    for i in list(digits):
-        if i < div2:
-            ds = digits.pop(i)
-            if 0 not in ds:
-                return None
-    if bound is not None and hi2 is not None and o.compare(hi2, bound) >= 0:
-        hi2 = None
-    if hi2 is not None and o.compare(lo2, hi2) >= 0:
-        return None
-    packed = tuple(sorted((i, ds) for i, ds in digits.items() if not ds.is_full))
-    out = Cell(lo2, hi2, packed, div2, md2)
-    return None if cell_is_empty(out, bound) else out
-
-
 def cell_and(c: Cell, b: Cell, bound: Ordinal | None) -> Cell | None:
-    out = _cell_with(c, lo=b.lo, hi=b.hi, div=b.div, md=b.md, bound=bound)
+    digits = dict(c.digits)
     for i, ds in b.digits:
-        if out is None:
-            return None
-        out = _cell_with(out, digit=(i, ds), bound=bound)
-    return out
+        digits[i] = ds_and(digits[i], ds) if i in digits else ds
+    lo = b.lo if o.compare(b.lo, c.lo) > 0 else c.lo
+    hi = c.hi
+    if b.hi is not None and (hi is None or o.compare(b.hi, hi) < 0):
+        hi = b.hi
+    md = c.md if b.md is None else (b.md if c.md is None else ds_and(c.md, b.md))
+    return _mk_cell(lo, hi, digits, max(c.div, b.div), md, bound)
 
 
 def cell_minus(c: Cell, b: Cell, bound: Ordinal | None) -> list[Cell]:
-    """c minus b as disjoint cells (staircase carving, one constraint a step)."""
+    """c minus b as disjoint cells (staircase carving, one constraint a step).
+
+    Each step splits the rest by one constraint of b: the part violating
+    it is a piece of the difference, the part satisfying it carries on."""
     if _cell_subsumes(b, c):
         return []
     if cell_and(c, b, bound) is None:
         return [c]
+
+    def digit(i: int, ds: DigitSet) -> Cell:
+        return Cell(ZERO, None, ((i, ds),), 0)
+
+    steps: list[tuple[Cell, Cell]] = []
+    if not b.lo.is_zero:
+        steps.append((Cell(ZERO, b.lo, (), 0), Cell(b.lo, None, (), 0)))
+    if b.hi is not None:
+        steps.append((Cell(b.hi, None, (), 0), Cell(ZERO, b.hi, (), 0)))
+    if b.div >= 1 or b.md is not None:
+        steps.append((Cell(ZERO, ONE, (), 0), Cell(ONE, None, (), 0)))
+    # not(div): x = 0 or some digit below the level is nonzero; carve the
+    # nonzero-digit branches one position at a time to stay disjoint
+    steps += [(digit(i, ds_ge(1)), digit(i, ds_eq(0))) for i in range(b.div)]
+    if b.md is not None:
+        steps.append((Cell(ZERO, None, (), 0, ds_not(b.md)), Cell(ZERO, None, (), 0, b.md)))
+    steps += [(digit(i, ds_not(ds)), digit(i, ds)) for i, ds in b.digits]
     out: list[Cell] = []
     rest: Cell | None = c
-
-    def step(negatives, positive_kw) -> None:
-        nonlocal rest
+    for outside, inside in steps:
+        piece = cell_and(rest, outside, bound)
+        if piece is not None:
+            out.append(piece)
+        rest = cell_and(rest, inside, bound)
         if rest is None:
-            return
-        for kw in negatives:
-            piece = _cell_with(rest, bound=bound, **kw)
-            if piece is not None:
-                out.append(piece)
-        rest = _cell_with(rest, bound=bound, **positive_kw)
-
-    if not b.lo.is_zero:
-        step([{"hi": b.lo}], {"lo": b.lo})
-    if b.hi is not None:
-        step([{"lo": b.hi}], {"hi": b.hi})
-    if b.div >= 1:
-        # not(div): x = 0 or some digit below the level is nonzero; carve the
-        # nonzero-digit branches one position at a time to stay disjoint
-        step([{"hi": ONE}], {"lo": ONE})
-        for i in range(b.div):
-            step([{"digit": (i, ds_ge(1))}], {"digit": (i, ds_eq(0))})
-    if b.md is not None:
-        step([{"hi": ONE}], {"lo": ONE})
-        step([{"md": ds_not(b.md)}], {"md": b.md})
-    for i, ds in b.digits:
-        step([{"digit": (i, ds_not(ds))}], {"digit": (i, ds)})
+            break
     return out
 
 
@@ -745,11 +719,8 @@ def _cells_cached(p: Pat, space_bound: Ordinal | None) -> tuple[Cell, ...]:
         # cells among the parts' own maximal cells: the result is unchanged.
         cells = [c for q in p.parts for c in _cells_cached(q, space_bound)]
     else:
-        cells = []
-        for conj in _dnf(_nnf(p, False)):
-            c = _merge_cell(conj, space_bound)
-            if c is not None and not cell_is_empty(c, space_bound):
-                cells.append(c)
+        cells = [c for conj in _dnf(_nnf(p, False))
+                 if (c := _merge_cell(conj, space_bound)) is not None]
     uniq = sorted(set(cells), key=_cell_key)
     # A subsumer k of c has k.div <= c.div and k.lo <= c.lo, so it lies in
     # the prefix of the _cell_key order up to the last cell of c's (div, lo).

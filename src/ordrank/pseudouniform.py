@@ -18,11 +18,11 @@ from .derivative import Budget, DEFAULT_BUDGET
 from .errors import UnsupportedProgression, VerificationError, WitnessMismatch
 from .family import Segment, TransfiniteFamily, even_diff_union
 from .functions import (FnFamily, StepFn, char_fn, fam_add, fam_clamp_hk,
-                        fam_map_values, make_stepfn, fn_add, fn_scale, constant)
+                        fam_map_values, fn_add, constant)
 from .ordinal import Ordinal, W, ZERO, omega_power
 from .patterns import (FALSE, TRUE, Pat, PDigitGeN, PDigitLtN, POrdGeEta,
                        and_, digit_eq, digit_in, digit_mod, ds_lt, not_, or_,
-                       ord_ge, ord_lt, subst_n)
+                       ord_ge, ord_lt)
 from .ranks import (NotStabilized, RankReport, alpha_xi_verify, beta,
                     gamma_seq, is_pseudouniform)
 from .space import SpaceDesc, Topology, is_empty, sample_points, sem_eq, subset

@@ -20,7 +20,7 @@ from .family import TransfiniteFamily, even_diff_union, validate_set_family
 from .functions import FnFamily, StepFn
 from .ordinal import Ordinal, W
 from .patterns import FALSE, TRUE, Pat, and_, or_
-from .space import Topology, is_empty, sample_points, subset
+from .space import Topology, is_empty, sample_points
 
 
 @dataclass(frozen=True)
@@ -85,22 +85,36 @@ def _level_pairs(f: StepFn) -> list[tuple[Fraction, Fraction, Pat, Pat]]:
     return out
 
 
-def alpha_fn(f: StepFn, t: Topology, budget: Budget = DEFAULT_BUDGET) -> RankReport:
-    """Separation rank: supremum of alpha over the level pairs of f."""
-    pairs = _level_pairs(f)
-    if not pairs:
-        rep = alpha_pair(FALSE, TRUE, t, budget)
-        return RankReport("alpha_fn", rep.value, None, rep.trace)
+def _sup_rank(kind: str, params, rank_at, default) -> RankReport:
+    """Supremum of ranks over finitely many parameters.
+
+    rank_at(param) gives (value, trace).  The report carries the parameter
+    of the largest rank, or of the first rank that did not stabilize; with
+    no parameters it is rank_at(default) alone."""
+    if not params:
+        value, trace = rank_at(default)
+        return RankReport(kind, value, default, trace)
     best = None
     per = []
-    for p, q, A, B in pairs:
-        rep = alpha_pair(A, B, t, budget)
-        per.append(((p, q), rep.value))
-        if isinstance(rep.value, NotStabilized):
-            return RankReport("alpha_fn", rep.value, (p, q), rep.trace, tuple(per))
-        if best is None or o.compare(rep.value, best[0].value) > 0:
-            best = (rep, (p, q))
-    return RankReport("alpha_fn", best[0].value, best[1], best[0].trace, tuple(per))
+    for prm in params:
+        value, trace = rank_at(prm)
+        per.append((prm, value))
+        if isinstance(value, NotStabilized):
+            return RankReport(kind, value, prm, trace, tuple(per))
+        if best is None or o.compare(value, best[0]) > 0:
+            best = (value, prm, trace)
+    return RankReport(kind, best[0], best[1], best[2], tuple(per))
+
+
+def alpha_fn(f: StepFn, t: Topology, budget: Budget = DEFAULT_BUDGET) -> RankReport:
+    """Separation rank: supremum of alpha over the level pairs of f."""
+    sets = {(p, q): (A, B) for p, q, A, B in _level_pairs(f)}
+
+    def rank_at(pq):
+        # a constant f has no level pair: separate the empty set from all
+        rep = alpha_pair(*(sets[pq] if pq else (FALSE, TRUE)), t, budget)
+        return rep.value, rep.trace
+    return _sup_rank("alpha_fn", list(sets), rank_at, None)
 
 
 def _gaps(values) -> list[Fraction]:
@@ -111,39 +125,16 @@ def _gaps(values) -> list[Fraction]:
 
 def beta(f: StepFn, t: Topology, budget: Budget = DEFAULT_BUDGET) -> RankReport:
     """Oscillation rank: supremum over the (finitely many) relevant eps."""
-    gaps = _gaps(f.values())
-    if not gaps:
-        value, trace = _rank_of(DerivativeOp(OscDeriv(f, Fraction(1)), t), TRUE, budget)
-        return RankReport("beta", value, Fraction(1), trace)
-    best = None
-    per = []
-    for eps in gaps:
-        value, trace = _rank_of(DerivativeOp(OscDeriv(f, eps), t), TRUE, budget)
-        per.append((eps, value))
-        if isinstance(value, NotStabilized):
-            return RankReport("beta", value, eps, trace, tuple(per))
-        if best is None or o.compare(value, best[0]) > 0:
-            best = (value, eps, trace)
-    return RankReport("beta", best[0], best[1], best[2], tuple(per))
+    return _sup_rank("beta", _gaps(f.values()),
+                     lambda eps: _rank_of(DerivativeOp(OscDeriv(f, eps), t), TRUE, budget),
+                     Fraction(1))
 
 
 def gamma_seq(fam: FnFamily, t: Topology, budget: Budget = DEFAULT_BUDGET) -> RankReport:
     """Convergence rank of a function sequence; pseudouniform iff <= w."""
-    gaps = _gaps(fam.values())
-    if not gaps:
-        value, trace = _rank_of(DerivativeOp(ConvDeriv(fam, Fraction(1)), t),
-                                TRUE, budget)
-        return RankReport("gamma_seq", value, Fraction(1), trace)
-    best = None
-    per = []
-    for eps in gaps:
-        value, trace = _rank_of(DerivativeOp(ConvDeriv(fam, eps), t), TRUE, budget)
-        per.append((eps, value))
-        if isinstance(value, NotStabilized):
-            return RankReport("gamma_seq", value, eps, trace, tuple(per))
-        if best is None or o.compare(value, best[0]) > 0:
-            best = (value, eps, trace)
-    return RankReport("gamma_seq", best[0], best[1], best[2], tuple(per))
+    return _sup_rank("gamma_seq", _gaps(fam.values()),
+                     lambda eps: _rank_of(DerivativeOp(ConvDeriv(fam, eps), t), TRUE, budget),
+                     Fraction(1))
 
 
 def is_pseudouniform(rep: RankReport) -> bool:

@@ -23,9 +23,8 @@ from . import ordinal as o
 from .errors import ClassViolation
 from .ordinal import Ordinal, Kind
 from .patterns import (
-    Cell, DS_FULL, Pat, PDiv, and_, cell_pattern, cells_pattern, digit_in,
-    holds_at, interval, not_, or_, ord_ge, ord_lt, to_cells, iter_cell,
-    cell_min_geq, divpow, TRUE, FALSE,
+    Cell, Pat, PDiv, and_, cells_pattern, digit_in, holds_at, not_, or_,
+    ord_ge, ord_lt, to_cells, iter_cell, divpow, TRUE, FALSE,
 )
 
 
@@ -79,23 +78,7 @@ def partition_cells(t: Topology) -> tuple[Pat, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Boolean algebra on patterns (semantic operations need the space).
-
-def union(*ps: Pat) -> Pat:
-    return or_(*ps)
-
-
-def intersect(*ps: Pat) -> Pat:
-    return and_(*ps)
-
-
-def complement(p: Pat) -> Pat:
-    return not_(p)
-
-
-def difference(a: Pat, b: Pat) -> Pat:
-    return and_(a, not_(b))
-
+# Semantic operations on patterns (they need the space).
 
 def is_empty(p: Pat, space: SpaceDesc) -> bool:
     return not to_cells(p, space.bound)
@@ -145,7 +128,7 @@ def _cofinal_below(c: Cell, e: int) -> bool:
     with a least-digit constraint the tail's own least nonzero coefficient
     must satisfy it, either at level e-1 (lower = 0) or inside lower.
     """
-    from .patterns import ds_and, ds_ge
+    from .patterns import ds_and
     if c.md is None:
         if c.constraint(e - 1).is_finite:
             return False
@@ -192,19 +175,23 @@ def _limit_points_of_cell(c: Cell) -> list[Pat]:
     return out
 
 
-def _base_closure(p: Pat, space: SpaceDesc) -> Pat:
-    cells = to_cells(p, space.bound)
-    extras = [lp for c in cells for lp in _limit_points_of_cell(c)]
-    return canonicalize(or_(p, *extras), space)
+def _limit_points(p: Pat, space: SpaceDesc) -> list[Pat]:
+    return [lp for c in to_cells(p, space.bound) for lp in _limit_points_of_cell(c)]
+
+
+def _per_partition_cell(base, p: Pat, t: Topology) -> Pat:
+    """base(p, space) in the base topology; under a refinement, base taken
+    inside each partition cell (the cells are clopen) and reassembled."""
+    if not t.declared:
+        return base(p, t.space)
+    parts = [and_(base(and_(p, cpat), t.space), cpat) for cpat in partition_cells(t)]
+    return canonicalize(or_(*parts), t.space)
 
 
 def closure(p: Pat, t: Topology) -> Pat:
     """Topological closure; per partition cell under a refinement."""
-    if not t.declared:
-        return _base_closure(p, t.space)
-    parts = [and_(_base_closure(and_(p, cpat), t.space), cpat)
-             for cpat in partition_cells(t)]
-    return canonicalize(or_(*parts), t.space)
+    return _per_partition_cell(
+        lambda q, space: canonicalize(or_(q, *_limit_points(q, space)), space), p, t)
 
 
 def is_closed(p: Pat, t: Topology) -> bool:
@@ -215,21 +202,12 @@ def is_open(p: Pat, t: Topology) -> bool:
     return is_closed(sem_difference(TRUE, p, t.space), t)
 
 
-def _base_limit_points(p: Pat, space: SpaceDesc) -> Pat:
-    cells = to_cells(p, space.bound)
-    extras = [lp for c in cells for lp in _limit_points_of_cell(c)]
-    return canonicalize(or_(*extras), space) if extras else FALSE
-
-
 def cb_derivative(p: Pat, t: Topology) -> Pat:
     """Limit points of a closed set (Cantor-Bendixson derivative)."""
     if not is_closed(p, t):
         raise ValueError("cb_derivative needs a closed set")
-    if not t.declared:
-        return _base_limit_points(p, t.space)
-    parts = [and_(_base_limit_points(and_(p, cpat), t.space), cpat)
-             for cpat in partition_cells(t)]
-    return canonicalize(or_(*parts), t.space)
+    return _per_partition_cell(
+        lambda q, space: canonicalize(or_(*_limit_points(q, space)), space), p, t)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +219,6 @@ class BorelClass(enum.Enum):
     CLOSED = "closed"
     DELTA2 = "delta2"
     SIGMA2_OR_ABOVE = "sigma2_or_above"
-
-    def at_most(self, other: "BorelClass") -> bool:
-        order = [BorelClass.CLOPEN, BorelClass.OPEN, BorelClass.CLOSED,
-                 BorelClass.DELTA2, BorelClass.SIGMA2_OR_ABOVE]
-        # OPEN and CLOSED are incomparable; treat both as level 1.
-        lvl = {BorelClass.CLOPEN: 0, BorelClass.OPEN: 1, BorelClass.CLOSED: 1,
-               BorelClass.DELTA2: 2, BorelClass.SIGMA2_OR_ABOVE: 3}
-        return lvl[self] <= lvl[other]
 
 
 def difference_chain(p: Pat, t: Topology, budget: int = 16) -> list[Pat] | None:
@@ -275,7 +245,7 @@ def _even_differences(chain: list[Pat]) -> Pat:
     for k in range(0, len(chain), 2):
         upper = chain[k]
         lower = chain[k + 1] if k + 1 < len(chain) else FALSE
-        parts.append(difference(upper, lower))
+        parts.append(and_(upper, not_(lower)))
     return or_(*parts)
 
 
@@ -324,19 +294,8 @@ def refine(t: Topology, sets: tuple[Pat, ...] | list[Pat], xi: int) -> Topology:
     return Topology(t.space, t.declared + sets)
 
 
-def refinement_report(t: Topology) -> list[str]:
-    lines = ["declared sets: %d" % len(t.declared),
-             "partition cells: %d" % len(partition_cells(t))]
-    for cpat in partition_cells(t):
-        lines.append("cell %s" % format_pattern(cpat))
-    lines.append("new opens are unions of (base open & cell); "
-                 "each cell is a boolean combination of declared sets, "
-                 "so every new open is Sigma^0_xi in the base by construction")
-    return lines
-
-
 # ---------------------------------------------------------------------------
-# Sampling and pretty-printing.
+# Sampling.
 
 def sample_points(p: Pat, space: SpaceDesc, per_cell: int = 8) -> list[Ordinal]:
     seen = set()
@@ -344,12 +303,3 @@ def sample_points(p: Pat, space: SpaceDesc, per_cell: int = 8) -> list[Ordinal]:
         for x in iter_cell(c, space.bound, per_cell):
             seen.add(x)
     return sorted(seen, key=lambda x: x.terms)
-
-
-def space_points(space: SpaceDesc, per_cell: int = 32) -> list[Ordinal]:
-    return sample_points(TRUE, space, per_cell)
-
-
-def format_pattern(p: Pat) -> str:
-    from .fixtures import pattern_to_sexpr
-    return pattern_to_sexpr(p)

@@ -142,6 +142,14 @@ def test_cli_parse_error_exit1(tmp_path):
     assert main(["rank", path, "--fn", "nope"]) == 1
 
 
+def _run_cli(argv):
+    """The CLI in a fresh interpreter, so an escaping traceback would show."""
+    src = os.path.dirname(os.path.dirname(ordrank.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "ordrank.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("argv, missing", [
     (["rank", "--fn", "nope"], "nope"),
     (["rank", "--nfam", "nowhere"], "nowhere"),
@@ -152,14 +160,42 @@ def test_cli_parse_error_exit1(tmp_path):
 ])
 def test_cli_undeclared_name_exit1(tmp_path, argv, missing):
     path = _write(tmp_path, FIX)
-    src = os.path.dirname(os.path.dirname(ordrank.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "ordrank.cli", argv[0], path] + argv[1:],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_cli([argv[0], path] + argv[1:])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert repr(missing) in proc.stderr
+
+
+def test_cli_depth_exceeded_exit3(tmp_path):
+    # (depth 9) is not applied, so w^7 is beyond the exponent ceiling:
+    # a documented exit, not a traceback
+    deep = """
+(fixture
+  (space (bound "w^7") (depth 9))
+  (set evens (mod 0 2 0)))
+"""
+    proc = _run_cli(["rank", _write(tmp_path, deep), "--pair", "evens", "evens"])
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "DepthExceeded" in proc.stderr
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def test_cli_rank_trace_golden(capsys):
+    """rank --trace output, byte for byte.  It pins the stage patterns and
+    the witness parameters, which no reproduction suite prints."""
+    out = []
+    for fixture, flag, name in (("example.sexp", "--fn", "chi"),
+                                ("example.sexp", "--nfam", "windows"),
+                                ("polish_ceiling.sexp", "--fn", "polish")):
+        assert main(["rank", os.path.join(DATA, fixture), flag, name, "--trace"]) == 0
+        out.append(capsys.readouterr().out)
+    with open(os.path.join(DATA, "rank_trace.golden"), encoding="utf-8") as fh:
+        assert "".join(out) == fh.read()
 
 
 def test_cli_reproduce(capsys):

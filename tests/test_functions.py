@@ -14,9 +14,9 @@ from ordrank.functions import (FnFamily, StepFn, UniformPresentation, char_fn,
                                union_from_param, usc_check, _max_mult)
 from ordrank.ordinal import (W, ZERO, Ordinal, add, compare, from_int, mul,
                              omega_power)
-from ordrank.patterns import (PDigitGeN, PDigitLtN, POrdGeN, POrdLtN, TRUE,
-                              and_, digit_mod, holds_at, not_, or_, ord_ge,
-                              ord_lt, subst_n)
+from ordrank.patterns import (PDigitGeN, PDigitLtN, PDivN, POrdGeN, POrdLtN,
+                              TRUE, and_, digit_mod, holds_at, not_, or_,
+                              ord_ge, ord_lt, subst_n)
 from ordrank.space import SpaceDesc, base_topology, refine, sem_eq
 
 W1 = SpaceDesc(add(W, 1))
@@ -126,6 +126,15 @@ def test_fn_family_traces():
                     (Fraction(0), POrdLtN(ZERO, from_int(1)))),
                    SpaceDesc(add(mul(W, 2), 1)))
     assert fam.value_trace(from_int(3_000_000)) == ((0, 1), (3_000_001, 0))
+    # f_n = chi{w^n divides x, x != 0}: the complemented divisibility atom
+    # has a limit too, and every point leaves by n = its least exponent + 1
+    for space in (SpaceDesc(add(mul(W, 8), 8)), SpaceDesc(None)):
+        fam = FnFamily(((Fraction(1), PDivN(0, 1)),
+                        (Fraction(0), not_(PDivN(0, 1)))), space)
+        assert fam.value_trace(W) == ((0, 1), (2, 0))
+        lim = fam.pointwise_limit()
+        assert lim.pieces == ((Fraction(0), TRUE),)
+        assert [lim.eval(x) for x in (ZERO, from_int(3), W, add(W, 5))] == [0] * 4
 
 
 def _brute_max_mult(step, r):

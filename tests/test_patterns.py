@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from ordrank import ordinal as o
 from ordrank.ordinal import W, add, from_int, mul
-from ordrank.patterns import (DigitSet, ds_and, ds_eq, ds_ge, ds_lt, ds_mod,
-                              ds_not, ds_or, ds_window, mk_digitset,
-                              cells_difference, holds_at, not_, and_, or_,
-                              to_cells, cell_pattern, cell_is_empty,
-                              _cell_key, _cell_subsumes, _dnf, _merge_cell,
-                              _nnf)
+from ordrank.patterns import (DigitSet, PAnd, PMinDigit, POrdGe, PTrue,
+                              ds_and, ds_eq, ds_ge, ds_lt, ds_mod, ds_not,
+                              ds_or, ds_window, mk_digitset, cells_difference,
+                              holds_at, not_, and_, or_, to_cells, cell_and,
+                              cell_pattern, cell_is_empty, _cell_key,
+                              _cell_subsumes, _dnf, _merge_cell, _nnf)
 from ordrank.space import SpaceDesc, sample_points
 
 from test_closure_probe import rich_pattern
@@ -127,6 +127,58 @@ def test_to_cells_of_union_matches_whole_formula():
                 to_cells(parts[0], space.bound)  # as closure does: p cached first
             p = or_(*parts)
             assert to_cells(p, space.bound) == _whole_formula_cells(p, space.bound), p
+
+
+def _atoms(c):
+    p = cell_pattern(c)
+    return p.parts if isinstance(p, PAnd) else (() if isinstance(p, PTrue) else (p,))
+
+
+def _assert_canonical(c, bound):
+    """The invariants the Cell docstring states."""
+    if c.div >= 1 or c.md is not None:
+        assert o.compare(c.lo, o.ONE) >= 0, c
+    if c.md is not None:
+        assert not c.md.is_empty and c.md != ds_ge(1) and 0 not in c.md, c
+    idx = [i for i, _ in c.digits]
+    assert idx == sorted(set(idx)) and all(i >= c.div for i in idx), c
+    assert all(not ds.is_empty and not ds.is_full for _, ds in c.digits), c
+    if c.hi is not None:
+        assert bound is None or o.compare(c.hi, bound) < 0, c
+        assert o.compare(c.lo, c.hi) < 0, c
+    assert not cell_is_empty(c, bound), c
+
+
+def test_cell_normaliser_fixed_points_and_and():
+    """Cells are canonical fixed points of the normaliser, and cell_and
+    merges two cells exactly as _merge_cell merges the atoms of both."""
+    # a last-coefficient constraint of just {>= 1} says x != 0 and no more
+    assert _merge_cell((PMinDigit(ds_ge(1)),), None) == _merge_cell((POrdGe(o.ONE),), None)
+    rng = random.Random(2718)
+    for space in (SpaceDesc(add(mul(W, 8), 8)), SpaceDesc(None)):
+        bound = space.bound
+        pools = []
+        for _ in range(60):
+            gen = rand_pattern if rng.random() < 0.5 else rich_pattern
+            cells = to_cells(gen(rng), bound)
+            for c in cells:
+                _assert_canonical(c, bound)
+                assert _merge_cell(_atoms(c), bound) == c, c
+            pools.append(cells)
+        pairs = 0
+        for a, b in zip(pools, pools[1:]):
+            for c in a[:4]:
+                for d in b[:4]:
+                    both = cell_and(c, d, bound)
+                    assert both == _merge_cell(_atoms(c) + _atoms(d), bound), (c, d)
+                    if both is not None:
+                        _assert_canonical(both, bound)
+                    for x in sample_points(or_(cell_pattern(c), cell_pattern(d)),
+                                           space, 2)[:8]:
+                        assert (both is not None and both.holds(x)) == \
+                            (c.holds(x) and d.holds(x)), (c, d, x)
+                    pairs += 1
+        assert pairs >= 100
 
 
 def test_fundamental_sequence_supremum():

@@ -2,12 +2,14 @@
 
 The sequences are nonnegative combinations of decreasing set families, so
 the index map eta -> f_eta(x) is a step function of eta with finitely
-many ordinal thresholds.  The alternating sum up to theta is then evaluated
-exactly by crossing the constant intervals: over a stretch of constant
-value v starting at an even index, the partial sum gains v at odd stages
-and returns at even and limit stages; starting at an odd index it dips by
-v at even stages.  Limit stages agree with the supremum of even partial
-sums below, so no approximation is involved.
+many ordinal thresholds.  Its value trace is swept from the families' truth
+intervals at x; the length certificate builds it once per sampled point and
+reads the identity and every stage from it.  The alternating sum up to
+theta is evaluated exactly by crossing the constant intervals: over a
+stretch of constant value v starting at an even index, the partial sum
+gains v at odd stages and returns at even and limit stages; starting at an
+odd index it dips by v at even stages.  Limit stages agree with the
+supremum of even partial sums below, so no approximation is involved.
 """
 from __future__ import annotations
 
@@ -35,19 +37,24 @@ class ComboSeq:
     space: SpaceDesc
 
     def value_trace(self, x: Ordinal) -> tuple[tuple[Ordinal, Fraction], ...]:
-        """The step function eta -> f_eta(x) as ((from, value), ...)."""
-        cuts = {ZERO}
-        for _, fam in self.terms:
-            for start, _end, _val in fam.truth_intervals(x):
-                cuts.add(start)
-            if o.compare(fam.length, self.length) < 0:
-                cuts.add(fam.length)
-        marks = sorted(cuts, key=lambda a: a.terms)
+        """The step function eta -> f_eta(x) on [0, length) as ((from, value), ...).
+
+        Swept from the families' truth intervals: a term's weight enters
+        where an interval of x in F_eta starts and leaves where it ends."""
+        delta = {ZERO: Fraction(0)}
+        for w, fam in self.terms:
+            for start, end, val in fam.truth_intervals(x):
+                if val:
+                    delta[start] = delta.get(start, 0) + w
+                    delta[end] = delta.get(end, 0) - w
+        total = Fraction(0)
         out = []
-        for m in marks:
-            val = self.value(m, x)
-            if not out or out[-1][1] != val:
-                out.append((m, val))
+        for m in sorted(delta, key=lambda a: a.terms):
+            if out and o.compare(m, self.length) >= 0:
+                break
+            total += delta[m]
+            if not out or out[-1][1] != total:
+                out.append((m, total))
         return tuple(out)
 
     def value(self, eta: Ordinal, x: Ordinal) -> Fraction:
@@ -121,7 +128,12 @@ def altsum_eval(d: DUSBSeq | ComboSeq, x: Ordinal, theta: Ordinal) -> Fraction:
         raise ValueError("theta beyond the sequence length")
     if theta.is_zero:
         return Fraction(0)
-    trace = seq.value_trace(x)
+    return _trace_sum(seq.value_trace(x), theta)
+
+
+def _trace_sum(trace: tuple[tuple[Ordinal, Fraction], ...],
+               theta: Ordinal) -> Fraction:
+    """Alternating sum over eta < theta of a value trace."""
     total = Fraction(0)
     for i, (start, val) in enumerate(trace):
         if o.compare(start, theta) >= 0:
@@ -131,6 +143,17 @@ def altsum_eval(d: DUSBSeq | ComboSeq, x: Ordinal, theta: Ordinal) -> Fraction:
             end = theta
         total = _cross(total, start, end, val)
     return total
+
+
+def _trace_at(trace: tuple[tuple[Ordinal, Fraction], ...],
+              eta: Ordinal) -> Fraction:
+    """The trace's value f_eta(x) at eta (eta below the length)."""
+    val = Fraction(0)
+    for start, v in trace:
+        if o.compare(start, eta) > 0:
+            break
+        val = v
+    return val
 
 
 def altsum_unrolled(d: DUSBSeq | ComboSeq, x: Ordinal, steps: int) -> list[Fraction]:
@@ -209,8 +232,7 @@ def build_step_decomposition(f: StepFn, witnesses: list[TransfiniteFamily],
         terms.append((weight, witnesses[i]))
         if o.compare(witnesses[i].length, max_len) > 0:
             max_len = witnesses[i].length
-    padded = tuple((w, fam) for w, fam in terms)
-    seq = ComboSeq(padded, max_len, space)
+    seq = ComboSeq(tuple(terms), max_len, space)
     if seq.norm_bound() > f.norm():
         raise WitnessMismatch("norm discipline violated: %s > %s"
                               % (seq.norm_bound(), f.norm()))
@@ -273,18 +295,22 @@ def length_upper_certificate(f: StepFn, witness: DUSBSeq, lam: int,
                               % (witness.length, lam))
     pts = sample_points(TRUE, space, per_cell=sample_cap)[:sample_cap]
     claims = []
+    # one value trace and one f(x) per point serve the identity and every stage
+    checked = []
     for x in pts:
-        got = const + altsum_eval(witness, x, witness.length)
+        trace = witness.seq.value_trace(x)
+        got = const + _trace_sum(trace, witness.length)
         want = f.eval(x)
         if got != want:
             raise WitnessMismatch("identity fails at %s: %s != %s" % (x, got, want))
+        checked.append((x, trace, want))
     claims.append("f = const + alternating sum at %d sampled points" % len(pts))
     thetas = _even_stage_samples(witness.length, even_thetas)
     for theta in thetas:
-        for x in pts[: max(6, len(pts) // 4)]:
-            part = const + altsum_eval(witness, x, theta)
-            resid = f.eval(x) - part
-            cap = witness.seq.value(theta, x) if o.compare(theta, witness.length) < 0 else Fraction(0)
+        inside = o.compare(theta, witness.length) < 0
+        for x, trace, fx in checked[: max(6, len(pts) // 4)]:
+            resid = fx - (const + _trace_sum(trace, theta))
+            cap = _trace_at(trace, theta) if inside else Fraction(0)
             if resid < 0 or resid > cap:
                 raise ResidualViolation(x, theta)
     claims.append("residual sandwich at %d even stages" % len(thetas))

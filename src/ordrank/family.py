@@ -2,7 +2,7 @@
 
 A family assigns a pattern F_eta to every index eta below its length,
 through finitely many segments whose bodies may reference the index via
-affine atoms (x >= base + coeff*(eta - shift)).  Everything a decreasing
+affine atoms (x >= base + (eta - shift)*coeff).  Everything a decreasing
 continuous family is used for reduces to per-point exit indices and
 per-segment symbolic analysis, both exact on this fragment.
 """
@@ -54,8 +54,7 @@ class TransfiniteFamily:
         out = []
         for s in self.segments:
             cuts = {s.lo}
-            for thr in _eta_breakpoints(s.body, x):
-                t = o.add(s.lo, ZERO) if thr is None else thr
+            for t in _eta_breakpoints(s.body, x):
                 if o.compare(s.lo, t) < 0 and o.compare(t, s.hi) < 0:
                     cuts.add(t)
             marks = sorted(cuts, key=lambda a: a.terms)
@@ -96,11 +95,12 @@ def _eta_breakpoints(body: Pat, x: Ordinal) -> list[Ordinal]:
     if isinstance(body, PNot):
         return _eta_breakpoints(body.part, x)
     if isinstance(body, (POrdGeEta, POrdLtEta)):
-        # x >= base + coeff*(eta - shift) holds iff eta <= shift + (x-base)//coeff
+        # x >= base + (eta - shift)*coeff holds until eta - shift reaches
+        # the least z with z*coeff > x - base
         if o.compare(x, body.base) < 0:
             return [ZERO]
-        zmax = o.nat_div(o.left_sub(x, body.base), body.coeff)
-        return [o.add(o.add(body.shift, zmax), 1)]
+        return [o.add(body.shift, o.least_multiple_above(
+            o.left_sub(x, body.base), body.coeff))]
     return []
 
 
@@ -124,7 +124,7 @@ def _tail_intersection(seg: Segment, theta: Ordinal) -> Pat:
 
 def tails_family(length: Ordinal, base: Ordinal = ZERO, shift: Ordinal = ZERO,
                  coeff: int = 1) -> TransfiniteFamily:
-    """F_eta = {x >= base + coeff*(eta - shift)} on [shift, shift+length)... the
+    """F_eta = {x >= base + (eta - shift)*coeff} on [shift, shift+length)... the
     canonical decreasing continuous family when called with shift 0."""
     return TransfiniteFamily(length, (Segment(ZERO, length,
                                               POrdGeEta(base, shift, coeff)),))

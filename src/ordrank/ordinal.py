@@ -227,6 +227,23 @@ def nat_div(a: Ordinal | int, m: int) -> Ordinal:
     return add(a.limit_part(), from_int(a.fin() // m))
 
 
+def least_multiple_above(a: Ordinal | int, m: int) -> Ordinal:
+    """Least z with z*m > a, for finite m >= 1 (z*m = z + ... + z, m times).
+
+    With a = w^e*k + r, z*m has leading term w^e*(j*m) when z has w^e*j,
+    and keeps z's remainder; so the least z is w^e*(k//m + 1), or
+    w^e*(k/m) + r + 1 when m divides k."""
+    a = _coerce(a)
+    if m < 1:
+        raise ValueError("multiplier must be >= 1")
+    if not a.terms:
+        return from_int(1)
+    (e, k), rest = a.terms[0], Ordinal(a.terms[1:])
+    if k % m:
+        return omega_power(e, k // m + 1)
+    return add(add(omega_power(e, k // m), rest), 1)
+
+
 def parity(a: Ordinal | int) -> Parity:
     """Write a = L + n with L limit-or-zero; even iff n is even (limits are even)."""
     return Parity.EVEN if _coerce(a).fin() % 2 == 0 else Parity.ODD

@@ -267,7 +267,7 @@ class PDivN(Pat):
 # Atoms affine in the ordinal index of a transfinite family.
 @dataclass(frozen=True)
 class POrdGeEta(Pat):
-    """x >= base + coeff*(eta - shift); segments guarantee eta >= shift."""
+    """x >= base + (eta - shift)*coeff; segments guarantee eta >= shift."""
     base: Ordinal
     shift: Ordinal
     coeff: int = 1

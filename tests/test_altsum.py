@@ -18,8 +18,8 @@ from ordrank.family import (TransfiniteFamily, even_diff_union,
 from ordrank.functions import UniformPresentation, char_fn, constant, fn_scale, make_stepfn
 from ordrank.ordinal import (W, ZERO, add, even_floor, from_int,
                              fundamental_sequence, is_even, mul, omega_power)
-from ordrank.patterns import (FALSE, TRUE, and_, digit_mod, not_, or_,
-                              ord_ge, ord_lt)
+from ordrank.patterns import (FALSE, TRUE, POrdGeEta, and_, digit_mod, not_,
+                              or_, ord_ge, ord_lt)
 from ordrank.space import SpaceDesc, base_topology, sample_points, sem_eq
 
 SW = SpaceDesc(W)
@@ -217,3 +217,158 @@ def test_length_certificate_residual_violation():
     target = constant(-4, SW)
     with pytest.raises(ResidualViolation):
         length_upper_certificate(target, bogus, 1, TW, const=Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# Value traces against the per-mark definition, and certificate negatives.
+
+def _reference_trace(seq, x):
+    """The value trace built mark by mark with seq.value: cuts at every
+    truth-interval start and at every shorter family's length."""
+    cuts = {ZERO}
+    for _, fam in seq.terms:
+        cuts.update(start for start, _end, _val in fam.truth_intervals(x))
+        if fam.length.terms < seq.length.terms:
+            cuts.add(fam.length)
+    out = []
+    for m in sorted(cuts, key=lambda a: a.terms):
+        val = seq.value(m, x)
+        if not out or out[-1][1] != val:
+            out.append((m, val))
+    return tuple(out)
+
+
+def _trace_value(trace, eta):
+    """The value of the last mark at or below eta."""
+    val = None
+    for start, v in trace:
+        if start.terms > eta.terms:
+            break
+        val = v
+    return val
+
+
+def _random_family(rng, length):
+    """A decreasing family of the given length from one of the builders."""
+    kind = rng.randrange(3)
+    if kind == 0 or length.is_finite:
+        n = length.fin() if length.is_finite else rng.randint(2, 5)
+        cuts = sorted(rng.sample(range(1, 30), n - 1))
+        pats = [TRUE] + [or_(ord_ge(from_int(c)), and_(EVENS, ord_ge(W)))
+                         if rng.random() < 0.3 else ord_ge(from_int(c))
+                         for c in cuts]
+        return explicit_family(pats)
+    if kind == 1:
+        return tails_family(length, base=from_int(rng.randint(0, 3)),
+                            coeff=rng.randint(1, 2))
+    k = rng.randint(1, 4)
+    a = from_int(2 * rng.randint(1, 5))
+    segs = [(ZERO, from_int(k), TRUE), (from_int(k), W, ord_ge(a))]
+    if length != W:
+        segs.append((W, length, POrdGeEta(a, W, 1)))
+    return from_segments(length, segs)
+
+
+def _random_combo(rng):
+    length = rng.choice([W, add(mul(W, 3), 2), mul(W, 4), omega_power(2)])
+    n = rng.randint(2, 4)
+    lengths = [length] + [rng.choice([from_int(rng.randint(1, 6)), W, length])
+                          for _ in range(n - 1)]
+    lengths[1] = from_int(rng.randint(1, 6))  # one family shorter than the sequence
+    fams = [_random_family(rng, ln) for ln in lengths]
+    weights = [Fraction(rng.randint(1, 2), 2) for _ in fams]
+    weights[-1] = weights[0]  # tied weights
+    return ComboSeq(tuple(zip(weights, fams)), length, S2)
+
+
+def test_value_trace_matches_reference_random():
+    rng = random.Random(515)
+    pts = [add(mul(W, a), b) for a in range(7) for b in range(9)]
+    for _ in range(25):
+        seq = _random_combo(rng)
+        etas = [from_int(n) for n in range(40) if from_int(n).terms < seq.length.terms]
+        lim = seq.length.limit_part()
+        etas += [fundamental_sequence(lim, n) for n in range(6)]
+        etas += [add(lim, k) for k in range(seq.length.fin())]
+        unrolled_steps = min(12, len(etas))
+        for x in rng.sample(pts, 12) + [from_int(rng.randint(9, 30))]:
+            trace = seq.value_trace(x)
+            assert trace == _reference_trace(seq, x)
+            for eta in etas:
+                assert seq.value(eta, x) == _trace_value(trace, eta)
+            sums = altsum_unrolled(seq, x, unrolled_steps)
+            for n in range(unrolled_steps + 1):
+                assert altsum_eval(seq, x, from_int(n)) == sums[n]
+
+
+def _valid_decompositions():
+    """(f, decomposition, lam, topology) for nested-level step functions on
+    three spaces."""
+    out = []
+    s1 = SpaceDesc(add(W, 1))
+    t1 = base_topology(s1)
+    evens_fn = char_fn(and_(EVENS, ord_lt(W)), s1)
+    odds_top = or_(and_(digit_mod(0, 2, 1), ord_lt(W)), ord_ge(W))
+    out.append((evens_fn, build_step_decomposition(
+        evens_fn, [explicit_family([TRUE, odds_top, FALSE, FALSE])], t1), 1, t1))
+    for a in (4, 7):
+        f = make_stepfn([(3, ord_ge(from_int(a))), (1, ord_lt(from_int(a)))], SW)
+        wit = explicit_family([TRUE, ord_lt(from_int(a)), FALSE, FALSE])
+        out.append((f, build_step_decomposition(
+            f, [wit, explicit_family([TRUE, FALSE])], TW), 1, TW))
+    for a in (2, 6):
+        f = make_stepfn([(Fraction(5, 2), and_(EVENS, ord_ge(from_int(a)))),
+                         (Fraction(3, 2), and_(EVENS, ord_lt(from_int(a)))),
+                         (Fraction(1, 2), not_(EVENS))], S2)
+        top = from_segments(omega_power(2), [
+            (ZERO, from_int(2), TRUE),
+            (from_int(2), omega_power(2), POrdGeEta(from_int(a), from_int(2), 1))])
+        d = build_step_decomposition(
+            f, [top, tails_family(omega_power(2)), explicit_family([TRUE, FALSE])], T2)
+        out.append((f, d, 2, T2))
+    return out
+
+
+def test_length_certificate_rejects_perturbations():
+    from ordrank.errors import ResidualViolation
+    rng = random.Random(4242)
+    for f, d, lam, t in _valid_decompositions():
+        length_upper_certificate(f, d, lam, t)
+        terms = list(d.seq.terms)
+        for _ in range(4):
+            i = rng.randrange(len(terms))
+            how = rng.choice(["weight", "const", "witness"])
+            const = Fraction(0)
+            bad = list(terms)
+            if how == "weight":
+                w, fam = bad[i]
+                bad[i] = (w + rng.choice([Fraction(1, 2), Fraction(1)]), fam)
+            elif how == "const":
+                const = rng.choice([Fraction(-1, 2), Fraction(1, 3)])
+            else:
+                w, fam = bad[i]
+                other = ord_ge(from_int(rng.randint(1, 3)))
+                bad[i] = (w, explicit_family([TRUE, and_(fam.at(from_int(1)), other)]
+                                             if fam.length.terms > from_int(1).terms
+                                             else [TRUE, other]))
+            seq = ComboSeq(tuple(bad), d.seq.length, d.seq.space)
+            # a shifted const or weight moves the full sum at sampled points
+            expected = ((WitnessMismatch, ResidualViolation) if how == "witness"
+                        else WitnessMismatch)
+            with pytest.raises(expected):
+                length_upper_certificate(f, DUSBSeq(seq, d.xi, ()), lam, t,
+                                         const=const)
+
+
+def test_length_certificate_rejects_regrowth():
+    # a component that empties and comes back adds 2w to every full sum; with
+    # the const lowered by 2w the identity holds, but the residual at stage 0
+    # exceeds f_0 wherever f is at its norm
+    from ordrank.errors import ResidualViolation
+    regrow = explicit_family([TRUE, FALSE, TRUE, FALSE])
+    for f, d, lam, t in _valid_decompositions():
+        w = Fraction(1, 2)
+        seq = ComboSeq(d.seq.terms + ((w, regrow),), d.seq.length, d.seq.space)
+        with pytest.raises(ResidualViolation):
+            length_upper_certificate(f, DUSBSeq(seq, d.xi, ()), lam, t,
+                                     const=-2 * w)

@@ -142,12 +142,12 @@ def test_cli_parse_error_exit1(tmp_path):
     assert main(["rank", path, "--fn", "nope"]) == 1
 
 
-def _run_cli(argv):
+def _run_cli(argv, text=True):
     """The CLI in a fresh interpreter, so an escaping traceback would show."""
     src = os.path.dirname(os.path.dirname(ordrank.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "ordrank.cli"] + argv,
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=text, env=env, timeout=60)
 
 
 @pytest.mark.parametrize("argv, missing", [
@@ -196,6 +196,15 @@ def test_cli_rank_trace_golden(capsys):
         out.append(capsys.readouterr().out)
     with open(os.path.join(DATA, "rank_trace.golden"), encoding="utf-8") as fh:
         assert "".join(out) == fh.read()
+
+
+def test_cli_reproduce_all_golden():
+    """reproduce all in a fresh interpreter, byte for byte: every suite's
+    report text is pinned, not only its PASS lines."""
+    proc = _run_cli(["reproduce", "all"], text=False)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(DATA, "reproduce_all.golden"), "rb") as fh:
+        assert proc.stdout == fh.read()
 
 
 def test_cli_reproduce(capsys):

@@ -9,8 +9,8 @@ from ordrank import ordinal as o
 from ordrank.errors import DepthExceeded, NotLimit
 from ordrank.ordinal import (
     W, ZERO, Kind, Parity, add, classify, compare, even_floor,
-    format_ordinal, from_int, fundamental_sequence, is_even, left_sub, mul,
-    nat_div, omega_power, parity, parse_ordinal, Ordinal,
+    format_ordinal, from_int, fundamental_sequence, is_even, least_multiple_above,
+    left_sub, mul, nat_div, omega_power, parity, parse_ordinal, Ordinal,
 )
 
 
@@ -111,6 +111,20 @@ def test_left_sub_and_div():
         left_sub(W, add(W, 1))
     assert nat_div(add(W, 7), 2) == add(W, 3)
     assert nat_div(from_int(9), 3) == from_int(3)
+
+
+def test_least_multiple_above_brute():
+    # z*m is the m-fold sum z + ... + z, the multiplication family atoms use
+    grid = [Ordinal(tuple((e, k) for e, k in ((2, a), (1, b), (0, c)) if k))
+            for a in range(3) for b in range(4) for c in range(5)]
+    for a in grid:
+        for m in (1, 2, 3):
+            z0 = least_multiple_above(a, m)
+            assert compare(mul(z0, m), a) > 0
+            for z in grid:
+                assert (compare(mul(z, m), a) > 0) == (compare(z, z0) >= 0)
+    assert least_multiple_above(mul(W, 5), 2) == mul(W, 3)
+    assert least_multiple_above(add(mul(W, 4), 3), 2) == add(mul(W, 2), 4)
 
 
 @settings(max_examples=300)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, zip_longest
 
 from . import ordinal as o
 from .errors import (ExitNotFound, PrecisionUnreachable, ResidualViolation,
@@ -22,7 +23,7 @@ from .errors import (ExitNotFound, PrecisionUnreachable, ResidualViolation,
 from .family import TransfiniteFamily, even_diff_union, validate_set_family
 from .functions import StepFn, UniformPresentation, char_fn, constant
 from .ordinal import Kind, Ordinal, Parity, ZERO, parity
-from .patterns import TRUE, and_, not_, or_
+from .patterns import and_, iter_cell, not_, or_, to_cells
 from .space import SpaceDesc, Topology, sample_points, sem_eq
 
 
@@ -293,7 +294,15 @@ def length_upper_certificate(f: StepFn, witness: DUSBSeq, lam: int,
     if o.compare(witness.length, bound_len) > 0:
         raise WitnessMismatch("witness length %s exceeds w^%d"
                               % (witness.length, lam))
-    pts = sample_points(TRUE, space, per_cell=sample_cap)[:sample_cap]
+    # in turn from every cell of every piece, so infinite points are sampled
+    turns = zip_longest(*(iter_cell(c, space.bound, sample_cap) for _, p in f.pieces
+                          for c in to_cells(p, space.bound)))
+    pts: list[Ordinal] = []
+    for x in chain.from_iterable(turns):
+        if len(pts) == sample_cap:
+            break
+        if x is not None and x not in pts:
+            pts.append(x)
     claims = []
     # one value trace and one f(x) per point serve the identity and every stage
     checked = []

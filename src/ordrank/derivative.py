@@ -12,6 +12,11 @@ Soundness of a jump: every accepted cell family is either nested
 visits each fixed point finitely often (shifting digit sets, moving
 positions), so the intersection of the stage unions is exactly the union
 of the per-cell intersections computed by the slot rules.
+
+Stages are canonical cell tuples.  A step meets, closes and prunes cells
+(`patterns.meet`, memoized per cell pair; `space.limit_cells`, memoized
+per cell) and is cached per operator and cell tuple in `_apply_cached`,
+which `iterate` calls directly; `apply` and the trace events are patterns.
 """
 from __future__ import annotations
 
@@ -22,13 +27,15 @@ from functools import lru_cache
 from . import ordinal as o
 from . import space as sp
 from .errors import BudgetExceeded, UnsupportedProgression
-from .functions import FnFamily, StepFn
+from .functions import FnFamily, StepFn, eventual, union_from_param
 from .ordinal import Ordinal, ZERO, W
 from .patterns import (
-    Cell, DigitSet, FALSE, Pat, and_, cells_pattern, digit_in, divpow, ds_and,
-    ds_ge, or_, ord_ge, ord_lt, to_cells,
+    Cell, DigitSet, FALSE, PAnd, PDigitGeN, PDigitLtN, PDivN, PMinDigit, PNot,
+    POr, POrdGeN, POrdLtN, Pat, and_, cells_difference, cells_pattern,
+    digit_in, divpow, ds_and, ds_ge, meet, or_, ord_ge, ord_lt, prune_cells,
+    subst_n, to_cells,
 )
-from .space import SpaceDesc, Topology, canonicalize, closure, is_closed, is_empty, sem_eq, subset
+from .space import SpaceDesc, Topology, cells_eq, cells_subset, closure_cells
 
 
 # ---------------------------------------------------------------------------
@@ -39,14 +46,16 @@ class SeparationDeriv:
     a: Pat
     b: Pat
 
-    def apply(self, F: Pat, t: Topology) -> Pat:
-        return and_(closure(and_(F, self.a), t), closure(and_(F, self.b), t))
+    def step(self, F: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
+        bound = t.space.bound
+        return meet(closure_cells(meet(F, to_cells(self.a, bound), bound), t),
+                    closure_cells(meet(F, to_cells(self.b, bound), bound), t), bound)
 
 
 @dataclass(frozen=True)
 class CantorBendixson:
-    def apply(self, F: Pat, t: Topology) -> Pat:
-        return sp.cb_derivative(F, t)
+    def step(self, F: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
+        return sp.cb_cells(F, t)
 
 
 @dataclass(frozen=True)
@@ -54,15 +63,14 @@ class OscDeriv:
     fn: StepFn
     eps: Fraction
 
-    def apply(self, F: Pat, t: Topology) -> Pat:
+    def step(self, F: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
+        bound = t.space.bound
         pieces = self.fn.pieces
-        parts = []
-        for i in range(len(pieces)):
-            for j in range(i + 1, len(pieces)):
-                if abs(pieces[i][0] - pieces[j][0]) >= self.eps:
-                    parts.append(and_(closure(and_(F, pieces[i][1]), t),
-                                      closure(and_(F, pieces[j][1]), t)))
-        return and_(F, or_(*parts))
+        cls = [closure_cells(meet(F, to_cells(p, bound), bound), t) for _, p in pieces]
+        parts = [c for i in range(len(pieces)) for j in range(i + 1, len(pieces))
+                 if abs(pieces[i][0] - pieces[j][0]) >= self.eps
+                 for c in meet(cls[i], cls[j], bound)]
+        return meet(F, prune_cells(parts), bound)
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,6 @@ class ConvDeriv:
     def tail_disagreement_param(self, space: SpaceDesc) -> Pat:
         """{y : two eps-separated values both occur among f_n(y), n >= N},
         as a pattern affine in the start index N."""
-        from .functions import union_from_param
         vals = self.fam.values()
         ever = {v: union_from_param(self.fam.cell_pattern_of(v), space)
                 for v in vals}
@@ -85,10 +92,9 @@ class ConvDeriv:
         return or_(*parts)
 
     def tail_disagreement(self, start: int, space: SpaceDesc) -> Pat:
-        from .patterns import subst_n
         return subst_n(self.tail_disagreement_param(space), start)
 
-    def apply(self, F: Pat, t: Topology) -> Pat:
+    def step(self, F: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
         """F cap the intersection over N of cl(W_N cap F).
 
         The intersection splits exactly into the persistent members plus
@@ -97,30 +103,25 @@ class ConvDeriv:
         late ones; `eventual` computes that set exactly by taking every
         atom at N = omega.  The persistent limit points are the limit part
         of cl(W_N cap F) once the start index passes every atom flip,
-        which is verified at two spread probes."""
-        from .functions import eventual
-        from .patterns import subst_n
-        from .space import sem_difference
-        space = t.space
-        wparam = and_(self.tail_disagreement_param(space), F)
-        core = canonicalize(eventual(wparam, space), space)
+        which is verified at two spread probes (on cells; W_N is a pattern)."""
+        space, bound = t.space, t.space.bound
+        wparam = and_(self.tail_disagreement_param(space), cells_pattern(F))
+        core = to_cells(eventual(wparam, space), bound)
         n_star = 8 + _max_atom_base(wparam)
 
-        def limit_part(n: int) -> Pat:
-            wn = canonicalize(subst_n(wparam, n), space)
-            return canonicalize(sem_difference(closure(wn, t), wn, space), space)
+        def limit_part(n: int) -> tuple[Cell, ...]:
+            wn = to_cells(subst_n(wparam, n), bound)
+            return prune_cells(cells_difference(closure_cells(wn, t), wn, bound))
 
         lp = limit_part(n_star)
         for probe in (n_star + 7, n_star + 19):
-            if not sem_eq(limit_part(probe), lp, space):
+            if not cells_eq(limit_part(probe), lp, bound):
                 raise UnsupportedProgression(
                     "convergence limit points did not stabilize")
-        return and_(F, or_(lp, core))
+        return meet(F, prune_cells(lp + core), bound)
 
 
 def _max_atom_base(p: Pat) -> int:
-    from .patterns import (PAnd, PDigitGeN, PDigitLtN, PDivN, PNot, POr,
-                           POrdGeN, POrdLtN)
     if isinstance(p, (PAnd, POr)):
         return max((_max_atom_base(q) for q in p.parts), default=0)
     if isinstance(p, PNot):
@@ -142,23 +143,18 @@ class DerivativeOp:
 
 
 @lru_cache(maxsize=8192)
-def _apply_cached(op: DerivativeOp, F: Pat) -> Pat:
-    return canonicalize(op.variant.apply(F, op.topology), op.topology.space)
+def _apply_cached(op: DerivativeOp, F: tuple[Cell, ...]) -> tuple[Cell, ...]:
+    """One derivative step on a canonical cell tuple."""
+    return op.variant.step(F, op.topology)
 
 
 def apply(op: DerivativeOp, F: Pat) -> Pat:
     """One derivative step; result is closed and contained in F."""
-    return _apply_cached(op, F)
+    return cells_pattern(_apply_cached(op, to_cells(F, op.topology.space.bound)))
 
 
 # ---------------------------------------------------------------------------
 # Affine stage templates.
-
-@dataclass(frozen=True)
-class _Slot:
-    kind: str          # 'const' | 'lo' | 'div' | 'cut' | 'shift' | 'pos'
-    data: tuple
-
 
 @dataclass(frozen=True)
 class CellTemplate:
@@ -170,13 +166,13 @@ class CellTemplate:
     md: DigitSet | None
     digits: tuple             # of (kind, i, i_step, ds, extra)
 
-    def instantiate(self, j: int) -> Pat:
+    def instantiate(self, j: int, lo: Ordinal | None = None) -> Pat:
+        """The cell at stage j; lo, when given, replaces its lower bound."""
         parts: list[Pat] = []
         div = self.div + self.div_step * j
         if div >= 1:
             parts.append(divpow(div))
         if self.md is not None:
-            from .patterns import PMinDigit
             parts.append(PMinDigit(self.md))
         for kind, i, istep, ds, extra in self.digits:
             pos = i + istep * j
@@ -187,7 +183,7 @@ class CellTemplate:
             else:
                 ds_j = ds
             parts.append(digit_in(pos, ds_j))
-        lo_j = o.add(self.lo, o.mul(self.lo_step, j))
+        lo_j = o.add(self.lo, o.mul(self.lo_step, j)) if lo is None else lo
         if not lo_j.is_zero:
             parts.append(ord_ge(lo_j))
         if self.hi is not None:
@@ -203,24 +199,10 @@ class CellTemplate:
                 if 0 in ds:
                     raise UnsupportedProgression("moving digit position with 0 allowed")
                 return FALSE
-            if kind == "cut" and extra[1] > 0:
+            if kind in ("cut", "shift") and extra[1] > 0:
                 return FALSE
-            if kind == "shift" and extra[1] > 0:
-                return FALSE
-        parts: list[Pat] = []
-        if self.div >= 1:
-            parts.append(divpow(self.div))
-        if self.md is not None:
-            from .patterns import PMinDigit
-            parts.append(PMinDigit(self.md))
-        for kind, i, istep, ds, extra in self.digits:
-            parts.append(digit_in(i, ds))
-        lo_inf = self.lo if self.lo_step.is_zero else o.add(self.lo, o.mul(self.lo_step, W))
-        if not lo_inf.is_zero:
-            parts.append(ord_ge(lo_inf))
-        if self.hi is not None:
-            parts.append(ord_lt(self.hi))
-        return and_(*parts)
+        # every surviving slot is constant; the lower bound goes to lo + lo_step*w
+        return self.instantiate(0, o.add(self.lo, o.mul(self.lo_step, W)))
 
     def nonempty_forever(self, space: SpaceDesc) -> bool:
         """Do instantiations stay nonempty for every stage index?"""
@@ -248,10 +230,10 @@ class CellTemplate:
 
 def _verified(tmpl, recompute, start_index: int, space: SpaceDesc,
               probes=(7, 12)) -> bool:
-    """Check a template against freshly computed stages at probe offsets."""
+    """Check a template against freshly computed stage cells at probe offsets."""
     for dj in probes:
-        want = canonicalize(tmpl.instantiate(dj), space)
-        if not sem_eq(want, recompute(start_index + dj), space):
+        want = to_cells(tmpl.instantiate(dj), space.bound)
+        if not cells_eq(want, recompute(start_index + dj), space.bound):
             return False
     return True
 
@@ -263,8 +245,8 @@ class StageTemplate:
     def instantiate(self, j: int) -> Pat:
         return or_(*(c.instantiate(j) for c in self.cells))
 
-    def limit(self, space: SpaceDesc) -> Pat:
-        return canonicalize(or_(*(c.limit_pattern() for c in self.cells)), space)
+    def limit(self, space: SpaceDesc) -> tuple[Cell, ...]:
+        return to_cells(or_(*(c.limit_pattern() for c in self.cells)), space.bound)
 
     def nonempty_forever(self, space: SpaceDesc) -> bool:
         return any(c.nonempty_forever(space) for c in self.cells)
@@ -372,7 +354,7 @@ class PeriodicTemplate:
     def instantiate(self, dj: int) -> Pat:
         return self.classes[dj % self.period].instantiate(dj // self.period)
 
-    def limit(self, space: SpaceDesc) -> Pat:
+    def limit(self, space: SpaceDesc) -> tuple[Cell, ...]:
         return self.classes[0].limit(space)
 
     def nonempty_forever(self, space: SpaceDesc) -> bool:
@@ -412,7 +394,6 @@ class IterationTrace:
     events: list[tuple[Ordinal, Pat]] = field(default_factory=list)
     rank: Ordinal | None = None
     fixpoint: bool = False
-    stabilized: bool = True
     reason: str = ""
     budget_used: int = 0
     limit_jumps: int = 0
@@ -422,14 +403,10 @@ class IterationTrace:
         forward from the nearest recorded stage when necessary)."""
         if self.rank is not None and o.compare(theta, self.rank) >= 0:
             return FALSE
-        best = None
-        for stage, pat in self.events:
-            if o.compare(stage, theta) <= 0:
-                if best is None or o.compare(stage, best[0]) > 0:
-                    best = (stage, pat)
-        if best is None:
+        past = [ev for ev in self.events if o.compare(ev[0], theta) <= 0]
+        if not past:  # events are recorded in increasing stage order
             raise ValueError("stage %s precedes the trace" % theta)
-        stage, pat = best
+        stage, pat = past[-1]
         if stage == theta:
             return pat
         gap = o.left_sub(theta, stage)
@@ -448,62 +425,58 @@ class IterationTrace:
 
 def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> IterationTrace:
     t = op.topology
-    space = t.space
+    bound = t.space.bound
     trace = IterationTrace(op)
-    cur = canonicalize(F0, space)
-    if not is_closed(cur, t):
+    cur = to_cells(F0, bound)
+    if not sp.cells_closed(cur, t):
         raise ValueError("iteration must start from a closed set")
     stage = ZERO
     run_start = ZERO
-    trace.events.append((stage, cur))
+    trace.events.append((stage, cells_pattern(cur)))
     window: list[tuple[Cell, ...]] = []
     while True:
-        if is_empty(cur, space):
+        if not cur:
             trace.rank = stage
             return trace
         if trace.budget_used >= budget.successors:
-            trace.stabilized = False
             trace.reason = "successor budget exhausted"
             raise BudgetExceeded(trace)
-        nxt = apply(op, cur)
+        nxt = _apply_cached(op, cur)
         trace.budget_used += 1
-        if not subset(nxt, cur, space):
+        if not cells_subset(nxt, cur, bound):
             raise AssertionError("derivative failed to contract")
-        if subset(cur, nxt, space):  # with nxt <= cur above: nxt == cur
+        if cells_subset(cur, nxt, bound):  # with nxt <= cur above: nxt == cur
             trace.rank = None
             trace.fixpoint = True
-            trace.stabilized = False
             trace.reason = "nonempty fixpoint (rank marker omega_1)"
             return trace
         stage = o.add(stage, 1)
         cur = nxt
-        trace.events.append((stage, cur))
-        window.append(to_cells(cur, space.bound))
+        trace.events.append((stage, cells_pattern(cur)))
+        window.append(cur)
         if len(window) > budget.window:
             window.pop(0)
         if len(window) == budget.window and trace.limit_jumps < budget.jumps:
-            tmpl = match_any_template(window, space)
+            tmpl = match_any_template(window, t.space)
             if tmpl is None:
                 continue
             start_idx = stage.fin() - (budget.window - 1)
 
-            def recompute(j_abs: int, _cur=window[0]) -> Pat:
-                pat = cells_pattern(_cur)
+            def recompute(j_abs: int, _cur=window[0]) -> tuple[Cell, ...]:
+                cells = _cur
                 for _ in range(j_abs - start_idx):
-                    pat = apply(op, pat)
-                return pat
+                    cells = _apply_cached(op, cells)
+                return cells
 
-            if not tmpl.verified(recompute, start_idx, space):
+            if not (tmpl.verified(recompute, start_idx, t.space)
+                    and tmpl.nonempty_forever(t.space)):
                 continue
-            if not tmpl.nonempty_forever(space):
-                continue
-            lim = tmpl.limit(space)
-            if not all(subset(lim, cells_pattern(w), space) for w in window):
+            lim = tmpl.limit(t.space)
+            if not all(cells_subset(lim, w, bound) for w in window):
                 continue
             target = o.add(run_start, W)
             trace.limit_jumps += 1
-            trace.events.append((target, lim))
-            stage = target
-            run_start = target
+            trace.events.append((target, cells_pattern(lim)))
+            stage = run_start = target
             cur = lim
             window = []

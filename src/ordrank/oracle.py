@@ -56,11 +56,6 @@ class OracleSet:
         return out
 
 
-def oracle_empty(space: SpaceDesc) -> OracleSet:
-    m, k = oracle_shape(space)
-    return OracleSet(m, k, (DS_EMPTY,) * m, (False,) * k)
-
-
 def oracle_full(space: SpaceDesc) -> OracleSet:
     m, k = oracle_shape(space)
     return OracleSet(m, k, (DS_FULL,) * m, (True,) * k)
@@ -81,10 +76,6 @@ def o_or(a: OracleSet, b: OracleSet) -> OracleSet:
 def o_not(a: OracleSet) -> OracleSet:
     return OracleSet(a.m, a.k, tuple(ds_not(x) for x in a.blocks),
                      tuple(not x for x in a.tail))
-
-
-def o_diff(a: OracleSet, b: OracleSet) -> OracleSet:
-    return o_and(a, o_not(b))
 
 
 def o_eq(a: OracleSet, b: OracleSet) -> bool:

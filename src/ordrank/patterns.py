@@ -481,7 +481,7 @@ class Cell:
 
     So equal sets of constraints give equal cells, `_cell_subsumes` can
     compare field by field, `_cell_key` orders cells totally, and the
-    prune in `_cells_cached` may look only at cells of smaller (div, lo).
+    prune in `prune_cells` may look only at cells of smaller (div, lo).
     Cells built directly (the one-constraint cells `cell_minus` carves
     with) need not be canonical; they are only ever passed to `cell_and`.
     """
@@ -717,10 +717,13 @@ def _cells_cached(p: Pat, space_bound: Ordinal | None) -> tuple[Cell, ...]:
         # _cell_subsumes is a partial order (transitive, antisymmetric on
         # canonical cells), so the maximal cells of the union are the maximal
         # cells among the parts' own maximal cells: the result is unchanged.
-        cells = [c for q in p.parts for c in _cells_cached(q, space_bound)]
-    else:
-        cells = [c for conj in _dnf(_nnf(p, False))
-                 if (c := _merge_cell(conj, space_bound)) is not None]
+        return prune_cells([c for q in p.parts for c in _cells_cached(q, space_bound)])
+    return prune_cells([c for conj in _dnf(_nnf(p, False))
+                        if (c := _merge_cell(conj, space_bound)) is not None])
+
+
+def prune_cells(cells) -> tuple[Cell, ...]:
+    """The maximal cells among canonical cells, in `_cell_key` order."""
     uniq = sorted(set(cells), key=_cell_key)
     # A subsumer k of c has k.div <= c.div and k.lo <= c.lo, so it lies in
     # the prefix of the _cell_key order up to the last cell of c's (div, lo).
@@ -733,6 +736,18 @@ def _cells_cached(p: Pat, space_bound: Ordinal | None) -> tuple[Cell, ...]:
         if not any(k != c and _cell_subsumes(k, c) for k in uniq[:end]):
             out.append(c)
     return tuple(out)
+
+
+_meet_pair = lru_cache(maxsize=65536)(cell_and)
+
+
+def meet(xs: tuple[Cell, ...], ys: tuple[Cell, ...],
+         bound: Ordinal | None) -> tuple[Cell, ...]:
+    """Cells of the intersection of two canonical cell tuples: the maximal
+    pairwise meets, which are the and's own to_cells (its DNF is the product
+    of its parts' DNFs, and cell_and is monotone under _cell_subsumes)."""
+    return prune_cells([m for c in xs for d in ys
+                        if (m := _meet_pair(c, d, bound)) is not None])
 
 
 def to_cells(p: Pat, space_bound: Ordinal | None) -> tuple[Cell, ...]:

@@ -7,11 +7,14 @@ space.  A topology is the base order topology plus a finite list of
 declared sets whose generated partition cells become clopen; the refined
 closure operator works cell by cell.
 
-Closure of a pattern is computed per cell of its disjunctive normal form:
-a limit point x with least exponent e accumulates a cell iff the cell's
-digit box is cofinal inside the final w^e-segment below x, which reduces
-to finitely many digit-set checks (the last constrained level must be
-infinite, levels below it nonempty, the level-e constraint shifts by one).
+Closure works on canonical cell tuples (`closure_cells`); `closure` only
+converts a pattern in and out.  A limit point x with least exponent e
+accumulates a cell iff the cell's digit box is cofinal inside the final
+w^e-segment below x, which reduces to finitely many digit-set checks (the
+last constrained level must be infinite, levels below it nonempty, the
+level-e constraint shifts by one).  So a cell's limit points are again
+finitely many cells (`limit_cells`, memoized per cell), and the closure is
+the prune of the cells and their limit cells.
 """
 from __future__ import annotations
 
@@ -23,8 +26,9 @@ from . import ordinal as o
 from .errors import ClassViolation
 from .ordinal import Ordinal, Kind
 from .patterns import (
-    Cell, Pat, PDiv, and_, cells_pattern, digit_in, holds_at, not_, or_,
-    ord_ge, ord_lt, to_cells, iter_cell, divpow, TRUE, FALSE,
+    Cell, Pat, _cell_subsumes, _mk_cell, and_, cells_difference, cells_pattern,
+    ds_and, holds_at, iter_cell, meet, not_, or_, prune_cells, to_cells,
+    TRUE, FALSE,
 )
 
 
@@ -52,10 +56,6 @@ class Topology:
     space: SpaceDesc
     declared: tuple[Pat, ...] = ()
 
-    @property
-    def bound(self) -> Ordinal | None:
-        return self.space.bound
-
 
 def base_topology(space: SpaceDesc) -> Topology:
     return Topology(space)
@@ -66,45 +66,43 @@ def partition_cells(t: Topology) -> tuple[Pat, ...]:
     """Nonempty cells of the boolean algebra generated by the declared sets."""
     if not t.declared:
         return (TRUE,)
-    cells: list[Pat] = []
     m = len(t.declared)
-    for mask in range(1 << m):
-        parts = [t.declared[j] if mask >> j & 1 else not_(t.declared[j])
-                 for j in range(m)]
-        c = and_(*parts)
-        if not is_empty(c, t.space):
-            cells.append(c)
-    return tuple(cells)
+    cells = (and_(*(t.declared[j] if mask >> j & 1 else not_(t.declared[j])
+                    for j in range(m))) for mask in range(1 << m))
+    return tuple(c for c in cells if not is_empty(c, t.space))
 
 
 # ---------------------------------------------------------------------------
-# Semantic operations on patterns (they need the space).
+# Semantic operations on canonical cell tuples and on patterns.
+
+def cells_subset(xs: tuple[Cell, ...], ys: tuple[Cell, ...],
+                 bound: Ordinal | None) -> bool:
+    """xs <= ys: each cell of xs not syntactically inside a cell of ys is
+    carved by ys, stopping at the first nonempty piece."""
+    return all(any(_cell_subsumes(big, small) for big in ys)
+               or not cells_difference((small,), ys, bound) for small in xs)
+
+
+def cells_eq(xs: tuple[Cell, ...], ys: tuple[Cell, ...], bound: Ordinal | None) -> bool:
+    return xs == ys or (cells_subset(xs, ys, bound) and cells_subset(ys, xs, bound))
+
 
 def is_empty(p: Pat, space: SpaceDesc) -> bool:
     return not to_cells(p, space.bound)
 
 
 def subset(a: Pat, b: Pat, space: SpaceDesc) -> bool:
-    from .patterns import _cell_subsumes, cells_difference
-    acells = to_cells(a, space.bound)
-    bcells = to_cells(b, space.bound)
-    if all(any(_cell_subsumes(big, small) for big in bcells) for small in acells):
-        return True
-    return not cells_difference(acells, bcells, space.bound)
+    return cells_subset(to_cells(a, space.bound), to_cells(b, space.bound), space.bound)
 
 
 def sem_difference(a: Pat, b: Pat, space: SpaceDesc) -> Pat:
     """a minus b as a canonical pattern, via cell carving (avoids negation)."""
-    from .patterns import cells_difference
-    pieces = cells_difference(to_cells(a, space.bound), to_cells(b, space.bound),
-                              space.bound)
-    return cells_pattern(tuple(pieces))
+    return cells_pattern(cells_difference(to_cells(a, space.bound),
+                                          to_cells(b, space.bound), space.bound))
 
 
 def sem_eq(a: Pat, b: Pat, space: SpaceDesc) -> bool:
-    if to_cells(a, space.bound) == to_cells(b, space.bound):
-        return True
-    return subset(a, b, space) and subset(b, a, space)
+    return cells_eq(to_cells(a, space.bound), to_cells(b, space.bound), space.bound)
 
 
 def member(p: Pat, x: Ordinal, t: Topology | SpaceDesc) -> bool:
@@ -128,7 +126,6 @@ def _cofinal_below(c: Cell, e: int) -> bool:
     with a least-digit constraint the tail's own least nonzero coefficient
     must satisfy it, either at level e-1 (lower = 0) or inside lower.
     """
-    from .patterns import ds_and
     if c.md is None:
         if c.constraint(e - 1).is_finite:
             return False
@@ -148,54 +145,71 @@ def _cofinal_below(c: Cell, e: int) -> bool:
     return False
 
 
-def _limit_points_of_cell(c: Cell) -> list[Pat]:
-    """Patterns for the limit ordinals at which the cell accumulates."""
-    out: list[Pat] = []
-    maxd = max((i for i, _ in c.digits), default=-1)
-    itv: list[Pat] = []
-    if not c.lo.is_zero:
-        itv.append(ord_ge(o.add(c.lo, 1)))
-    if c.hi is not None:
-        itv.append(ord_lt(o.add(c.hi, 1)))
+@lru_cache(maxsize=8192)
+def limit_cells(c: Cell, bound: Ordinal | None) -> tuple[Cell, ...]:
+    """Cells of the limit ordinals at which the cell accumulates.
 
+    Such a limit x lies in [lo + 1, hi + 1).  With least exponent e > div
+    it is one iff the cell is cofinal below w^e; its digit e is then one
+    more than a digit the cell allows there, its digits above e the cell's."""
+    lo = o.add(c.lo, 1) if not c.lo.is_zero else c.lo
+    hi = o.add(c.hi, 1) if c.hi is not None else None
+    maxd = max((i for i, _ in c.digits), default=-1)
     # Above e_uniform the cofinality conditions no longer depend on e.
     e_uniform = max(maxd + (2 if c.md is None else 3), c.div + 1)
+    out = []
     for e in range(c.div + 1, e_uniform):
-        if not _cofinal_below(c, e):
-            continue
-        conds: list[Pat] = [PDiv(e), not_(PDiv(e + 1))]
-        conds.append(digit_in(e, c.constraint(e).shift_up(1)))
-        for i, ds in c.digits:
-            if i > e:
-                conds.append(digit_in(i, ds))
-        out.append(and_(*(conds + itv)))
-
+        if _cofinal_below(c, e):
+            digits = {i: ds for i, ds in c.digits if i > e}
+            digits[e] = c.constraint(e).shift_up(1)
+            out.append(_mk_cell(lo, hi, digits, e, None, bound))
     if _cofinal_below(c, e_uniform):
-        out.append(and_(*([divpow(e_uniform)] + itv)))
-    return out
+        out.append(_mk_cell(lo, hi, {}, e_uniform, None, bound))
+    return tuple(lc for lc in out if lc is not None)
 
 
-def _limit_points(p: Pat, space: SpaceDesc) -> list[Pat]:
-    return [lp for c in to_cells(p, space.bound) for lp in _limit_points_of_cell(c)]
+def _limits_per_partition(xs: tuple[Cell, ...], t: Topology, keep: bool) -> tuple[Cell, ...]:
+    """The limit cells of xs, with xs itself when keep, in the base
+    topology; under a refinement taken inside each partition cell (the
+    cells are clopen) and reassembled."""
+    bound = t.space.bound
 
+    def base(ys: tuple[Cell, ...]) -> tuple[Cell, ...]:
+        return prune_cells((ys if keep else ())
+                           + tuple(lc for c in ys for lc in limit_cells(c, bound)))
 
-def _per_partition_cell(base, p: Pat, t: Topology) -> Pat:
-    """base(p, space) in the base topology; under a refinement, base taken
-    inside each partition cell (the cells are clopen) and reassembled."""
     if not t.declared:
-        return base(p, t.space)
-    parts = [and_(base(and_(p, cpat), t.space), cpat) for cpat in partition_cells(t)]
-    return canonicalize(or_(*parts), t.space)
+        return base(xs)
+    out: list[Cell] = []
+    for cpat in partition_cells(t):
+        part = to_cells(cpat, bound)
+        out += meet(base(meet(xs, part, bound)), part, bound)
+    return prune_cells(out)
+
+
+def closure_cells(xs: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
+    """Topological closure of a canonical cell tuple."""
+    return _limits_per_partition(xs, t, True)
+
+
+def cells_closed(xs: tuple[Cell, ...], t: Topology) -> bool:
+    return cells_subset(closure_cells(xs, t), xs, t.space.bound)
+
+
+def cb_cells(xs: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
+    """Limit points of a closed canonical cell tuple."""
+    if not cells_closed(xs, t):
+        raise ValueError("cb_derivative needs a closed set")
+    return _limits_per_partition(xs, t, False)
 
 
 def closure(p: Pat, t: Topology) -> Pat:
     """Topological closure; per partition cell under a refinement."""
-    return _per_partition_cell(
-        lambda q, space: canonicalize(or_(q, *_limit_points(q, space)), space), p, t)
+    return cells_pattern(closure_cells(to_cells(p, t.space.bound), t))
 
 
 def is_closed(p: Pat, t: Topology) -> bool:
-    return sem_eq(closure(p, t), p, t.space)
+    return cells_closed(to_cells(p, t.space.bound), t)
 
 
 def is_open(p: Pat, t: Topology) -> bool:
@@ -204,10 +218,7 @@ def is_open(p: Pat, t: Topology) -> bool:
 
 def cb_derivative(p: Pat, t: Topology) -> Pat:
     """Limit points of a closed set (Cantor-Bendixson derivative)."""
-    if not is_closed(p, t):
-        raise ValueError("cb_derivative needs a closed set")
-    return _per_partition_cell(
-        lambda q, space: canonicalize(or_(*_limit_points(q, space)), space), p, t)
+    return cells_pattern(cb_cells(to_cells(p, t.space.bound), t))
 
 
 # ---------------------------------------------------------------------------

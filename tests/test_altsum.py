@@ -372,3 +372,13 @@ def test_length_certificate_rejects_regrowth():
         with pytest.raises(ResidualViolation):
             length_upper_certificate(f, DUSBSeq(seq, d.xi, ()), lam, t,
                                      const=-2 * w)
+
+
+def test_length_certificate_samples_infinite_points():
+    # the empty witness gives 0 everywhere, but chi{x >= w} is 1 at every
+    # infinite point of w*2+1: the certificate must look past the naturals
+    s = SpaceDesc(add(mul(W, 2), 1))
+    f = char_fn(ord_ge(W), s)
+    empty = DUSBSeq(ComboSeq((), W, s), 1, ())
+    with pytest.raises(WitnessMismatch):
+        length_upper_certificate(f, empty, 1, base_topology(s))

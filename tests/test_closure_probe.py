@@ -4,28 +4,11 @@ directly because cofinal approach happens inside the final w^e-segment."""
 import random
 
 from ordrank import ordinal as o
-from ordrank.ordinal import Kind, W, ZERO, add, classify, from_int, mul, omega_power
-from ordrank.patterns import (and_, digit_eq, digit_ge, digit_mod, divpow,
-                              ds_mod, holds_at, min_digit_in, not_, or_,
-                              ord_ge, ord_lt)
-from ordrank.space import SpaceDesc, base_topology, closure, member, sample_points
+from ordrank.ordinal import W, ZERO, add, from_int, mul, omega_power
+from ordrank.patterns import holds_at
+from ordrank.space import SpaceDesc, base_topology, closure, member
 
-from test_space import rand_pattern
-
-
-def rich_pattern(rng, max_digit=2):
-    base = rand_pattern(rng, max_digit=max_digit)
-    extras = []
-    if rng.random() < 0.4:
-        extras.append(divpow(rng.randint(1, 2)))
-    if rng.random() < 0.4:
-        extras.append(min_digit_in(ds_mod(rng.randint(2, 3), rng.randint(0, 2))))
-    mix = rng.randrange(3)
-    if mix == 0 or not extras:
-        return base
-    if mix == 1:
-        return or_(base, *extras)
-    return and_(base, *extras) if rng.random() < 0.5 else or_(and_(base, extras[0]), base)
+from test_space import rich_pattern
 
 
 def probe_cofinal(p, x, probes=220) -> bool:

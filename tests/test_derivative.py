@@ -159,3 +159,26 @@ def test_oracle_agreement_derivatives():
         bru = orc.oracle_sep(orc.from_pattern(a, s), orc.from_pattern(b, s),
                              orc.from_pattern(f, s))
         assert orc.o_eq(sym, bru)
+
+
+def test_oracle_agreement_derivatives_rich():
+    # separation and oscillation steps on inputs with divisibility and
+    # least-digit atoms, which rand_pattern never draws
+    rng = random.Random(5151)
+    from test_space import rich_pattern
+    from ordrank.space import closure
+    for bound in (add(mul(W, 3), 3), add(mul(W, 8), 8), add(W, 1)):
+        s = SpaceDesc(bound)
+        t = base_topology(s)
+        for _ in range(40):
+            a, b = rich_pattern(rng, max_digit=1), rich_pattern(rng, max_digit=1)
+            f = closure(rich_pattern(rng, max_digit=1), t)
+            sym = orc.from_pattern(apply(DerivativeOp(SeparationDeriv(a, b), t), f), s)
+            bru = orc.oracle_sep(orc.from_pattern(a, s), orc.from_pattern(b, s),
+                                 orc.from_pattern(f, s))
+            assert orc.o_eq(sym, bru), (a, b, f)
+            fn = char_fn(a, s)
+            eps = Fraction(1, rng.randint(1, 3))
+            sym = orc.from_pattern(apply(DerivativeOp(OscDeriv(fn, eps), t), f), s)
+            pieces = [(v, orc.from_pattern(p, s)) for v, p in fn.pieces]
+            assert orc.o_eq(sym, orc.oracle_osc(pieces, eps, orc.from_pattern(f, s))), (a, f)

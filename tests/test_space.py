@@ -9,8 +9,8 @@ from ordrank import space as sp
 from ordrank.errors import ClassViolation, NotOracleSpace
 from ordrank.ordinal import W, ZERO, add, from_int, mul, omega_power
 from ordrank.patterns import (
-    FALSE, TRUE, and_, digit_eq, digit_ge, digit_mod, divpow, not_, or_,
-    ord_ge, ord_lt, to_cells,
+    FALSE, TRUE, and_, digit_eq, digit_ge, digit_mod, divpow, ds_mod,
+    min_digit_in, not_, or_, ord_ge, ord_lt, to_cells,
 )
 from ordrank.space import (
     BorelClass, SpaceDesc, Topology, base_topology, borel_class,
@@ -49,6 +49,22 @@ def rand_pattern(rng, max_depth=3, max_digit=1, space=None):
         return not_(build(d - 1))
 
     return build(max_depth)
+
+
+def rich_pattern(rng, max_digit=2):
+    """rand_pattern mixed with divisibility and least-digit atoms."""
+    base = rand_pattern(rng, max_digit=max_digit)
+    extras = []
+    if rng.random() < 0.4:
+        extras.append(divpow(rng.randint(1, 2)))
+    if rng.random() < 0.4:
+        extras.append(min_digit_in(ds_mod(rng.randint(2, 3), rng.randint(0, 2))))
+    mix = rng.randrange(3)
+    if mix == 0 or not extras:
+        return base
+    if mix == 1:
+        return or_(base, *extras)
+    return and_(base, *extras) if rng.random() < 0.5 else or_(and_(base, extras[0]), base)
 
 
 def test_member_examples():
@@ -191,6 +207,22 @@ def test_oracle_equivalence_closure_cb():
             cl_orc = orc.oracle_closure(os_)
             assert orc.o_eq(cl_sym, cl_orc), (p,)
             closed = sp.canonicalize(closure(p, t), s)
+            cb_sym = orc.from_pattern(cb_derivative(closed, t), s)
+            cb_orc = orc.oracle_cb(orc.from_pattern(closed, s))
+            assert orc.o_eq(cb_sym, cb_orc), (p,)
+
+
+def test_oracle_equivalence_closure_cb_rich():
+    # rand_pattern never draws divisibility or least-digit atoms
+    rng = random.Random(4343)
+    for bound in (add(mul(W, 2), 3), add(mul(W, 8), 8), add(W, 1), from_int(9)):
+        s = SpaceDesc(bound)
+        t = base_topology(s)
+        for _ in range(120):
+            p = rich_pattern(rng, max_digit=1)
+            cl_sym = orc.from_pattern(closure(p, t), s)
+            assert orc.o_eq(cl_sym, orc.oracle_closure(orc.from_pattern(p, s))), (p,)
+            closed = closure(p, t)
             cb_sym = orc.from_pattern(cb_derivative(closed, t), s)
             cb_orc = orc.oracle_cb(orc.from_pattern(closed, s))
             assert orc.o_eq(cb_sym, cb_orc), (p,)

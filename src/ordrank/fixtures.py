@@ -98,7 +98,7 @@ def _rat(tok) -> Fraction:
     s = _atom_text(tok)
     try:
         return Fraction(s)
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:  # zero denominator: "1/0"
         raise FixtureParseError("bad rational %r" % s) from e
 
 

@@ -19,7 +19,7 @@ cells, so growing a pattern by a disjunct re-normalises only the new part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import ordinal as o
@@ -464,7 +464,7 @@ def holds_at(p: Pat, x: Ordinal) -> bool:
 # ---------------------------------------------------------------------------
 # Cell normal form.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """Digit box times interval times divisibility constraint.
 
@@ -484,12 +484,23 @@ class Cell:
     prune in `prune_cells` may look only at cells of smaller (div, lo).
     Cells built directly (the one-constraint cells `cell_minus` carves
     with) need not be canonical; they are only ever passed to `cell_and`.
+
+    Cells key the `_meet_pair`, `limit_cells` and closure memos, so the
+    hash of the five fields is computed once, at construction.
     """
     lo: Ordinal
     hi: Ordinal | None  # exclusive; None means up to the space bound
     digits: tuple[tuple[int, DigitSet], ...]
     div: int
     md: DigitSet | None = None  # last-nonzero-coefficient constraint
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(
+            (self.lo, self.hi, self.digits, self.div, self.md)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def constraint(self, i: int) -> DigitSet:
         if i < self.div:
@@ -722,18 +733,40 @@ def _cells_cached(p: Pat, space_bound: Ordinal | None) -> tuple[Cell, ...]:
                         if (c := _merge_cell(conj, space_bound)) is not None])
 
 
+def _prune_sig(c: Cell):
+    """(div, lo, hi, has md, bitmask of the constrained digit positions,
+    those below div included) as plain values."""
+    mask = (1 << c.div) - 1
+    for i, _ in c.digits:
+        mask |= 1 << i
+    return c.div, c.lo.terms, None if c.hi is None else c.hi.terms, c.md is not None, mask
+
+
 def prune_cells(cells) -> tuple[Cell, ...]:
-    """The maximal cells among canonical cells, in `_cell_key` order."""
+    """The maximal cells among canonical cells, in `_cell_key` order.
+
+    A subsumer k of c has k.div <= c.div and k.lo <= c.lo, so it lies in the
+    prefix of the `_cell_key` order up to the last cell of c's (div, lo).
+    Before `_cell_subsumes` runs, the signatures reject every k that fails
+    one of its necessary conditions: k.lo > c.lo or k.div > c.div; an md on
+    k but none on c; a digit position k constrains and c leaves full (k's
+    digit sets are never full); an hi on k that c's hi exceeds or lacks."""
     uniq = sorted(set(cells), key=_cell_key)
-    # A subsumer k of c has k.div <= c.div and k.lo <= c.lo, so it lies in
-    # the prefix of the _cell_key order up to the last cell of c's (div, lo).
-    keys = [(c.div, c.lo.terms) for c in uniq]
+    sigs = [_prune_sig(c) for c in uniq]
     out = []
     end = 0
     for j, c in enumerate(uniq):
-        while end < len(uniq) and keys[end] <= keys[j]:
+        div, lo, hi, md, mask = sigs[j]
+        while end < len(uniq) and sigs[end][:2] <= (div, lo):
             end += 1
-        if not any(k != c and _cell_subsumes(k, c) for k in uniq[:end]):
+        for m in range(end):
+            kdiv, klo, khi, kmd, kmask = sigs[m]
+            if (m == j or kmask & ~mask or kdiv > div or klo > lo or (kmd and not md)
+                    or (khi is not None and (hi is None or hi > khi))):
+                continue
+            if _cell_subsumes(uniq[m], c):
+                break
+        else:
             out.append(c)
     return tuple(out)
 

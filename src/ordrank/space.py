@@ -168,10 +168,12 @@ def limit_cells(c: Cell, bound: Ordinal | None) -> tuple[Cell, ...]:
     return tuple(lc for lc in out if lc is not None)
 
 
+@lru_cache(maxsize=8192)
 def _limits_per_partition(xs: tuple[Cell, ...], t: Topology, keep: bool) -> tuple[Cell, ...]:
     """The limit cells of xs, with xs itself when keep, in the base
     topology; under a refinement taken inside each partition cell (the
-    cells are clopen) and reassembled."""
+    cells are clopen) and reassembled.  Memoized: iterate's steps close
+    the same cell tuples again and again."""
     bound = t.space.bound
 
     def base(ys: tuple[Cell, ...]) -> tuple[Cell, ...]:

@@ -182,6 +182,22 @@ def test_cli_depth_exceeded_exit3(tmp_path):
     assert "DepthExceeded" in proc.stderr
 
 
+def test_cli_zero_denominator_exit1(tmp_path):
+    bad = """
+(fixture
+  (space (bound "w"))
+  (set evens (mod 0 2 0))
+  (fn chi (stepfn (piece 1/0 (ref evens)) (piece 0 (not (ref evens))))))
+"""
+    with pytest.raises(FixtureParseError, match="bad rational '1/0'"):
+        load_fixture(bad)
+    proc = _run_cli(["rank", _write(tmp_path, bad), "--fn", "chi"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "bad rational '1/0'" in proc.stderr
+
+
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 

@@ -15,8 +15,12 @@ of the per-cell intersections computed by the slot rules.
 
 Stages are canonical cell tuples.  A step meets, closes and prunes cells
 (`patterns.meet`, memoized per cell pair; `space.limit_cells`, memoized
-per cell) and is cached per operator and cell tuple in `_apply_cached`,
-which `iterate` calls directly; `apply` and the trace events are patterns.
+per cell) and is cached per operator and cell tuple in `_apply_cached`;
+`iterate`, its probes and `IterationTrace.stage_at` step through `_steps`.
+Templates instantiate as cells too: `CellTemplate.cell_at` is the one slot
+builder, for a stage j and for j = W (the limit), and builds each cell
+through `patterns._mk_cell`.  Only `apply`, the trace events and
+`ConvDeriv`'s parametric W_N are patterns.
 """
 from __future__ import annotations
 
@@ -30,10 +34,9 @@ from .errors import BudgetExceeded, UnsupportedProgression
 from .functions import FnFamily, StepFn, eventual, union_from_param
 from .ordinal import Ordinal, ZERO, W
 from .patterns import (
-    Cell, DigitSet, FALSE, PAnd, PDigitGeN, PDigitLtN, PDivN, PMinDigit, PNot,
-    POr, POrdGeN, POrdLtN, Pat, and_, cells_difference, cells_pattern,
-    digit_in, divpow, ds_and, ds_ge, meet, or_, ord_ge, ord_lt, prune_cells,
-    subst_n, to_cells,
+    Cell, DigitSet, FALSE, PAnd, PDigitGeN, PDigitLtN, PDivN, PNot, POr,
+    POrdGeN, POrdLtN, Pat, _mk_cell, and_, cells_difference, cells_pattern,
+    ds_and, ds_ge, meet, or_, prune_cells, subst_n, to_cells,
 )
 from .space import SpaceDesc, Topology, cells_eq, cells_subset, closure_cells
 
@@ -164,60 +167,46 @@ class CellTemplate:
     div: int
     div_step: int
     md: DigitSet | None
-    digits: tuple             # of (kind, i, i_step, ds, extra)
+    digits: tuple             # of slots (kind, i, step, ds, t0); step > 0 unless const
 
-    def instantiate(self, j: int, lo: Ordinal | None = None) -> Pat:
-        """The cell at stage j; lo, when given, replaces its lower bound."""
-        parts: list[Pat] = []
-        div = self.div + self.div_step * j
-        if div >= 1:
-            parts.append(divpow(div))
-        if self.md is not None:
-            parts.append(PMinDigit(self.md))
-        for kind, i, istep, ds, extra in self.digits:
-            pos = i + istep * j
-            if kind == "cut":
-                ds_j = ds_and(ds, ds_ge(extra[0] + extra[1] * j))
-            elif kind == "shift":
-                ds_j = ds.shift_up(extra[1] * j)
-            else:
-                ds_j = ds
-            parts.append(digit_in(pos, ds_j))
-        lo_j = o.add(self.lo, o.mul(self.lo_step, j)) if lo is None else lo
-        if not lo_j.is_zero:
-            parts.append(ord_ge(lo_j))
-        if self.hi is not None:
-            parts.append(ord_lt(self.hi))
-        return and_(*parts)
-
-    def limit_pattern(self) -> Pat:
-        """Intersection over all stages; FALSE when some slot dies."""
-        if self.div_step > 0:
-            return FALSE
-        for kind, i, istep, ds, extra in self.digits:
-            if kind == "pos" and istep != 0:
-                if 0 in ds:
+    def cell_at(self, j: int | Ordinal, bound: Ordinal | None) -> Cell | None:
+        """The cell at stage j, or at j = W the intersection over every stage;
+        None when empty.  At stage j a slot constrains digit i to ds ("const"),
+        digit i + step*j to ds ("pos"), digit i to ds and {>= t0 + step*j}
+        ("cut"), or digit i to ds shifted up by step*j ("shift").  At W only
+        const slots survive, and a moving position that allows 0 is refused."""
+        at_w = j == W
+        if at_w and self.div_step > 0:
+            return None
+        digits: dict[int, DigitSet] = {}
+        for kind, i, step, ds, t0 in self.digits:
+            if kind != "const" and at_w:
+                if kind == "pos" and 0 in ds:
                     raise UnsupportedProgression("moving digit position with 0 allowed")
-                return FALSE
-            if kind in ("cut", "shift") and extra[1] > 0:
-                return FALSE
-        # every surviving slot is constant; the lower bound goes to lo + lo_step*w
-        return self.instantiate(0, o.add(self.lo, o.mul(self.lo_step, W)))
+                return None
+            if kind == "pos":
+                i += step * j
+            elif kind == "cut":
+                ds = ds_and(ds, ds_ge(t0 + step * j))
+            elif kind == "shift":
+                ds = ds.shift_up(step * j)
+            digits[i] = ds_and(digits[i], ds) if i in digits else ds
+        div = self.div if at_w else self.div + self.div_step * j
+        return _mk_cell(o.add(self.lo, o.mul(self.lo_step, j)), self.hi, digits,
+                        div, self.md, bound)
 
     def nonempty_forever(self, space: SpaceDesc) -> bool:
         """Do instantiations stay nonempty for every stage index?"""
         bound = space.bound
-        for kind, i, istep, ds, extra in self.digits:
-            if kind == "const" and ds.is_empty:
+        for kind, i, step, ds, t0 in self.digits:
+            if kind == "const" and ds.is_empty or kind == "cut" and ds.is_finite:
                 return False
-            if kind == "cut" and extra[1] > 0 and ds.is_finite:
+            if kind == "pos" and bound is not None:
                 return False
-            if kind == "pos" and istep > 0 and bound is not None:
+            # a growing threshold at digit i needs w^(i+1) below the bound
+            if kind == "cut" and bound is not None and o.compare(
+                    o.omega_power(i + 1), bound) > 0:
                 return False
-            if kind == "cut" and extra[1] > 0 and bound is not None:
-                # growing threshold at digit i needs w^(i+1) below the bound
-                if o.compare(o.omega_power(i + 1), bound) > 0:
-                    return False
         if self.div_step > 0 and bound is not None:
             return False
         if not self.lo_step.is_zero and bound is not None:
@@ -228,25 +217,26 @@ class CellTemplate:
         return True
 
 
-def _verified(tmpl, recompute, start_index: int, space: SpaceDesc,
-              probes=(7, 12)) -> bool:
-    """Check a template against freshly computed stage cells at probe offsets."""
-    for dj in probes:
-        want = to_cells(tmpl.instantiate(dj), space.bound)
-        if not cells_eq(want, recompute(start_index + dj), space.bound):
-            return False
-    return True
+_PROBES = (7, 12)  # offsets past the window start at which a template is checked
+
+
+def _verified(tmpl, stage_after, space: SpaceDesc) -> bool:
+    """Check a template against the stages stage_after(dj), computed afresh
+    dj steps past the window start, at the probe offsets."""
+    return all(cells_eq(tmpl.instantiate(dj, space), stage_after(dj), space.bound)
+               for dj in _PROBES)
 
 
 @dataclass(frozen=True)
 class StageTemplate:
     cells: tuple[CellTemplate, ...]
 
-    def instantiate(self, j: int) -> Pat:
-        return or_(*(c.instantiate(j) for c in self.cells))
+    def instantiate(self, j: int | Ordinal, space: SpaceDesc) -> tuple[Cell, ...]:
+        return prune_cells([c for ct in self.cells
+                            if (c := ct.cell_at(j, space.bound)) is not None])
 
     def limit(self, space: SpaceDesc) -> tuple[Cell, ...]:
-        return to_cells(or_(*(c.limit_pattern() for c in self.cells)), space.bound)
+        return self.instantiate(W, space)
 
     def nonempty_forever(self, space: SpaceDesc) -> bool:
         return any(c.nonempty_forever(space) for c in self.cells)
@@ -286,10 +276,10 @@ def _fit_digit_slot(entries: list[tuple[int, DigitSet]]):
     i0, istep = pos_fit
     if istep != 0:
         if all(s == sets[0] for s in sets):
-            return ("pos", i0, istep, sets[0], (0, 0))
+            return ("pos", i0, istep, sets[0], 0)
         return None
     if all(s == sets[0] for s in sets):
-        return ("const", i0, 0, sets[0], (0, 0))
+        return ("const", i0, 0, sets[0], 0)
     # threshold cut: ds_j == ds_0-as-base intersected with {>= t0 + d*j}
     mins = [s.min_value() for s in sets]
     if None in mins:
@@ -298,37 +288,27 @@ def _fit_digit_slot(entries: list[tuple[int, DigitSet]]):
     if tfit is not None and tfit[1] > 0:
         t0, d = tfit
         if all(sets[j] == ds_and(sets[0], ds_ge(t0 + d * j)) for j in range(len(sets))):
-            return ("cut", i0, 0, sets[0], (t0, d))
+            return ("cut", i0, d, sets[0], t0)
         # shift: ds_j == ds_0 shifted up by d*j
         if all(sets[j] == sets[0].shift_up(d * j) for j in range(len(sets))):
-            return ("shift", i0, 0, sets[0], (0, d))
+            return ("shift", i0, d, sets[0], 0)
     return None
 
 
-def match_template(window: list[tuple[Cell, ...]], space: SpaceDesc) -> StageTemplate | None:
-    k = len(window)
-    if k < 3 or any(len(cs) != len(window[0]) for cs in window):
-        return None
-    if len(window[0]) == 0:
+def match_template(window: list[tuple[Cell, ...]]) -> StageTemplate | None:
+    if len(window) < 3 or not window[0] or any(len(cs) != len(window[0]) for cs in window):
         return None
     out = []
-    for idx in range(len(window[0])):
-        fam = [cs[idx] for cs in window]
+    for fam in zip(*window):  # the stages' idx-th cells
         lo_fit = _fit_ord([c.lo for c in fam])
         if lo_fit is None:
             return None
-        his = [c.hi for c in fam]
-        if any((h is None) != (his[0] is None) for h in his):
-            return None
-        if his[0] is not None and any(h != his[0] for h in his):
+        if any(c.hi != fam[0].hi for c in fam):
             return None
         div_fit = _fit_int([c.div for c in fam])
         if div_fit is None:
             return None
-        mds = [c.md for c in fam]
-        if any(m != mds[0] for m in mds):
-            return None
-        if any(len(c.digits) != len(fam[0].digits) for c in fam):
+        if any(c.md != fam[0].md or len(c.digits) != len(fam[0].digits) for c in fam):
             return None
         slots = []
         for s in range(len(fam[0].digits)):
@@ -336,8 +316,8 @@ def match_template(window: list[tuple[Cell, ...]], space: SpaceDesc) -> StageTem
             if fit is None:
                 return None
             slots.append(fit)
-        out.append(CellTemplate(lo_fit[0], lo_fit[1], his[0],
-                                div_fit[0], div_fit[1], mds[0], tuple(slots)))
+        out.append(CellTemplate(lo_fit[0], lo_fit[1], fam[0].hi,
+                                div_fit[0], div_fit[1], fam[0].md, tuple(slots)))
     return StageTemplate(tuple(out))
 
 
@@ -351,8 +331,8 @@ class PeriodicTemplate:
     period: int
     classes: tuple[StageTemplate, ...]
 
-    def instantiate(self, dj: int) -> Pat:
-        return self.classes[dj % self.period].instantiate(dj // self.period)
+    def instantiate(self, dj: int, space: SpaceDesc) -> tuple[Cell, ...]:
+        return self.classes[dj % self.period].instantiate(dj // self.period, space)
 
     def limit(self, space: SpaceDesc) -> tuple[Cell, ...]:
         return self.classes[0].limit(space)
@@ -363,15 +343,12 @@ class PeriodicTemplate:
     verified = _verified
 
 
-def match_any_template(window: list[tuple[Cell, ...]], space: SpaceDesc):
-    tmpl = match_template(window, space)
-    if tmpl is not None:
-        return PeriodicTemplate(1, (tmpl,))
-    if len(window) >= 6:
-        cls0 = match_template(window[0::2], space)
-        cls1 = match_template(window[1::2], space)
-        if cls0 is not None and cls1 is not None:
-            return PeriodicTemplate(2, (cls0, cls1))
+def match_any_template(window: list[tuple[Cell, ...]]) -> PeriodicTemplate | None:
+    """A template of period 1, else of period 2, fitting the window."""
+    for period in (1, 2):
+        classes = tuple(match_template(window[r::period]) for r in range(period))
+        if None not in classes:
+            return PeriodicTemplate(period, classes)
     return None
 
 
@@ -386,6 +363,13 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
+
+
+def _steps(op: DerivativeOp, cells: tuple[Cell, ...], k: int) -> tuple[Cell, ...]:
+    """k derivative steps from a canonical cell tuple."""
+    for _ in range(k):
+        cells = _apply_cached(op, cells)
+    return cells
 
 
 @dataclass
@@ -413,9 +397,8 @@ class IterationTrace:
         if not gap.is_finite:
             raise ValueError("stage %s not recorded and not finitely past %s"
                              % (theta, stage))
-        for _ in range(gap.to_int()):
-            pat = apply(self.op, pat)
-        return pat
+        cells = to_cells(pat, self.op.topology.space.bound)
+        return cells_pattern(_steps(self.op, cells, gap.to_int()))
 
     def log_lines(self) -> list[str]:
         from .fixtures import pattern_to_sexpr
@@ -457,18 +440,11 @@ def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> Itera
         if len(window) > budget.window:
             window.pop(0)
         if len(window) == budget.window and trace.limit_jumps < budget.jumps:
-            tmpl = match_any_template(window, t.space)
+            tmpl = match_any_template(window)
             if tmpl is None:
                 continue
-            start_idx = stage.fin() - (budget.window - 1)
-
-            def recompute(j_abs: int, _cur=window[0]) -> tuple[Cell, ...]:
-                cells = _cur
-                for _ in range(j_abs - start_idx):
-                    cells = _apply_cached(op, cells)
-                return cells
-
-            if not (tmpl.verified(recompute, start_idx, t.space)
+            first = window[0]
+            if not (tmpl.verified(lambda dj: _steps(op, first, dj), t.space)
                     and tmpl.nonempty_forever(t.space)):
                 continue
             lim = tmpl.limit(t.space)

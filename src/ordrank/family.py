@@ -164,6 +164,11 @@ def validate_set_family(fam: TransfiniteFamily, t: Topology, xi: int = 1,
     for s in fam.segments:
         if s.lo != pos or o.compare(s.lo, s.hi) >= 0:
             raise VerificationError("segments", "gap or overlap at %s" % s.lo)
+        try:  # eta - shift must exist from the segment's start on
+            subst_eta(s.body, s.lo)
+        except ValueError as e:  # left_sub: an index atom's shift lies above s.lo
+            raise VerificationError("segments", "index atom shift above segment start %s"
+                                    % s.lo) from e
         pos = s.hi
     if pos != fam.length:
         raise VerificationError("segments", "segments end at %s, length %s"

@@ -78,7 +78,9 @@ def parse_sexpr(text: str):
     return tree
 
 
-def _atom_text(tok: str) -> str:
+def _atom_text(tok) -> str:
+    if not isinstance(tok, str):
+        raise FixtureParseError("expected an atom, got %r" % (tok,))
     return tok[1:-1] if tok.startswith('"') else tok
 
 
@@ -102,13 +104,30 @@ def _rat(tok) -> Fraction:
         raise FixtureParseError("bad rational %r" % s) from e
 
 
+# the fewest arguments of each form head that takes any
+_ARGS = {"set": 2, "fn": 2, "family": 1, "nfam": 1, "bound": 1, "depth": 1, "xi": 1,
+         "piece": 2, "length": 1, "from": 1, "to": 1, "period": 1,
+         "not": 1, "ref": 1, "eq": 2, "mod": 3, "ge": 1, "lt": 1, "divpow": 1,
+         "mindigit-mod": 2, "mindigit-eq": 1, "mindigit-ge": 1, "digit-in": 2,
+         "mindigit-in": 1, "ge-n": 3, "lt-n": 3, "ord-ge-n": 2, "ord-lt-n": 2,
+         "divpow-n": 2}
+
+
+def _form(node, what: str) -> list:
+    """node, checked to be a form with an atom head and the arguments it needs."""
+    if not isinstance(node, list) or not node or not isinstance(node[0], str):
+        raise FixtureParseError("%s must be a form with an atom head: %r" % (what, node))
+    if len(node) <= _ARGS.get(node[0], 0):
+        raise FixtureParseError("(%s ...) needs %d argument(s): %r"
+                                % (node[0], _ARGS[node[0]], node))
+    return node
+
+
 # ---------------------------------------------------------------------------
 # Patterns.
 
 def sexpr_to_pattern(node, named: dict[str, Pat] | None = None) -> Pat:
-    if not isinstance(node, list) or not node:
-        raise FixtureParseError("pattern must be a form: %r" % (node,))
-    head, args = node[0], node[1:]
+    head, args = _form(node, "pattern")[0], node[1:]
     named = named or {}
     if head == "and":
         return and_(*(sexpr_to_pattern(a, named) for a in args))
@@ -171,11 +190,11 @@ def sexpr_to_pattern(node, named: dict[str, Pat] | None = None) -> Pat:
 
 
 def _parse_ds(node) -> DigitSet:
-    if not isinstance(node, list) or node[0] != "ds":
+    if _form(node, "digit set")[0] != "ds":
         raise FixtureParseError("expected (ds ...)")
     prefix, period, residues = (), 1, set()
     for part in node[1:]:
-        if part[0] == "prefix":
+        if _form(part, "digit set part")[0] == "prefix":
             prefix = tuple(_nat(b) == 1 for b in part[1:])
         elif part[0] == "period":
             period = _nat(part[1])
@@ -272,7 +291,7 @@ def load_fixture(text: str) -> Fixture:
         if isinstance(node, list) and node and node[0] == "space":
             bound, depth = None, 6
             for part in node[1:]:
-                if part[0] == "bound":
+                if _form(part, "space part")[0] == "bound":
                     txt = _atom_text(part[1])
                     bound = None if txt == "ceiling" else parse_ordinal(txt)
                 elif part[0] == "depth":
@@ -284,7 +303,7 @@ def load_fixture(text: str) -> Fixture:
         raise FixtureParseError("fixture needs a (space ...) declaration")
     fx = Fixture(space, base_topology(space))
     for node in items:
-        head = node[0]
+        head = _form(node, "fixture item")[0]
         if head == "set":
             fx.sets[_atom_text(node[1])] = sexpr_to_pattern(node[2], fx.sets)
         elif head == "fn":
@@ -295,18 +314,19 @@ def load_fixture(text: str) -> Fixture:
             from .functions import FnFamily
             pieces = []
             for part in node[2:]:
-                if part[0] != "piece":
+                if _form(part, "piece")[0] != "piece":
                     raise FixtureParseError("expected (piece VALUE PATTERN)")
                 pieces.append((_rat(part[1]), sexpr_to_pattern(part[2], fx.sets)))
             fx.nfams[_atom_text(node[1])] = FnFamily(tuple(pieces), fx.space)
         elif head == "refine":
             names, xi = [], 2
             for part in node[1:]:
-                if part[0] == "sets":
+                if _form(part, "refine part")[0] == "sets":
                     names = [_atom_text(n) for n in part[1:]]
                 elif part[0] == "xi":
                     xi = _nat(part[1])
-            fx.topology = refine(fx.topology, [fx.sets[n] for n in names], xi)
+            sets = [sexpr_to_pattern(["ref", n], fx.sets) for n in names]
+            fx.topology = refine(fx.topology, sets, xi)
             fx.refinements.append((tuple(names), xi))
         else:
             raise FixtureParseError("unknown fixture item %r" % head)
@@ -314,11 +334,11 @@ def load_fixture(text: str) -> Fixture:
 
 
 def _parse_stepfn(node, fx: Fixture) -> StepFn:
-    if node[0] != "stepfn":
+    if _form(node, "function")[0] != "stepfn":
         raise FixtureParseError("expected (stepfn ...)")
     pieces = []
     for part in node[1:]:
-        if part[0] != "piece":
+        if _form(part, "piece")[0] != "piece":
             raise FixtureParseError("expected (piece VALUE PATTERN)")
         pieces.append((_rat(part[1]), sexpr_to_pattern(part[2], fx.sets)))
     return make_stepfn(pieces, fx.space)
@@ -328,13 +348,13 @@ def _parse_family(nodes, fx: Fixture) -> TransfiniteFamily:
     length = None
     segs = []
     for part in nodes:
-        if part[0] == "length":
+        if _form(part, "family part")[0] == "length":
             length = _ord(part[1])
         elif part[0] == "segment":
             lo = hi = None
             body = None
             for sub in part[1:]:
-                if sub[0] == "from":
+                if _form(sub, "segment part")[0] == "from":
                     lo = _ord(sub[1])
                 elif sub[0] == "to":
                     hi = _ord(sub[1])

@@ -119,12 +119,6 @@ def fn_max_const(f: StepFn, c) -> StepFn:
     return f.map_values(lambda v: max(v, _q(c)))
 
 
-def fn_max(f: StepFn, g: StepFn) -> StepFn:
-    assert f.space == g.space
-    pieces = [(max(vf, vg), and_(pf, pg)) for vf, pf in f.pieces for vg, pg in g.pieces]
-    return make_stepfn(pieces, f.space, check=False)
-
-
 def sup_dist(f: StepFn, g: StepFn) -> Fraction:
     """Exact sup norm of f - g."""
     return fn_sub(f, g).norm()

@@ -219,14 +219,6 @@ def left_sub(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     return Ordinal(a.terms[len(b.terms):])
 
 
-def nat_div(a: Ordinal | int, m: int) -> Ordinal:
-    """Largest z with m*z <= a, for finite m >= 1."""
-    a = _coerce(a)
-    if m < 1:
-        raise ValueError("divisor must be >= 1")
-    return add(a.limit_part(), from_int(a.fin() // m))
-
-
 def least_multiple_above(a: Ordinal | int, m: int) -> Ordinal:
     """Least z with z*m > a, for finite m >= 1 (z*m = z + ... + z, m times).
 

@@ -50,7 +50,6 @@ def remainder_lt(lam: int, bound: Ordinal) -> Pat:
         if t > 0:
             eq_above = [digit_eq(i, bound.digit(i)) for i in range(p + 1, lam)]
             branches.append(and_(*(eq_above + [digit_in(p, ds_lt(t))])))
-    exact_prefix = [digit_eq(i, bound.digit(i)) for i in range(lam)]
     return or_(*branches) if branches else FALSE
 
 

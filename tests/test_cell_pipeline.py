@@ -9,6 +9,10 @@ separated pairs.  Those formulas are kept here as the reference.
 
 The maximal-cell prune is checked against the all-pairs scan, and the
 cached `Cell` hash against equality across every way a cell is built.
+
+Stage templates build their cells through one slot builder; the pattern
+formulas of the old `CellTemplate.instantiate` and `limit_pattern` are kept
+here as its reference.
 """
 import dataclasses
 import random
@@ -17,14 +21,17 @@ from fractions import Fraction
 import pytest
 
 from ordrank import ordinal as o
-from ordrank.derivative import (CantorBendixson, DerivativeOp, OscDeriv,
-                                SeparationDeriv, apply)
+from ordrank.derivative import (CantorBendixson, CellTemplate, DerivativeOp,
+                                OscDeriv, PeriodicTemplate, SeparationDeriv,
+                                StageTemplate, _steps, apply, match_any_template)
+from ordrank.errors import UnsupportedProgression
 from ordrank.functions import char_fn, make_stepfn
-from ordrank.ordinal import W, ZERO, Ordinal, add, mul
-from ordrank.patterns import (Cell, PDiv, _cell_key, _cell_subsumes, _mk_cell,
-                              and_, cell_and, cells_pattern, digit_in, divpow,
-                              ds_mod, mk_digitset, not_, or_, ord_ge, ord_lt,
-                              prune_cells, to_cells)
+from ordrank.ordinal import W, ZERO, Ordinal, add, from_int, mul, omega_power
+from ordrank.patterns import (FALSE, Cell, PDiv, PMinDigit, _cell_key,
+                              _cell_subsumes, _mk_cell, and_, cell_and,
+                              cells_pattern, digit_in, divpow, ds_and, ds_ge,
+                              ds_mod, min_digit_in, mk_digitset, not_, or_,
+                              ord_ge, ord_lt, prune_cells, to_cells)
 from ordrank.space import (SpaceDesc, _cofinal_below, base_topology,
                            cb_derivative, closure, limit_cells,
                            partition_cells, refine)
@@ -194,3 +201,175 @@ def test_cell_hash_contract():
     assert repr(c) == "Cell(lo=%r, hi=%r, digits=%r, div=%r, md=%r)" % (
         c.lo, c.hi, c.digits, c.div, c.md)
     assert not hasattr(c, "__dict__")
+
+
+def _old_slots(ct):
+    """The slots in the old format (kind, i, i_step, ds, extra)."""
+    out = []
+    for kind, i, step, ds, t0 in ct.digits:
+        if kind == "pos":
+            out.append((kind, i, step, ds, (0, 0)))
+        else:
+            out.append((kind, i, 0, ds, (t0 if kind == "cut" else 0, step)))
+    return out
+
+
+def _ref_instantiate(ct, j, lo=None):
+    """The old `CellTemplate.instantiate`: the cell at stage j as a pattern."""
+    parts = []
+    div = ct.div + ct.div_step * j
+    if div >= 1:
+        parts.append(divpow(div))
+    if ct.md is not None:
+        parts.append(PMinDigit(ct.md))
+    for kind, i, istep, ds, extra in _old_slots(ct):
+        pos = i + istep * j
+        if kind == "cut":
+            ds_j = ds_and(ds, ds_ge(extra[0] + extra[1] * j))
+        elif kind == "shift":
+            ds_j = ds.shift_up(extra[1] * j)
+        else:
+            ds_j = ds
+        parts.append(digit_in(pos, ds_j))
+    lo_j = o.add(ct.lo, o.mul(ct.lo_step, j)) if lo is None else lo
+    if not lo_j.is_zero:
+        parts.append(ord_ge(lo_j))
+    if ct.hi is not None:
+        parts.append(ord_lt(ct.hi))
+    return and_(*parts)
+
+
+def _ref_limit_pattern(ct):
+    """The old `CellTemplate.limit_pattern`: the intersection over all stages."""
+    if ct.div_step > 0:
+        return FALSE
+    for kind, i, istep, ds, extra in _old_slots(ct):
+        if kind == "pos" and istep != 0:
+            if 0 in ds:
+                raise UnsupportedProgression("moving digit position with 0 allowed")
+            return FALSE
+        if kind in ("cut", "shift") and extra[1] > 0:
+            return FALSE
+    return _ref_instantiate(ct, 0, o.add(ct.lo, o.mul(ct.lo_step, W)))
+
+
+def _ref_stage(cts, j, bound):
+    """to_cells of the or of the old patterns at stage j (W: the limit)."""
+    if j == W:
+        return to_cells(or_(*(_ref_limit_pattern(ct) for ct in cts)), bound)
+    return to_cells(or_(*(_ref_instantiate(ct, j) for ct in cts)), bound)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except UnsupportedProgression as e:
+        return "raises %s" % e
+
+
+_TEMPLATE_SPACES = (SpaceDesc(None), SpaceDesc(add(mul(W, 8), 8)),
+                    SpaceDesc(add(omega_power(2), 1)))
+
+
+def _rand_ds(rng):
+    return mk_digitset([rng.random() < 0.5 for _ in range(rng.randint(0, 3))],
+                       rng.randint(1, 3), {r for r in range(3) if rng.random() < 0.5})
+
+
+def _rand_cell_template(rng):
+    ords = (ZERO, from_int(1), from_int(3), W, add(W, 2), mul(W, 3), omega_power(2))
+    lo = rng.choice(ords)
+    slots = []
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("const", "pos", "cut", "shift"))
+        slots.append((kind, rng.randint(0, 2), 0 if kind == "const" else rng.randint(1, 2),
+                      _rand_ds(rng), rng.randint(0, 3) if kind == "cut" else 0))
+    return CellTemplate(
+        lo, rng.choice((ZERO, ZERO, from_int(1), from_int(2), W)),
+        rng.choice((None, None, add(lo, rng.choice(ords[1:])))),
+        rng.choice((0, 0, 1, 2)), rng.choice((0, 0, 0, 1)),
+        rng.choice((None, None, ds_mod(2, 1), ds_ge(2), _rand_ds(rng))), tuple(slots))
+
+
+def _compare_templates(rng, rounds):
+    """Builder against reference on `rounds` random stage templates; returns
+    how often each slot kind, moving field and outcome came up."""
+    seen = {"const": 0, "pos": 0, "cut": 0, "shift": 0, "shared": 0, "md": 0,
+            "div_step": 0, "lo_step": 0, "raises": 0, "cells": 0, "limit cells": 0}
+    fixed = [
+        CellTemplate(ZERO, ZERO, None, 0, 0, None, ()),
+        CellTemplate(W, from_int(1), None, 1, 0, ds_mod(2, 1),
+                     (("const", 1, 0, ds_mod(2, 0), 0), ("cut", 1, 1, ds_ge(1), 2))),
+        CellTemplate(from_int(1), ZERO, mul(W, 3), 0, 1, None,
+                     (("shift", 0, 2, ds_mod(3, 1), 0), ("pos", 2, 1, ds_ge(1), 0))),
+        CellTemplate(ZERO, W, None, 0, 0, None, (("pos", 0, 1, ds_mod(2, 0), 0),)),
+    ]
+    for n in range(rounds):
+        space = _TEMPLATE_SPACES[n % 3]
+        bound = space.bound
+        cts = fixed if n < 3 else [_rand_cell_template(rng)
+                                   for _ in range(rng.randint(1, 3))]
+        for ct in cts:
+            kinds = [s[0] for s in ct.digits]
+            for k in kinds:
+                seen[k] += 1
+            seen["shared"] += len(kinds) > len({s[1] for s in ct.digits})
+            seen["md"] += ct.md is not None
+            seen["div_step"] += ct.div_step > 0
+            seen["lo_step"] += not ct.lo_step.is_zero
+            for j in list(range(13)) + [W]:
+                got = _outcome(lambda: ct.cell_at(j, bound))
+                want = _outcome(lambda: (to_cells(_ref_limit_pattern(ct), bound) if j == W
+                                         else to_cells(_ref_instantiate(ct, j), bound)))
+                if isinstance(got, str):
+                    seen["raises"] += 1
+                    assert got == want, (ct, j)
+                else:
+                    assert want == (() if got is None else (got,)), (ct, j, space)
+                    seen["cells" if j != W else "limit cells"] += got is not None
+        st = StageTemplate(tuple(cts))
+        for j in list(range(13)) + [W]:
+            assert (_outcome(lambda: st.instantiate(j, space))
+                    == _outcome(lambda: _ref_stage(cts, j, bound))), (cts, j)
+        assert _outcome(lambda: st.limit(space)) == _outcome(lambda: _ref_stage(cts, W, bound))
+    return seen
+
+
+def test_template_builder_matches_pattern_reference():
+    seen = _compare_templates(random.Random(8080), 300)
+    # every slot kind and every moving field came up, with live cells on both sides
+    assert min(seen.values()) > 20, seen
+
+
+def _windows_templates(space):
+    """Templates matched on windows of six stages of real iterations."""
+    t = base_topology(space)
+    A = min_digit_in(ds_mod(2, 0))
+    B = or_(ord_lt(1), min_digit_in(ds_mod(2, 1)))
+    ops = [DerivativeOp(CantorBendixson(), t), DerivativeOp(SeparationDeriv(A, B), t),
+           DerivativeOp(OscDeriv(char_fn(A, space), Fraction(1, 2)), t)]
+    starts = [ord_ge(0), closure(or_(A, divpow(2)), t), closure(and_(A, ord_lt(mul(W, 5))), t)]
+    for op in ops:
+        for start in starts:
+            stages = [to_cells(start, space.bound)]
+            for _ in range(14):
+                stages.append(_steps(op, stages[-1], 1))
+            for k in range(len(stages) - 5):
+                tmpl = match_any_template(stages[k:k + 6])
+                if tmpl is not None:
+                    yield tmpl
+
+
+def test_matched_templates_match_pattern_reference():
+    matched = 0
+    for space in _TEMPLATE_SPACES:
+        for tmpl in _windows_templates(space):
+            assert isinstance(tmpl, PeriodicTemplate)
+            matched += 1
+            for dj in range(13):
+                cls = tmpl.classes[dj % tmpl.period]
+                assert (tmpl.instantiate(dj, space)
+                        == _ref_stage(cls.cells, dj // tmpl.period, space.bound)), (tmpl, dj)
+            assert (_outcome(lambda: tmpl.limit(space))
+                    == _outcome(lambda: _ref_stage(tmpl.classes[0].cells, W, space.bound)))
+    assert matched > 10, matched

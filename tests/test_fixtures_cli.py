@@ -8,7 +8,8 @@ import pytest
 
 import ordrank
 from ordrank.cli import main
-from ordrank.errors import FixtureParseError
+from ordrank.errors import FixtureParseError, VerificationError
+from ordrank.family import validate_set_family
 from ordrank.fixtures import (fixture_to_sexpr, load_fixture, parse_sexpr,
                               pattern_to_sexpr, sexpr_to_pattern)
 from ordrank.ordinal import W, omega_power
@@ -196,6 +197,42 @@ def test_cli_zero_denominator_exit1(tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "bad rational '1/0'" in proc.stderr
+
+
+@pytest.mark.parametrize("item, message", [
+    ("(refine (sets nosuch) (xi 2))", "unknown set name 'nosuch'"),
+    ("(set)", "(set ...) needs 2 argument(s)"),
+    ("()", "fixture item must be a form"),
+    ("(set a (not))", "(not ...) needs 1 argument(s)"),
+    ("(fn f (stepfn (piece 1)))", "(piece ...) needs 2 argument(s)"),
+    ('(family f (length "w") (segment (from)))', "(from ...) needs 1 argument(s)"),
+    ("(set (x) (true))", "expected an atom, got ['x']"),
+])
+def test_cli_malformed_item_exit1(tmp_path, item, message):
+    text = '(fixture (space (bound "w^2")) (set evens (mod 0 2 0)) %s)' % item
+    with pytest.raises(FixtureParseError):
+        load_fixture(text)
+    proc = _run_cli(["rank", _write(tmp_path, text), "--pair", "evens", "evens"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert message in proc.stderr
+
+
+def test_cli_family_shift_above_segment_exit2(tmp_path):
+    # x >= (eta - w) is undefined for eta < w: the family parses, and its
+    # validation refuses it at the segment structure
+    bad = FIX.replace('(ge-param "0" "0" 1)', '(ge-param "0" "w" 1)')
+    fx = load_fixture(bad)
+    with pytest.raises(VerificationError) as exc:
+        validate_set_family(fx.families["tails"], fx.topology)
+    assert exc.value.args[0] == "segments"
+    proc = _run_cli(["verify", _write(tmp_path, bad), "--family", "tails"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "segments" in proc.stderr and "shift" in proc.stderr
 
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")

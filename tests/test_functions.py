@@ -8,7 +8,7 @@ from ordrank.errors import (CertificateViolation, PartitionViolation,
                             UnsupportedProgression)
 from ordrank.functions import (FnFamily, StepFn, UniformPresentation, char_fn,
                                clamp_hk, constant, fam_add, fn_add,
-                               fn_add_const, fn_max, fn_max_const, fn_scale,
+                               fn_add_const, fn_max_const, fn_scale,
                                fn_sub, make_stepfn, monotonize_and_diff,
                                oscillation, semi_borel_class, sup_dist,
                                union_from_param, usc_check, _max_mult)

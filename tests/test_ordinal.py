@@ -10,7 +10,7 @@ from ordrank.errors import DepthExceeded, NotLimit
 from ordrank.ordinal import (
     W, ZERO, Kind, Parity, add, classify, compare, even_floor,
     format_ordinal, from_int, fundamental_sequence, is_even, least_multiple_above,
-    left_sub, mul, nat_div, omega_power, parity, parse_ordinal, Ordinal,
+    left_sub, mul, omega_power, parity, parse_ordinal, Ordinal,
 )
 
 
@@ -109,8 +109,6 @@ def test_left_sub_and_div():
     assert left_sub(a, a) == ZERO
     with pytest.raises(ValueError):
         left_sub(W, add(W, 1))
-    assert nat_div(add(W, 7), 2) == add(W, 3)
-    assert nat_div(from_int(9), 3) == from_int(3)
 
 
 def test_least_multiple_above_brute():

@@ -21,7 +21,7 @@ from . import ordinal as o
 from .errors import (ExitNotFound, PrecisionUnreachable, ResidualViolation,
                      VerificationError, WitnessMismatch)
 from .family import TransfiniteFamily, even_diff_union, validate_set_family
-from .functions import StepFn, UniformPresentation, char_fn, constant
+from .functions import StepFn, UniformPresentation
 from .ordinal import Kind, Ordinal, Parity, ZERO, parity
 from .patterns import and_, iter_cell, not_, or_, to_cells
 from .space import SpaceDesc, Topology, sample_points, sem_eq
@@ -61,13 +61,6 @@ class ComboSeq:
     def value(self, eta: Ordinal, x: Ordinal) -> Fraction:
         return sum((w for w, fam in self.terms if fam.member(eta, x)
                     if o.compare(eta, fam.length) < 0), Fraction(0))
-
-    def at(self, eta: Ordinal) -> StepFn:
-        fn = constant(0, self.space)
-        from .functions import fn_add, fn_scale
-        for w, fam in self.terms:
-            fn = fn_add(fn, fn_scale(char_fn(fam.at(eta), self.space), w))
-        return fn
 
     def norm_bound(self) -> Fraction:
         return sum((w for w, _ in self.terms), Fraction(0))
@@ -283,10 +276,12 @@ def eval_to_precision(lazy: LazyDUSB, x: Ordinal, theta: Ordinal,
     return s, s + tail
 
 
+_SAMPLE_CAP = 60   # points checked against the identity
+_EVEN_THETAS = 10  # even stages checked against the residual sandwich
+
+
 def length_upper_certificate(f: StepFn, witness: DUSBSeq, lam: int,
-                             t: Topology, const: Fraction = Fraction(0),
-                             sample_cap: int = 60,
-                             even_thetas: int = 10) -> Certificate:
+                             t: Topology, const: Fraction = Fraction(0)) -> Certificate:
     """Certify f = const + alternating sum of the witness, with the residual
     sandwich 0 <= f - partial <= f_theta at sampled even stages."""
     space = t.space
@@ -295,11 +290,11 @@ def length_upper_certificate(f: StepFn, witness: DUSBSeq, lam: int,
         raise WitnessMismatch("witness length %s exceeds w^%d"
                               % (witness.length, lam))
     # in turn from every cell of every piece, so infinite points are sampled
-    turns = zip_longest(*(iter_cell(c, space.bound, sample_cap) for _, p in f.pieces
+    turns = zip_longest(*(iter_cell(c, space.bound, _SAMPLE_CAP) for _, p in f.pieces
                           for c in to_cells(p, space.bound)))
     pts: list[Ordinal] = []
     for x in chain.from_iterable(turns):
-        if len(pts) == sample_cap:
+        if len(pts) == _SAMPLE_CAP:
             break
         if x is not None and x not in pts:
             pts.append(x)
@@ -314,7 +309,7 @@ def length_upper_certificate(f: StepFn, witness: DUSBSeq, lam: int,
             raise WitnessMismatch("identity fails at %s: %s != %s" % (x, got, want))
         checked.append((x, trace, want))
     claims.append("f = const + alternating sum at %d sampled points" % len(pts))
-    thetas = _even_stage_samples(witness.length, even_thetas)
+    thetas = _even_stage_samples(witness.length)
     for theta in thetas:
         inside = o.compare(theta, witness.length) < 0
         for x, trace, fx in checked[: max(6, len(pts) // 4)]:
@@ -326,16 +321,16 @@ def length_upper_certificate(f: StepFn, witness: DUSBSeq, lam: int,
     return Certificate("length_upper", lam, witness.xi, tuple(claims))
 
 
-def _even_stage_samples(length: Ordinal, count: int) -> list[Ordinal]:
+def _even_stage_samples(length: Ordinal) -> list[Ordinal]:
     out = {ZERO}
     if o.classify(length) is Kind.LIMIT:
-        for n in range(count):
+        for n in range(_EVEN_THETAS):
             out.add(o.fundamental_sequence(length, n, even_only=True))
     else:
         eta = ZERO
-        while o.compare(eta, length) < 0 and len(out) < count:
+        while o.compare(eta, length) < 0 and len(out) < _EVEN_THETAS:
             if o.is_even(eta):
                 out.add(eta)
             eta = o.add(eta, 1)
     out.add(o.even_floor(length))
-    return sorted(out, key=lambda a: a.terms)[:count]
+    return sorted(out, key=lambda a: a.terms)[:_EVEN_THETAS]

@@ -22,7 +22,7 @@ from .errors import (BudgetExceeded, CertificateViolation, ClassViolation,
                      DepthExceeded, ExitNotFound, FixtureParseError,
                      InclusionViolation, NotLimit, NotOracleSpace,
                      PartitionViolation, PrecisionUnreachable,
-                     ResidualViolation, Undecidable, UnsupportedProgression,
+                     ResidualViolation, UnsupportedProgression,
                      VerificationError, WitnessMismatch)
 from .fixtures import Fixture, load_fixture
 from .ordinal import format_ordinal
@@ -34,7 +34,7 @@ _PARSE_ERRORS = (FixtureParseError, ValueError)
 _VERIFY_ERRORS = (VerificationError, InclusionViolation, WitnessMismatch,
                   ResidualViolation, ExitNotFound, ClassViolation,
                   PartitionViolation, CertificateViolation, NotOracleSpace)
-_BUDGET_ERRORS = (BudgetExceeded, UnsupportedProgression, Undecidable,
+_BUDGET_ERRORS = (BudgetExceeded, UnsupportedProgression,
                   PrecisionUnreachable, DepthExceeded, NotLimit)
 
 
@@ -118,6 +118,8 @@ def cmd_decompose(fx: Fixture, args) -> int:
 
 def cmd_verify(fx: Fixture, args) -> int:
     from .ranks import alpha_xi_verify
+    if args.xi < 1:
+        raise FixtureParseError("--xi must be at least 1, got %d" % args.xi)
     fam = _named(fx.families, "family", args.family)
     lines = []
     if args.pair:

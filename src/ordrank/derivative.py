@@ -19,8 +19,9 @@ per cell) and is cached per operator and cell tuple in `_apply_cached`;
 `iterate`, its probes and `IterationTrace.stage_at` step through `_steps`.
 Templates instantiate as cells too: `CellTemplate.cell_at` is the one slot
 builder, for a stage j and for j = W (the limit), and builds each cell
-through `patterns._mk_cell`.  Only `apply`, the trace events and
-`ConvDeriv`'s parametric W_N are patterns.
+through `patterns._mk_cell`.  The trace records the stages as they are;
+cells become patterns only at `apply`, `IterationTrace.stage_at` and
+`log_lines`.
 """
 from __future__ import annotations
 
@@ -106,14 +107,14 @@ class ConvDeriv:
         late ones; `eventual` computes that set exactly by taking every
         atom at N = omega.  The persistent limit points are the limit part
         of cl(W_N cap F) once the start index passes every atom flip,
-        which is verified at two spread probes (on cells; W_N is a pattern)."""
+        which is verified at two spread probes.  F enters through `meet`."""
         space, bound = t.space, t.space.bound
-        wparam = and_(self.tail_disagreement_param(space), cells_pattern(F))
-        core = to_cells(eventual(wparam, space), bound)
+        wparam = self.tail_disagreement_param(space)
+        core = meet(F, to_cells(eventual(wparam, space), bound), bound)
         n_star = 8 + _max_atom_base(wparam)
 
         def limit_part(n: int) -> tuple[Cell, ...]:
-            wn = to_cells(subst_n(wparam, n), bound)
+            wn = meet(F, to_cells(subst_n(wparam, n), bound), bound)
             return prune_cells(cells_difference(closure_cells(wn, t), wn, bound))
 
         lp = limit_part(n_star)
@@ -375,7 +376,7 @@ def _steps(op: DerivativeOp, cells: tuple[Cell, ...], k: int) -> tuple[Cell, ...
 @dataclass
 class IterationTrace:
     op: DerivativeOp
-    events: list[tuple[Ordinal, Pat]] = field(default_factory=list)
+    events: list[tuple[Ordinal, tuple[Cell, ...]]] = field(default_factory=list)
     rank: Ordinal | None = None
     fixpoint: bool = False
     reason: str = ""
@@ -390,20 +391,17 @@ class IterationTrace:
         past = [ev for ev in self.events if o.compare(ev[0], theta) <= 0]
         if not past:  # events are recorded in increasing stage order
             raise ValueError("stage %s precedes the trace" % theta)
-        stage, pat = past[-1]
-        if stage == theta:
-            return pat
+        stage, cells = past[-1]
         gap = o.left_sub(theta, stage)
         if not gap.is_finite:
             raise ValueError("stage %s not recorded and not finitely past %s"
                              % (theta, stage))
-        cells = to_cells(pat, self.op.topology.space.bound)
         return cells_pattern(_steps(self.op, cells, gap.to_int()))
 
     def log_lines(self) -> list[str]:
         from .fixtures import pattern_to_sexpr
-        return ["stage %s set %s" % (stage, pattern_to_sexpr(pat))
-                for stage, pat in self.events]
+        return ["stage %s set %s" % (stage, pattern_to_sexpr(cells_pattern(cells)))
+                for stage, cells in self.events]
 
 
 def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> IterationTrace:
@@ -415,7 +413,7 @@ def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> Itera
         raise ValueError("iteration must start from a closed set")
     stage = ZERO
     run_start = ZERO
-    trace.events.append((stage, cells_pattern(cur)))
+    trace.events.append((stage, cur))
     window: list[tuple[Cell, ...]] = []
     while True:
         if not cur:
@@ -435,7 +433,7 @@ def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> Itera
             return trace
         stage = o.add(stage, 1)
         cur = nxt
-        trace.events.append((stage, cells_pattern(cur)))
+        trace.events.append((stage, cur))
         window.append(cur)
         if len(window) > budget.window:
             window.pop(0)
@@ -452,7 +450,7 @@ def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> Itera
                 continue
             target = o.add(run_start, W)
             trace.limit_jumps += 1
-            trace.events.append((target, cells_pattern(lim)))
+            trace.events.append((target, lim))
             stage = run_start = target
             cur = lim
             window = []

@@ -13,10 +13,6 @@ class NotLimit(ToolkitError):
     """A fundamental sequence was requested for a non-limit ordinal."""
 
 
-class Undecidable(ToolkitError):
-    """The symbolic case analysis left the supported fragment (carries a diagnostic)."""
-
-
 class NotOracleSpace(ToolkitError):
     """The space bound is too large for the brute-force oracle representation."""
 

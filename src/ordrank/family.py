@@ -152,9 +152,11 @@ def pad_with_empty(fam: TransfiniteFamily, new_length: Ordinal) -> TransfiniteFa
 # ---------------------------------------------------------------------------
 # Validation.
 
+_SAMPLES = 6  # indices sampled from each segment's start, limits included
+
+
 def validate_set_family(fam: TransfiniteFamily, t: Topology, xi: int = 1,
-                        check_vanishing: bool = True,
-                        samples: int = 6) -> list[str]:
+                        check_vanishing: bool = True) -> list[str]:
     """Check the decreasing-continuous-family invariants; returns the list of
     established certificates, raises VerificationError at the first failure."""
     space = t.space
@@ -179,7 +181,7 @@ def validate_set_family(fam: TransfiniteFamily, t: Topology, xi: int = 1,
         raise VerificationError("F0", "F_0 must be the whole space")
     certs.append("F_0 = X")
     # decreasing
-    for eta in _boundary_and_sample_indices(fam, samples):
+    for eta in _boundary_and_sample_indices(fam):
         nxt = o.add(eta, 1)
         if o.compare(nxt, fam.length) >= 0:
             continue
@@ -195,7 +197,7 @@ def validate_set_family(fam: TransfiniteFamily, t: Topology, xi: int = 1,
             tail = fam.pointwise_intersection_tail(s.lo)
             if not sem_eq(fam.at(s.lo), tail, space):
                 raise VerificationError("continuity", "at %s" % s.lo)
-    for theta in _interior_limits(fam, samples):
+    for theta in _interior_limits(fam):
         tail = fam.pointwise_intersection_tail(theta)
         if not sem_eq(fam.at(theta), tail, space):
             raise VerificationError("continuity", "at %s" % theta)
@@ -209,7 +211,7 @@ def validate_set_family(fam: TransfiniteFamily, t: Topology, xi: int = 1,
         certs.append("intersection over all indices empty")
     # Pi^0_xi membership
     if xi <= 1:
-        for eta in _boundary_and_sample_indices(fam, samples):
+        for eta in _boundary_and_sample_indices(fam):
             if not is_closed(fam.at(eta), t):
                 raise VerificationError("closed", "F_%s not closed" % eta)
         for s in fam.segments:
@@ -222,11 +224,11 @@ def validate_set_family(fam: TransfiniteFamily, t: Topology, xi: int = 1,
     return certs
 
 
-def _boundary_and_sample_indices(fam: TransfiniteFamily, samples: int) -> list[Ordinal]:
+def _boundary_and_sample_indices(fam: TransfiniteFamily) -> list[Ordinal]:
     idx = {ZERO}
     for s in fam.segments:
         idx.add(s.lo)
-        for j in range(samples):
+        for j in range(_SAMPLES):
             cand = o.add(s.lo, j)
             if o.compare(cand, s.hi) < 0:
                 idx.add(cand)
@@ -240,10 +242,10 @@ def _boundary_and_sample_indices(fam: TransfiniteFamily, samples: int) -> list[O
     return sorted(out, key=lambda a: a.terms)
 
 
-def _interior_limits(fam: TransfiniteFamily, samples: int) -> list[Ordinal]:
+def _interior_limits(fam: TransfiniteFamily) -> list[Ordinal]:
     out = []
     for s in fam.segments:
-        for j in range(1, samples):
+        for j in range(1, _SAMPLES):
             cand = o.add(s.lo, o.mul(W, j))
             if (o.compare(s.lo, cand) < 0 and o.compare(cand, s.hi) < 0
                     and o.classify(cand) is Kind.LIMIT):

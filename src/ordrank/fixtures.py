@@ -325,6 +325,8 @@ def load_fixture(text: str) -> Fixture:
                     names = [_atom_text(n) for n in part[1:]]
                 elif part[0] == "xi":
                     xi = _nat(part[1])
+                    if xi < 1:
+                        raise FixtureParseError("(xi ...) must be at least 1, got %d" % xi)
             sets = [sexpr_to_pattern(["ref", n], fx.sets) for n in names]
             fx.topology = refine(fx.topology, sets, xi)
             fx.refinements.append((tuple(names), xi))

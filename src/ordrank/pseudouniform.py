@@ -127,9 +127,13 @@ class PhiWitness:
     refinement: Topology | None = None
 
 
+_CONTAINMENT_N = 5  # blocks D^n checked against the separation family
+_DIAGONAL_N = 6     # diagonal functions f_n checked by the tail estimate
+
+
 def certify_pseudouniform(fam: FnFamily, t: Topology,
                           sep_fam: TransfiniteFamily | None = None,
-                          lam: int | None = None, n_max: int = 5,
+                          lam: int | None = None,
                           budget: Budget = DEFAULT_BUDGET) -> tuple[RankReport, Certificate]:
     """Convergence rank <= w, with the block containment D^n <= F_(w^lam*n)
     checked against an attached separation family."""
@@ -140,13 +144,13 @@ def certify_pseudouniform(fam: FnFamily, t: Topology,
     claims = ["gamma rank %s <= w" % rep.value]
     if sep_fam is not None and lam is not None and rep.trace is not None:
         step = omega_power(lam)
-        for n in range(n_max + 1):
+        for n in range(_CONTAINMENT_N + 1):
             stage = rep.trace.stage_at(o.from_int(n))
             target_set = sep_fam.at(o.mul(step, n))
             if not subset(stage, target_set, t.space):
                 raise VerificationError("containment",
                                         "D^%d not inside F_(w^%d*%d)" % (n, lam, n))
-        claims.append("D^n inside F_(w^%d*n) for n <= %d" % (lam, n_max))
+        claims.append("D^n inside F_(w^%d*n) for n <= %d" % (lam, _CONTAINMENT_N))
         limit_stage = rep.trace.stage_at(W) if o.compare(rep.ordinal, W) >= 0 else FALSE
         if not is_empty(limit_stage, t.space):
             raise VerificationError("containment", "D^w nonempty")
@@ -208,8 +212,7 @@ def phi_generate(A: Pat, sep_fam: TransfiniteFamily, lam: int, t: Topology,
                         "containment", "term %d at block %d" % (k, m))
         per_term.append((k, rep.value, bound))
 
-    gam, cert = certify_pseudouniform(fam, topo, sep_fam, lam,
-                                      n_max=5, budget=budget)
+    gam, cert = certify_pseudouniform(fam, topo, sep_fam, lam, budget=budget)
     claims = cert.claims + tuple(
         "beta(f_%d) = %s <= (lam_%d+4)*w = %s" % (k, v, k, b)
         for k, v, b in per_term)
@@ -218,12 +221,12 @@ def phi_generate(A: Pat, sep_fam: TransfiniteFamily, lam: int, t: Topology,
 
 
 def phi_step_and_sum(target, piece_witnesses: list[PhiWitness], t: Topology,
-                     budget: Budget = DEFAULT_BUDGET, **kw) -> PhiWitness:
+                     budget: Budget = DEFAULT_BUDGET) -> PhiWitness:
     """Dispatch on the target kind: step functions combine per-indicator
     witnesses; presentations go through the clamped diagonal stage."""
     if isinstance(target, StepFn):
         return phi_step_combination(target, piece_witnesses, t, budget)
-    return phi_sum_stage(target, piece_witnesses, t, budget=budget, **kw)
+    return phi_sum_stage(target, piece_witnesses, t, budget=budget)
 
 
 def phi_step_combination(target: StepFn, piece_witnesses: list[PhiWitness],
@@ -256,11 +259,10 @@ def phi_step_combination(target: StepFn, piece_witnesses: list[PhiWitness],
 
 
 def phi_sum_stage(pres, piece_witnesses: list[PhiWitness], t: Topology,
-                  eps: Fraction = Fraction(1, 8), n_max: int = 6,
                   budget: Budget = DEFAULT_BUDGET) -> PhiWitness:
     """The diagonal stage: f_n = sum over k <= n of the clamped n-th
-    approximants of the geometric pieces; pseudouniformity is certified at
-    the requested eps through the truncated-sum reduction."""
+    approximants of the geometric pieces; pseudouniformity is certified
+    through the truncated-sum reduction."""
     K = len(pres.terms) - 1
     if len(piece_witnesses) != K + 1:
         raise WitnessMismatch("need one witness per presentation term")
@@ -271,10 +273,10 @@ def phi_sum_stage(pres, piece_witnesses: list[PhiWitness], t: Topology,
     for famk in clamped:
         total = famk if total is None else fam_add(total, famk)
     gam, cert = certify_pseudouniform(total, t, budget=budget)
-    # diagonal functions f_n for n <= n_max, via exact finite sums
+    # diagonal functions f_n for n <= _DIAGONAL_N, via exact finite sums
     const0 = constant(0, t.space)
     diagonals = []
-    for n in range(n_max + 1):
+    for n in range(_DIAGONAL_N + 1):
         acc = const0
         for k in range(min(n, K) + 1):
             acc = fn_add(acc, clamped[k].at(n))
@@ -282,7 +284,7 @@ def phi_sum_stage(pres, piece_witnesses: list[PhiWitness], t: Topology,
     # tail estimate at sampled points: |f_n - f_m| <= |truncated diff| + 2^(1-K)
     pts = sample_points(TRUE, t.space, per_cell=12)[:40]
     tail = Fraction(2, 2 ** K)
-    for n in range(n_max):
+    for n in range(_DIAGONAL_N):
         for x in pts:
             d = abs(diagonals[n + 1].eval(x) - diagonals[n].eval(x))
             dK = abs(sum((clamped[k].at(n + 1).eval(x) - clamped[k].at(n).eval(x)
@@ -291,6 +293,6 @@ def phi_sum_stage(pres, piece_witnesses: list[PhiWitness], t: Topology,
                 raise VerificationError("tail estimate", (n, x))
     target = pres.partial(len(pres.terms))
     claims = cert.claims + (
-        "diagonal tail estimate verified at eps %s on %d points" % (eps, len(pts)),)
+        "diagonal tail estimate verified on %d points" % len(pts),)
     return PhiWitness(target, total, (), gam,
                       Certificate("phi_sum", 0, 1, claims))

@@ -12,15 +12,15 @@ from fractions import Fraction
 
 from . import ordinal as o
 from .altsum import Certificate
-from .derivative import (Budget, CantorBendixson, ConvDeriv, DEFAULT_BUDGET,
-                         DerivativeOp, IterationTrace, OscDeriv,
-                         SeparationDeriv, iterate)
+from .derivative import (Budget, ConvDeriv, DEFAULT_BUDGET, DerivativeOp,
+                         IterationTrace, OscDeriv, SeparationDeriv, iterate)
 from .errors import BudgetExceeded, InclusionViolation, VerificationError
 from .family import TransfiniteFamily, even_diff_union, validate_set_family
 from .functions import FnFamily, StepFn
 from .ordinal import Ordinal, W
-from .patterns import FALSE, TRUE, Pat, and_, or_
-from .space import Topology, is_empty, sample_points
+from .patterns import (FALSE, TRUE, Cell, Pat, cells_difference, iter_cell, meet, or_,
+                       prune_cells, to_cells)
+from .space import Topology
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,10 @@ class RankReport:
         return self.value
 
 
-def _rank_of(op: DerivativeOp, start: Pat = TRUE,
+def _rank_of(op: DerivativeOp,
              budget: Budget = DEFAULT_BUDGET) -> tuple[RankValue, IterationTrace | None]:
     try:
-        trace = iterate(op, start, budget)
+        trace = iterate(op, TRUE, budget)
     except BudgetExceeded as e:
         t = e.args[0] if e.args else None
         return NotStabilized(False, "budget exceeded"), t
@@ -64,14 +64,8 @@ def _rank_of(op: DerivativeOp, start: Pat = TRUE,
 
 def alpha_pair(A: Pat, B: Pat, t: Topology,
                budget: Budget = DEFAULT_BUDGET) -> RankReport:
-    value, trace = _rank_of(DerivativeOp(SeparationDeriv(A, B), t), TRUE, budget)
+    value, trace = _rank_of(DerivativeOp(SeparationDeriv(A, B), t), budget)
     return RankReport("alpha_pair", value, (A, B), trace)
-
-
-def cb_rank(t: Topology, start: Pat = TRUE,
-            budget: Budget = DEFAULT_BUDGET) -> RankReport:
-    value, trace = _rank_of(DerivativeOp(CantorBendixson(), t), start, budget)
-    return RankReport("cb", value, None, trace)
 
 
 def _level_pairs(f: StepFn) -> list[tuple[Fraction, Fraction, Pat, Pat]]:
@@ -126,14 +120,14 @@ def _gaps(values) -> list[Fraction]:
 def beta(f: StepFn, t: Topology, budget: Budget = DEFAULT_BUDGET) -> RankReport:
     """Oscillation rank: supremum over the (finitely many) relevant eps."""
     return _sup_rank("beta", _gaps(f.values()),
-                     lambda eps: _rank_of(DerivativeOp(OscDeriv(f, eps), t), TRUE, budget),
+                     lambda eps: _rank_of(DerivativeOp(OscDeriv(f, eps), t), budget),
                      Fraction(1))
 
 
 def gamma_seq(fam: FnFamily, t: Topology, budget: Budget = DEFAULT_BUDGET) -> RankReport:
     """Convergence rank of a function sequence; pseudouniform iff <= w."""
     return _sup_rank("gamma_seq", _gaps(fam.values()),
-                     lambda eps: _rank_of(DerivativeOp(ConvDeriv(fam, eps), t), TRUE, budget),
+                     lambda eps: _rank_of(DerivativeOp(ConvDeriv(fam, eps), t), budget),
                      Fraction(1))
 
 
@@ -144,22 +138,26 @@ def is_pseudouniform(rep: RankReport) -> bool:
 # ---------------------------------------------------------------------------
 # Modified separation rank: witness verification.
 
+def _least_point(cells: tuple[Cell, ...], bound: Ordinal | None) -> Ordinal | None:
+    """The least point of the cells; None when every one lies past the ceiling."""
+    return min((x for c in cells for x in iter_cell(c, bound, 1)),
+               key=lambda x: x.terms, default=None)
+
+
 def alpha_xi_verify(A: Pat, B: Pat, fam: TransfiniteFamily, xi: int,
                     t: Topology) -> Certificate:
     """Certify alpha_xi(A, B) <= length(fam) by checking the family
-    invariants and both inclusions A <= union of even differences <= B^c."""
-    from .space import sem_difference
-    space = t.space
+    invariants and both inclusions A <= union of even differences <= B^c.
+    A violation names the least point of the offending cells."""
+    bound = t.space.bound
     claims = tuple(validate_set_family(fam, t, xi=xi))
-    u = even_diff_union(fam, space)
-    bad = sem_difference(A, u, space)
-    if not is_empty(bad, space):
-        pt = sample_points(bad, space, 1)
-        raise InclusionViolation("A not covered", pt[0] if pt else None)
-    bad = and_(u, B)
-    if not is_empty(bad, space):
-        pt = sample_points(bad, space, 1)
-        raise InclusionViolation("differences meet B", pt[0] if pt else None)
+    u = to_cells(even_diff_union(fam, t.space), bound)
+    bad = prune_cells(cells_difference(to_cells(A, bound), u, bound))
+    if bad:
+        raise InclusionViolation("A not covered", _least_point(bad, bound))
+    bad = meet(u, to_cells(B, bound), bound)
+    if bad:
+        raise InclusionViolation("differences meet B", _least_point(bad, bound))
     claims = claims + ("A within the even differences", "differences avoid B")
     lam = fam.length.max_exp() or 0
     return Certificate("alpha_xi", lam, xi, claims)

@@ -7,14 +7,16 @@ space.  A topology is the base order topology plus a finite list of
 declared sets whose generated partition cells become clopen; the refined
 closure operator works cell by cell.
 
-Closure works on canonical cell tuples (`closure_cells`); `closure` only
-converts a pattern in and out.  A limit point x with least exponent e
-accumulates a cell iff the cell's digit box is cofinal inside the final
-w^e-segment below x, which reduces to finitely many digit-set checks (the
-last constrained level must be infinite, levels below it nonempty, the
-level-e constraint shifts by one).  So a cell's limit points are again
-finitely many cells (`limit_cells`, memoized per cell), and the closure is
-the prune of the cells and their limit cells.
+Closure and the Borel classification (the difference chain) work on
+canonical cell tuples; cells become patterns only at the boundary, in
+`closure`, `cb_derivative`, `canonicalize` and `difference_chain`'s
+result.  A limit point x with least exponent e accumulates a cell iff the
+cell's digit box is cofinal inside the final w^e-segment below x, which
+reduces to finitely many digit-set checks (the last constrained level must
+be infinite, levels below it nonempty, the level-e constraint shifts by
+one).  So a cell's limit points are again finitely many cells
+(`limit_cells`, memoized per cell), and the closure is the prune of the
+cells and their limit cells.
 """
 from __future__ import annotations
 
@@ -27,8 +29,7 @@ from .errors import ClassViolation
 from .ordinal import Ordinal, Kind
 from .patterns import (
     Cell, Pat, _cell_subsumes, _mk_cell, and_, cells_difference, cells_pattern,
-    ds_and, holds_at, iter_cell, meet, not_, or_, prune_cells, to_cells,
-    TRUE, FALSE,
+    ds_and, holds_at, iter_cell, meet, not_, prune_cells, to_cells, TRUE,
 )
 
 
@@ -93,12 +94,6 @@ def is_empty(p: Pat, space: SpaceDesc) -> bool:
 
 def subset(a: Pat, b: Pat, space: SpaceDesc) -> bool:
     return cells_subset(to_cells(a, space.bound), to_cells(b, space.bound), space.bound)
-
-
-def sem_difference(a: Pat, b: Pat, space: SpaceDesc) -> Pat:
-    """a minus b as a canonical pattern, via cell carving (avoids negation)."""
-    return cells_pattern(cells_difference(to_cells(a, space.bound),
-                                          to_cells(b, space.bound), space.bound))
 
 
 def sem_eq(a: Pat, b: Pat, space: SpaceDesc) -> bool:
@@ -215,7 +210,9 @@ def is_closed(p: Pat, t: Topology) -> bool:
 
 
 def is_open(p: Pat, t: Topology) -> bool:
-    return is_closed(sem_difference(TRUE, p, t.space), t)
+    bound = t.space.bound
+    return cells_closed(prune_cells(cells_difference(
+        to_cells(TRUE, bound), to_cells(p, bound), bound)), t)
 
 
 def cb_derivative(p: Pat, t: Topology) -> Pat:
@@ -234,35 +231,39 @@ class BorelClass(enum.Enum):
     SIGMA2_OR_ABOVE = "sigma2_or_above"
 
 
-def difference_chain(p: Pat, t: Topology, budget: int = 16) -> list[Pat] | None:
-    """Decreasing closed sets whose even differences equal p, if one of
-    length <= budget exists.  F_{k+1} alternates closures of the residue."""
-    chain = [TRUE]
-    cur = TRUE
-    for k in range(budget):
-        part = sem_difference(cur, p, t.space) if k % 2 == 0 else and_(cur, p)
-        nxt = closure(part, t)
+_CHAIN_BUDGET = 16  # the longest difference chain searched for
+
+
+def _chain_cells(p: Pat, t: Topology) -> list[tuple[Cell, ...]] | None:
+    """The cells of `difference_chain`.  The chain ends at the empty set, so
+    its even differences are F_k minus F_k+1 for even k below its last index."""
+    bound = t.space.bound
+    target = to_cells(p, bound)
+    cur = to_cells(TRUE, bound)
+    chain = [cur]
+    for k in range(_CHAIN_BUDGET):
+        part = (prune_cells(cells_difference(cur, target, bound)) if k % 2 == 0
+                else meet(cur, target, bound))
+        nxt = closure_cells(part, t)
         chain.append(nxt)
-        if is_empty(nxt, t.space):
+        if not nxt:
             return chain
-        # structural fixpoint check only: stages are canonicalized closures,
+        # structural fixpoint check only: stages are canonical cell tuples,
         # and a missed semantic fixpoint just burns the remaining budget
-        if to_cells(nxt, t.space.bound) == to_cells(cur, t.space.bound):
+        if nxt == cur:
             return None
         cur = nxt
     return None
 
 
-def _even_differences(chain: list[Pat]) -> Pat:
-    parts = []
-    for k in range(0, len(chain), 2):
-        upper = chain[k]
-        lower = chain[k + 1] if k + 1 < len(chain) else FALSE
-        parts.append(and_(upper, not_(lower)))
-    return or_(*parts)
+def difference_chain(p: Pat, t: Topology) -> list[Pat] | None:
+    """Decreasing closed sets whose even differences equal p, if one of length
+    <= _CHAIN_BUDGET exists.  F_{k+1} alternates closures of the residue."""
+    chain = _chain_cells(p, t)
+    return None if chain is None else [cells_pattern(c) for c in chain]
 
 
-def borel_class(p: Pat, t: Topology, budget: int = 16) -> BorelClass:
+def borel_class(p: Pat, t: Topology) -> BorelClass:
     """Minimal level among the supported ones.
 
     In these countable spaces every subset is Sigma^0_2 (a countable union
@@ -277,9 +278,12 @@ def borel_class(p: Pat, t: Topology, budget: int = 16) -> BorelClass:
         return BorelClass.OPEN
     if closed:
         return BorelClass.CLOSED
-    chain = difference_chain(p, t, budget)
+    chain = _chain_cells(p, t)
     if chain is not None:
-        assert sem_eq(_even_differences(chain), p, t.space), \
+        bound = t.space.bound
+        evens = [c for k in range(0, len(chain) - 1, 2)
+                 for c in cells_difference(chain[k], chain[k + 1], bound)]
+        assert cells_eq(prune_cells(evens), to_cells(p, bound), bound), \
             "difference chain must resolve the set exactly"
         return BorelClass.DELTA2
     return BorelClass.SIGMA2_OR_ABOVE

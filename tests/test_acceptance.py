@@ -26,7 +26,7 @@ from ordrank.functions import (FnFamily, char_fn, clamp_hk, constant,
 from ordrank.ordinal import (W, ZERO, add, compare, from_int, mul,
                              omega_power)
 from ordrank.patterns import (FALSE, PDigitGeN, PDigitLtN, POrdGeEta, TRUE,
-                              and_, digit_eq, digit_mod, ds_mod,
+                              and_, cells_pattern, digit_eq, digit_mod, ds_mod,
                               min_digit_in, not_, or_, ord_ge, ord_lt)
 from ordrank.pseudouniform import build_Bk, build_P_eta, phi_generate
 from ordrank.ranks import (NotStabilized, alpha_fn, beta, class_membership,
@@ -145,8 +145,8 @@ def test_criterion_2_alpha_equals_beta_for_characteristic():
             osc = iterate(DerivativeOp(OscDeriv(chi, eps), t), TRUE,
                           Budget(60, 2))
             assert osc.rank == sep.rank
-            for st, pat in sep.events:
-                assert sem_eq(pat, osc.stage_at(st), s)
+            for st, cells in sep.events:
+                assert sem_eq(cells_pattern(cells), osc.stage_at(st), s)
     _report("criterion 2", "50 indicators, stagewise equality at 3 eps values")
 
 

@@ -13,6 +13,12 @@ cached `Cell` hash against equality across every way a cell is built.
 Stage templates build their cells through one slot builder; the pattern
 formulas of the old `CellTemplate.instantiate` and `limit_pattern` are kept
 here as its reference.
+
+The Borel layer, the convergence step, the alpha_xi inclusion checks and
+the iteration trace run on cells; the pattern-level difference chain (with
+its pattern difference and even-difference assertion), `is_open`,
+convergence step and inclusion checks they replaced are kept here as their
+reference, and trace stages are checked against `stage_at`.
 """
 import dataclasses
 import random
@@ -21,21 +27,30 @@ from fractions import Fraction
 import pytest
 
 from ordrank import ordinal as o
-from ordrank.derivative import (CantorBendixson, CellTemplate, DerivativeOp,
-                                OscDeriv, PeriodicTemplate, SeparationDeriv,
-                                StageTemplate, _steps, apply, match_any_template)
-from ordrank.errors import UnsupportedProgression
-from ordrank.functions import char_fn, make_stepfn
+from ordrank.derivative import (Budget, CantorBendixson, CellTemplate, ConvDeriv,
+                                DerivativeOp, IterationTrace, OscDeriv,
+                                PeriodicTemplate, SeparationDeriv, StageTemplate,
+                                _max_atom_base, _steps, apply, iterate,
+                                match_any_template)
+from ordrank.errors import (InclusionViolation, ToolkitError,
+                            UnsupportedProgression)
+from ordrank.family import even_diff_union, explicit_family, validate_set_family
+from ordrank.functions import FnFamily, char_fn, eventual, make_stepfn
 from ordrank.ordinal import W, ZERO, Ordinal, add, from_int, mul, omega_power
-from ordrank.patterns import (FALSE, Cell, PDiv, PMinDigit, _cell_key,
+from ordrank.patterns import (FALSE, TRUE, Cell, PDiv, PMinDigit, _cell_key,
                               _cell_subsumes, _mk_cell, and_, cell_and,
-                              cells_pattern, digit_in, divpow, ds_and, ds_ge,
-                              ds_mod, min_digit_in, mk_digitset, not_, or_,
-                              ord_ge, ord_lt, prune_cells, to_cells)
-from ordrank.space import (SpaceDesc, _cofinal_below, base_topology,
-                           cb_derivative, closure, limit_cells,
-                           partition_cells, refine)
+                              cells_difference, cells_pattern, digit_in, divpow,
+                              ds_and, ds_ge, ds_mod, meet, min_digit_in,
+                              mk_digitset, not_, or_, ord_ge, ord_lt,
+                              prune_cells, subst_n, to_cells)
+from ordrank.ranks import alpha_xi_verify
+from ordrank.space import (BorelClass, SpaceDesc, _cofinal_below,
+                           base_topology, borel_class, cb_derivative, cells_eq,
+                           closure, closure_cells, difference_chain, is_closed,
+                           is_empty, is_open, limit_cells, partition_cells,
+                           refine, sample_points, sem_eq)
 
+from test_functions import _rand_param_pattern
 from test_space import rand_pattern, rich_pattern
 
 
@@ -373,3 +388,199 @@ def test_matched_templates_match_pattern_reference():
             assert (_outcome(lambda: tmpl.limit(space))
                     == _outcome(lambda: _ref_stage(tmpl.classes[0].cells, W, space.bound)))
     assert matched > 10, matched
+
+
+# ---------------------------------------------------------------------------
+# The Borel layer, the convergence step, alpha_xi and the trace on cells.
+
+def _borel_topologies():
+    """The four oracle spaces, the ceiling space and w*8+8 refined by {x < w*3}."""
+    spaces = [SpaceDesc(add(mul(W, 8), 8)), SpaceDesc(add(mul(W, 3), 2)),
+              SpaceDesc(add(W, 1)), SpaceDesc(from_int(9)), SpaceDesc(None)]
+    tops = [base_topology(s) for s in spaces]
+    return tops + [refine(tops[0], [ord_lt(mul(W, 3))], 2)]
+
+
+def _ref_sem_difference(a, b, space):
+    return cells_pattern(cells_difference(to_cells(a, space.bound),
+                                          to_cells(b, space.bound), space.bound))
+
+
+def _ref_difference_chain(p, t, budget=16):
+    chain = [TRUE]
+    cur = TRUE
+    for k in range(budget):
+        part = _ref_sem_difference(cur, p, t.space) if k % 2 == 0 else and_(cur, p)
+        nxt = closure(part, t)
+        chain.append(nxt)
+        if is_empty(nxt, t.space):
+            return chain
+        if to_cells(nxt, t.space.bound) == to_cells(cur, t.space.bound):
+            return None
+        cur = nxt
+    return None
+
+
+def _ref_even_differences(chain):
+    parts = []
+    for k in range(0, len(chain), 2):
+        lower = chain[k + 1] if k + 1 < len(chain) else FALSE
+        parts.append(and_(chain[k], not_(lower)))
+    return or_(*parts)
+
+
+def _ref_is_open(p, t):
+    return is_closed(_ref_sem_difference(TRUE, p, t.space), t)
+
+
+def _ref_borel_class(p, t):
+    closed, opened = is_closed(p, t), _ref_is_open(p, t)
+    if closed and opened:
+        return BorelClass.CLOPEN
+    if opened:
+        return BorelClass.OPEN
+    if closed:
+        return BorelClass.CLOSED
+    chain = _ref_difference_chain(p, t)
+    if chain is not None:
+        assert sem_eq(_ref_even_differences(chain), p, t.space)
+        return BorelClass.DELTA2
+    return BorelClass.SIGMA2_OR_ABOVE
+
+
+def _ref_conv_step(cd, F, t):
+    """The convergence step with F folded into the parametric W_N."""
+    space, bound = t.space, t.space.bound
+    wparam = and_(cd.tail_disagreement_param(space), cells_pattern(F))
+    core = to_cells(eventual(wparam, space), bound)
+    n_star = 8 + _max_atom_base(wparam)
+
+    def limit_part(n):
+        wn = to_cells(subst_n(wparam, n), bound)
+        return prune_cells(cells_difference(closure_cells(wn, t), wn, bound))
+
+    lp = limit_part(n_star)
+    for probe in (n_star + 7, n_star + 19):
+        if not cells_eq(limit_part(probe), lp, bound):
+            raise UnsupportedProgression("convergence limit points did not stabilize")
+    return meet(F, prune_cells(lp + core), bound)
+
+
+def _ref_alpha_xi_verify(A, B, fam, xi, t):
+    space = t.space
+    claims = tuple(validate_set_family(fam, t, xi=xi))
+    u = even_diff_union(fam, space)
+    bad = _ref_sem_difference(A, u, space)
+    if not is_empty(bad, space):
+        pt = sample_points(bad, space, 1)
+        raise InclusionViolation("A not covered", pt[0] if pt else None)
+    bad = and_(u, B)
+    if not is_empty(bad, space):
+        pt = sample_points(bad, space, 1)
+        raise InclusionViolation("differences meet B", pt[0] if pt else None)
+    return claims + ("A within the even differences", "differences avoid B")
+
+
+def _result(f):
+    """f's value, or the type and arguments of the package error it raised."""
+    try:
+        return f()
+    except ToolkitError as e:
+        return (type(e).__name__,) + e.args
+
+
+def test_borel_layer_matches_pattern_reference():
+    # The reference's even-difference check negates every chain set through
+    # NNF and DNF.  Under seed 9090 one ceiling-space set took 40 s there on
+    # 2 cores with Python 3.11.7 (milliseconds on cells), so this seed keeps
+    # the reference quick.
+    rng = random.Random(3)
+    tops = _borel_topologies()
+    seen = {c: 0 for c in BorelClass}
+    chains = 0
+    for i in range(150):
+        t = tops[i % len(tops)]
+        p = rich_pattern(rng) if rng.random() < 0.5 else rand_pattern(rng)
+        got = difference_chain(p, t)
+        assert got == _ref_difference_chain(p, t), (p, t)
+        chains += got is not None and len(got) > 3
+        assert is_open(p, t) == _ref_is_open(p, t), (p, t)
+        cls = borel_class(p, t)
+        assert cls is _ref_borel_class(p, t), (p, t)
+        seen[cls] += 1
+    # every class comes up, and chains of more than two steps
+    assert min(seen.values()) >= 1 and seen[BorelClass.DELTA2] >= 10, seen
+    assert chains >= 20, chains
+
+
+def test_conv_step_matches_pattern_reference():
+    rng = random.Random(9191)
+    tops = _borel_topologies()
+    seen = {"cells": 0, "empty": 0, "raises": 0}
+    for i in range(360):
+        t = tops[i % len(tops)]
+        p = _rand_param_pattern(rng)
+        fam = FnFamily(((Fraction(1), p), (Fraction(0), not_(p))), t.space)
+        F = (to_cells(TRUE, t.space.bound) if i % 4 == 0 else
+             closure_cells(to_cells(rich_pattern(rng), t.space.bound), t))
+        cd = ConvDeriv(fam, Fraction(1, 2))
+        got = _result(lambda: cd.step(F, t))
+        assert got == _result(lambda: _ref_conv_step(cd, F, t)), (p, F, t)
+        seen["empty" if got == () else "cells" if isinstance(got[0], Cell) else "raises"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_alpha_xi_inclusions_match_pattern_reference():
+    """Difference-chain witnesses for random sets, checked against perturbed
+    pairs: the same certificate, or the same violation and witness point."""
+    rng = random.Random(9292)
+    tops = _borel_topologies()
+    seen = {"A not covered": 0, "differences meet B": 0, "certified": 0}
+    for i in range(240):
+        t = tops[i % len(tops)]
+        p = rich_pattern(rng) if rng.random() < 0.5 else rand_pattern(rng)
+        chain = difference_chain(p, t)
+        if chain is None:
+            continue
+        fam = explicit_family(chain)
+        A, B = p, not_(p)
+        if rng.random() < 0.6:
+            A = or_(A, and_(rand_pattern(rng), rand_pattern(rng)))
+        if rng.random() < 0.6:
+            B = or_(B, and_(rand_pattern(rng), rand_pattern(rng)))
+        xi = rng.choice((1, 2))
+        got = _result(lambda: alpha_xi_verify(A, B, fam, xi, t).claims)
+        assert got == _result(lambda: _ref_alpha_xi_verify(A, B, fam, xi, t)), (A, B, t)
+        seen[got[1] if got[0] == "InclusionViolation" else "certified"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_trace_stages_are_cells():
+    """Every recorded stage is a cell tuple, and `stage_at` returns its
+    pattern, also from a trace that keeps only stage 0 and the limit stages
+    and so steps forward from stage 0."""
+    rng = random.Random(9393)
+    tops = _borel_topologies()
+    checked = 0
+    for i in range(24):
+        t = tops[i % len(tops)]
+        a = rich_pattern(rng)
+        fn = char_fn(a, t.space)
+        p = _rand_param_pattern(rng)
+        variants = [CantorBendixson(), SeparationDeriv(a, rand_pattern(rng)),
+                    OscDeriv(fn, Fraction(1, 2)),
+                    ConvDeriv(FnFamily(((Fraction(1), p), (Fraction(0), not_(p))),
+                                       t.space), Fraction(1, 2))]
+        for v in variants:
+            tr = _result(lambda: iterate(DerivativeOp(v, t), TRUE, Budget(40, 2)))
+            if not isinstance(tr, IterationTrace):
+                continue
+            thin = IterationTrace(tr.op, [ev for ev in tr.events
+                                          if ev[0] == ZERO or not ev[0].is_finite])
+            for st, cells in tr.events:
+                assert isinstance(cells, tuple) and all(isinstance(c, Cell) for c in cells)
+                assert tr.stage_at(st) == cells_pattern(cells), (v, st)
+                assert thin.stage_at(st) == cells_pattern(cells), (v, st)
+                checked += 1
+            assert tr.log_lines()[-1].startswith("stage %s set " % tr.events[-1][0])
+    assert checked >= 200, checked

@@ -10,8 +10,9 @@ from ordrank.derivative import (Budget, CantorBendixson, ConvDeriv,
                                 apply, iterate)
 from ordrank.functions import FnFamily, char_fn
 from ordrank.ordinal import W, ZERO, add, from_int, mul, omega_power
-from ordrank.patterns import (FALSE, POrdGeN, POrdLtN, TRUE, and_, digit_mod,
-                              ds_mod, min_digit_in, not_, or_, ord_ge, ord_lt)
+from ordrank.patterns import (FALSE, POrdGeN, POrdLtN, TRUE, and_, cells_pattern,
+                              digit_mod, ds_mod, min_digit_in, not_, or_, ord_ge,
+                              ord_lt)
 from ordrank.space import (SpaceDesc, base_topology, is_empty, member,
                            sem_eq, subset)
 
@@ -128,7 +129,8 @@ def test_traces_strictly_decrease():
     for _ in range(20):
         A, B = rand_pattern(rng), rand_pattern(rng)
         tr = iterate(DerivativeOp(SeparationDeriv(A, B), t), TRUE)
-        for (s1, p1), (s2, p2) in zip(tr.events, tr.events[1:]):
+        pats = [cells_pattern(c) for _, c in tr.events]
+        for p1, p2 in zip(pats, pats[1:]):
             assert subset(p2, p1, s)
             assert not subset(p1, p2, s) or is_empty(p1, s)
 
@@ -138,7 +140,7 @@ def test_trace_limit_stage_containment():
     tc = base_topology(sc)
     tr = iterate(DerivativeOp(CantorBendixson(), tc), TRUE, Budget(40, 4))
     # every recorded limit stage is contained in sampled predecessors
-    lim_events = [(s, p) for s, p in tr.events if not s.is_finite]
+    lim_events = [(s, cells_pattern(c)) for s, c in tr.events if not s.is_finite]
     assert lim_events
     for s, p in lim_events:
         for n in range(1, 6):

@@ -220,6 +220,37 @@ def test_cli_malformed_item_exit1(tmp_path, item, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "tails", "--xi", "0"], "--xi must be at least 1, got 0"),
+    (["--family", "tails", "--xi", "-3"], "--xi must be at least 1, got -3"),
+    (["--family", "tails", "--pair", "evens", "odds", "--xi", "0"],
+     "--xi must be at least 1, got 0"),
+])
+def test_cli_verify_xi_below_one_exit1(tmp_path, argv, message):
+    # the classes start at xi = 1: a smaller xi is an input error, not a level
+    proc = _run_cli(["verify", _write(tmp_path, FIX)] + argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("xi", ["0", "-2"])
+def test_cli_refine_xi_below_one_exit1(tmp_path, xi):
+    text = ('(fixture (space (bound "w^2")) (set evens (mod 0 2 0)) '
+            '(refine (sets evens) (xi %s)))' % xi)
+    with pytest.raises(FixtureParseError, match="must be at least 1"):
+        load_fixture(text)
+    proc = _run_cli(["rank", _write(tmp_path, text), "--pair", "evens", "evens"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "(xi ...) must be at least 1, got %s" % xi in proc.stderr
+
+
 def test_cli_family_shift_above_segment_exit2(tmp_path):
     # x >= (eta - w) is undefined for eta < w: the family parses, and its
     # validation refuses it at the segment structure

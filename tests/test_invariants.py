@@ -9,7 +9,8 @@ from ordrank.derivative import (Budget, CantorBendixson, DerivativeOp,
 from ordrank.functions import (UniformPresentation, char_fn, fn_scale,
                                monotonize_and_diff, sup_dist)
 from ordrank.ordinal import W, add, from_int, mul, omega_power
-from ordrank.patterns import TRUE, and_, digit_mod, not_, ord_ge, ord_lt
+from ordrank.patterns import (TRUE, and_, cells_pattern, digit_mod, not_,
+                              ord_ge, ord_lt)
 from ordrank.ranks import gamma_seq, is_pseudouniform
 from ordrank.space import (SpaceDesc, base_topology, closure, difference_chain,
                            refine, sample_points, sem_eq)
@@ -47,8 +48,8 @@ def test_iterate_agrees_with_oracle_iteration():
             assert tr.rank == from_int(brute)
         # stagewise agreement too
         cur = full
-        for st, pat in tr.events:
-            assert orc.o_eq(orc.from_pattern(pat, s), cur)
+        for st, cells in tr.events:
+            assert orc.o_eq(orc.from_pattern(cells_pattern(cells), s), cur)
             cur = orc.oracle_sep(oa, ob, cur)
 
     tr = iterate(DerivativeOp(CantorBendixson(), t), TRUE, Budget(50, 2))
@@ -72,7 +73,7 @@ def test_limit_stage_vs_ten_predecessors():
     tc = base_topology(sc)
     tr = iterate(DerivativeOp(CantorBendixson(), tc), TRUE, Budget(40, 4))
     from ordrank.space import subset
-    lim_events = [(st, p) for st, p in tr.events if not st.is_finite]
+    lim_events = [(st, cells_pattern(c)) for st, c in tr.events if not st.is_finite]
     assert lim_events
     for st, p in lim_events:
         for n in range(1, 11):

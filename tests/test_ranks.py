@@ -13,10 +13,10 @@ from ordrank.functions import (FnFamily, char_fn, clamp_hk, constant,
                                fam_add, fn_add, fn_scale, make_stepfn)
 from ordrank.ordinal import W, ZERO, add, compare, from_int, mul, omega_power
 from ordrank.patterns import (FALSE, PDigitGeN, PDigitLtN, TRUE, and_,
-                              digit_mod, ds_mod, min_digit_in, not_, or_,
-                              ord_ge, ord_lt)
+                              cells_pattern, digit_mod, ds_mod, min_digit_in,
+                              not_, or_, ord_ge, ord_lt)
 from ordrank.ranks import (NotStabilized, alpha_fn, alpha_pair,
-                           alpha_xi_verify, beta, cb_rank, class_membership,
+                           alpha_xi_verify, beta, class_membership,
                            gamma_seq, is_pseudouniform)
 from ordrank.space import SpaceDesc, base_topology, refine, sem_eq
 
@@ -96,8 +96,8 @@ def test_alpha_equals_beta_for_char():
             osc = iterate(DerivativeOp(OscDeriv(chi, eps), t), TRUE,
                           Budget(40, 2))
             assert osc.rank == sep.rank
-            for st, pat in sep.events:
-                assert sem_eq(pat, osc.stage_at(st), s)
+            for st, cells in sep.events:
+                assert sem_eq(cells_pattern(cells), osc.stage_at(st), s)
 
 
 def test_gamma_additive():

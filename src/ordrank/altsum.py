@@ -3,18 +3,21 @@
 The sequences are nonnegative combinations of decreasing set families, so
 the index map eta -> f_eta(x) is a step function of eta with finitely
 many ordinal thresholds.  Its value trace is swept from the families' truth
-intervals at x; the length certificate builds it once per sampled point and
-reads the identity and every stage from it.  The alternating sum up to
-theta is evaluated exactly by crossing the constant intervals: over a
-stretch of constant value v starting at an even index, the partial sum
+intervals at x and memoised per (sequence, point); the length certificate
+builds it once per sampled point, reads the identity from it, and reads the
+partial sum and f_theta(x) at every checked even stage in one sweep of it.
+The alternating sum up to theta is evaluated exactly by crossing the
+constant intervals: over a stretch of constant value v starting at an even
+index, the partial sum
 gains v at odd stages and returns at even and limit stages; starting at an
 odd index it dips by v at even stages.  Limit stages agree with the
 supremum of even partial sums below, so no approximation is involved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, zip_longest
 
 from . import ordinal as o
@@ -32,16 +35,29 @@ from .space import SpaceDesc, Topology, sample_points, sem_eq
 
 @dataclass(frozen=True)
 class ComboSeq:
-    """f_eta = sum of weight_i * chi(F^i_eta); weights nonnegative."""
+    """f_eta = sum of weight_i * chi(F^i_eta); weights nonnegative.
+
+    Sequences key the value-trace memo, so the hash of the three fields
+    is computed once, at construction."""
     terms: tuple[tuple[Fraction, TransfiniteFamily], ...]
     length: Ordinal
     space: SpaceDesc
+    _hash: int = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.terms, self.length, self.space)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @lru_cache(maxsize=256)
     def value_trace(self, x: Ordinal) -> tuple[tuple[Ordinal, Fraction], ...]:
         """The step function eta -> f_eta(x) on [0, length) as ((from, value), ...).
 
         Swept from the families' truth intervals: a term's weight enters
-        where an interval of x in F_eta starts and leaves where it ends."""
+        where an interval of x in F_eta starts and leaves where it ends.
+        Memoized: a length certificate and the evaluations after it read
+        the same points of the same sequence."""
         delta = {ZERO: Fraction(0)}
         for w, fam in self.terms:
             for start, end, val in fam.truth_intervals(x):
@@ -84,7 +100,10 @@ class DUSBSeq:
 def verify_dusb(seq: ComboSeq, xi: int, t: Topology,
                 check_vanishing: bool = True) -> DUSBSeq:
     """Establish the decreasing-sequence certificates or raise with the
-    first violated one."""
+    first violated one.  The level xi is at least 1 (ValueError otherwise),
+    also for a sequence without terms."""
+    if xi < 1:
+        raise ValueError("xi must be at least 1, got %d" % xi)
     certs = []
     for w, fam in seq.terms:
         if w < 0:
@@ -139,15 +158,27 @@ def _trace_sum(trace: tuple[tuple[Ordinal, Fraction], ...],
     return total
 
 
-def _trace_at(trace: tuple[tuple[Ordinal, Fraction], ...],
-              eta: Ordinal) -> Fraction:
-    """The trace's value f_eta(x) at eta (eta below the length)."""
-    val = Fraction(0)
-    for start, v in trace:
-        if o.compare(start, eta) > 0:
-            break
-        val = v
-    return val
+def _stage_readings(trace: tuple[tuple[Ordinal, Fraction], ...],
+                    thetas: list[Ordinal]) -> list[tuple[Fraction, Fraction]]:
+    """(alternating sum below theta, f_theta(x)) for each theta of an
+    ascending list, from one sweep of a value trace: the sum is
+    `_trace_sum(trace, theta)` and the value that of the last mark at or
+    below theta (0 before the first mark)."""
+    out = []
+    total = Fraction(0)
+    i = 0
+    for theta in thetas:
+        # cross every interval that ends at or below theta
+        while i + 1 < len(trace) and o.compare(trace[i + 1][0], theta) <= 0:
+            total = _cross(total, trace[i][0], trace[i + 1][0], trace[i][1])
+            i += 1
+        start, val = trace[i]
+        c = o.compare(start, theta)
+        if c < 0:
+            out.append((_cross(total, start, theta, val), val))
+        else:  # theta at the mark, or before the first one
+            out.append((total, val if c == 0 else Fraction(0)))
+    return out
 
 
 def altsum_unrolled(d: DUSBSeq | ComboSeq, x: Ordinal, steps: int) -> list[Fraction]:
@@ -310,11 +341,15 @@ def length_upper_certificate(f: StepFn, witness: DUSBSeq, lam: int,
         checked.append((x, trace, want))
     claims.append("f = const + alternating sum at %d sampled points" % len(pts))
     thetas = _even_stage_samples(witness.length)
-    for theta in thetas:
+    # every stage of a point is read in one sweep of its trace
+    readings = [(x, fx, _stage_readings(trace, thetas))
+                for x, trace, fx in checked[: max(6, len(pts) // 4)]]
+    for j, theta in enumerate(thetas):
         inside = o.compare(theta, witness.length) < 0
-        for x, trace, fx in checked[: max(6, len(pts) // 4)]:
-            resid = fx - (const + _trace_sum(trace, theta))
-            cap = _trace_at(trace, theta) if inside else Fraction(0)
+        for x, fx, stages in readings:
+            partial, val = stages[j]
+            resid = fx - (const + partial)
+            cap = val if inside else Fraction(0)
             if resid < 0 or resid > cap:
                 raise ResidualViolation(x, theta)
     claims.append("residual sandwich at %d even stages" % len(thetas))

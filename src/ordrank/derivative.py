@@ -110,7 +110,7 @@ class ConvDeriv:
         which is verified at two spread probes.  F enters through `meet`."""
         space, bound = t.space, t.space.bound
         wparam = self.tail_disagreement_param(space)
-        core = meet(F, to_cells(eventual(wparam, space), bound), bound)
+        core = to_cells(eventual(wparam, space), bound)
         n_star = 8 + _max_atom_base(wparam)
 
         def limit_part(n: int) -> tuple[Cell, ...]:

@@ -4,11 +4,14 @@ A family assigns a pattern F_eta to every index eta below its length,
 through finitely many segments whose bodies may reference the index via
 affine atoms (x >= base + (eta - shift)*coeff).  Everything a decreasing
 continuous family is used for reduces to per-point exit indices and
-per-segment symbolic analysis, both exact on this fragment.
+per-segment symbolic analysis, both exact on this fragment.  A segment
+whose body has no index atom is concrete: F_eta is its body on the whole
+segment, so its membership at a point is one truth interval read off the
+body, with no breakpoint search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import ordinal as o
 from .errors import UnsupportedProgression, VerificationError
@@ -25,6 +28,12 @@ class Segment:
     lo: Ordinal
     hi: Ordinal  # exclusive
     body: Pat    # concrete, or with eta atoms
+    # the body has no parameter atom, so F_eta is the body on the whole
+    # segment; computed once and kept out of equality, hash and repr
+    concrete: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "concrete", is_concrete(self.body))
 
 
 @dataclass(frozen=True)
@@ -50,17 +59,17 @@ class TransfiniteFamily:
     # -- per-point analysis ---------------------------------------------
 
     def truth_intervals(self, x: Ordinal) -> list[tuple[Ordinal, Ordinal, bool]]:
-        """Partition of [0, length) into intervals of constant membership of x."""
+        """Partition of [0, length) into intervals of constant membership of x.
+
+        A concrete segment is one interval, read off its body; a segment
+        with index atoms is cut where an atom's truth at x flips."""
         out = []
         for s in self.segments:
-            cuts = {s.lo}
-            for t in _eta_breakpoints(s.body, x):
-                if o.compare(s.lo, t) < 0 and o.compare(t, s.hi) < 0:
-                    cuts.add(t)
-            marks = sorted(cuts, key=lambda a: a.terms)
-            for i, start in enumerate(marks):
-                end = marks[i + 1] if i + 1 < len(marks) else s.hi
-                val = holds_at(subst_eta(s.body, start), x)
+            if s.concrete:
+                pieces = ((s.lo, s.hi, holds_at(s.body, x)),)
+            else:
+                pieces = _index_intervals(s, x)
+            for start, end, val in pieces:
                 if out and out[-1][2] == val and out[-1][1] == start:
                     out[-1] = (out[-1][0], end, val)
                 else:
@@ -86,6 +95,18 @@ class TransfiniteFamily:
         return _tail_intersection(seg, theta)
 
 
+def _index_intervals(s: Segment, x: Ordinal) -> list[tuple[Ordinal, Ordinal, bool]]:
+    """Intervals of constant membership of x on a segment with index atoms."""
+    cuts = {s.lo}
+    for t in _eta_breakpoints(s.body, x):
+        if o.compare(s.lo, t) < 0 and o.compare(t, s.hi) < 0:
+            cuts.add(t)
+    marks = sorted(cuts, key=lambda a: a.terms)
+    ends = marks[1:] + [s.hi]
+    return [(start, end, holds_at(subst_eta(s.body, start), x))
+            for start, end in zip(marks, ends)]
+
+
 def _eta_breakpoints(body: Pat, x: Ordinal) -> list[Ordinal]:
     if isinstance(body, (PAnd, POr)):
         out = []
@@ -107,7 +128,7 @@ def _eta_breakpoints(body: Pat, x: Ordinal) -> list[Ordinal]:
 def _tail_intersection(seg: Segment, theta: Ordinal) -> Pat:
     """Intersection of seg.body over eta in [seg.lo, theta), theta a limit."""
     body = seg.body
-    if is_concrete(body):
+    if seg.concrete:
         return body
     if isinstance(body, POrdGeEta):
         val = o.add(body.base, o.mul(o.left_sub(theta, body.shift), body.coeff))
@@ -158,7 +179,10 @@ _SAMPLES = 6  # indices sampled from each segment's start, limits included
 def validate_set_family(fam: TransfiniteFamily, t: Topology, xi: int = 1,
                         check_vanishing: bool = True) -> list[str]:
     """Check the decreasing-continuous-family invariants; returns the list of
-    established certificates, raises VerificationError at the first failure."""
+    established certificates, raises VerificationError at the first failure.
+    The level xi is at least 1 (ValueError otherwise)."""
+    if xi < 1:
+        raise ValueError("xi must be at least 1, got %d" % xi)
     space = t.space
     certs = []
     # segment structure
@@ -210,12 +234,12 @@ def validate_set_family(fam: TransfiniteFamily, t: Topology, xi: int = 1,
                                     "intersection below %s nonempty" % fam.length)
         certs.append("intersection over all indices empty")
     # Pi^0_xi membership
-    if xi <= 1:
+    if xi == 1:
         for eta in _boundary_and_sample_indices(fam):
             if not is_closed(fam.at(eta), t):
                 raise VerificationError("closed", "F_%s not closed" % eta)
         for s in fam.segments:
-            if not is_concrete(s.body) and not isinstance(s.body, POrdGeEta):
+            if not s.concrete and not isinstance(s.body, POrdGeEta):
                 raise VerificationError("closed",
                                         "cannot certify closedness of %r" % (s.body,))
         certs.append("members closed (Pi^0_1)")
@@ -270,7 +294,7 @@ def even_diff_union(fam: TransfiniteFamily, space: SpaceDesc) -> Pat:
                 eta = o.add(eta, 1)
             continue
         # infinite segment: interior differences in closed form
-        if is_concrete(s.body):
+        if s.concrete:
             pass  # constant on the segment: interior differences vanish
         elif isinstance(s.body, POrdGeEta) and s.body.coeff == 1:
             parts.append(_tail_diffs_pattern(s, space))

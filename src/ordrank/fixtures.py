@@ -91,9 +91,22 @@ def _ord(tok) -> Ordinal:
 
 
 def _nat(tok) -> int:
-    if not isinstance(tok, str) or not _atom_text(tok).lstrip("-").isdigit():
-        raise FixtureParseError("expected an integer, got %r" % (tok,))
+    """A natural number: decimal digits, no sign."""
+    if not isinstance(tok, str) or not _is_digits(_atom_text(tok)):
+        raise FixtureParseError("expected a natural number, got %r" % (tok,))
     return int(_atom_text(tok))
+
+
+def _int(tok) -> int:
+    """An integer: decimal digits after an optional minus sign."""
+    s = _atom_text(tok) if isinstance(tok, str) else ""
+    if not _is_digits(s[1:] if s.startswith("-") else s):
+        raise FixtureParseError("expected an integer, got %r" % (tok,))
+    return int(s)
+
+
+def _is_digits(s: str) -> bool:
+    return s.isascii() and s.isdigit()
 
 
 def _rat(tok) -> Fraction:
@@ -324,7 +337,7 @@ def load_fixture(text: str) -> Fixture:
                 if _form(part, "refine part")[0] == "sets":
                     names = [_atom_text(n) for n in part[1:]]
                 elif part[0] == "xi":
-                    xi = _nat(part[1])
+                    xi = _int(part[1])
                     if xi < 1:
                         raise FixtureParseError("(xi ...) must be at least 1, got %d" % xi)
             sets = [sexpr_to_pattern(["ref", n], fx.sets) for n in names]

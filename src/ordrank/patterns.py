@@ -113,6 +113,8 @@ DS_EMPTY = mk_digitset((), 1, set())
 
 @lru_cache(maxsize=1024)
 def ds_eq(v: int) -> DigitSet:
+    if v < 0:
+        raise ValueError("digit value must be >= 0")
     return mk_digitset((False,) * v + (True,), 1, set())
 
 

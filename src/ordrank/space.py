@@ -297,11 +297,14 @@ def refine(t: Topology, sets: tuple[Pat, ...] | list[Pat], xi: int) -> Topology:
     Delta2 for xi >= 2 (the chain is the caller's certificate, recomputed
     here).  The refined opens are then unions of old opens intersected
     with partition cells, hence Sigma^0_xi in the base by construction.
+    The level xi is at least 1 (ValueError otherwise).
     """
+    if xi < 1:
+        raise ValueError("xi must be at least 1, got %d" % xi)
     sets = tuple(sets)
     for s in sets:
         cls = borel_class(s, t)
-        if xi <= 1:
+        if xi == 1:
             if cls is not BorelClass.CLOPEN:
                 raise ClassViolation("declared set is %s, needs clopen" % cls.value)
         else:

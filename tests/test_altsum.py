@@ -1,10 +1,12 @@
 """Alternating sums, DUSB verification, decomposition builders, certificates."""
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from ordrank.altsum import (ComboSeq, DUSBSeq, LazyDUSB, altsum_eval,
+from ordrank.altsum import (ComboSeq, DUSBSeq, LazyDUSB, _even_stage_samples,
+                            _stage_readings, _trace_sum, altsum_eval,
                             altsum_unrolled, build_char_decomposition,
                             build_step_decomposition,
                             build_uniform_decomposition, char_seq,
@@ -12,14 +14,15 @@ from ordrank.altsum import (ComboSeq, DUSBSeq, LazyDUSB, altsum_eval,
                             length_upper_certificate, verify_dusb)
 from ordrank.errors import (ExitNotFound, PrecisionUnreachable,
                             VerificationError, WitnessMismatch)
-from ordrank.family import (TransfiniteFamily, even_diff_union,
+from ordrank.family import (Segment, TransfiniteFamily, even_diff_union,
                             explicit_family, from_segments, pad_with_empty,
                             tails_family, validate_set_family)
 from ordrank.functions import UniformPresentation, char_fn, constant, fn_scale, make_stepfn
-from ordrank.ordinal import (W, ZERO, add, even_floor, from_int,
+from ordrank.ordinal import (Ordinal, W, ZERO, add, even_floor, from_int,
                              fundamental_sequence, is_even, mul, omega_power)
-from ordrank.patterns import (FALSE, TRUE, POrdGeEta, and_, digit_mod, not_,
-                              or_, ord_ge, ord_lt)
+from ordrank.patterns import (FALSE, TRUE, POrdGeEta, POrdLtEta, and_, digit_in,
+                              digit_mod, divpow, ds_mod, ds_window, min_digit_in,
+                              not_, or_, ord_ge, ord_lt)
 from ordrank.space import SpaceDesc, base_topology, sample_points, sem_eq
 
 SW = SpaceDesc(W)
@@ -248,13 +251,49 @@ def _trace_value(trace, eta):
     return val
 
 
-def _random_family(rng, length):
-    """A decreasing family of the given length from one of the builders."""
+def _random_concrete(rng, depth=2):
+    """A concrete body: and/or/not over digit, divpow and mindigit atoms."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return digit_mod(rng.randrange(2), rng.randint(2, 3), rng.randrange(2))
+        if kind == 1:
+            a = rng.randrange(4)
+            return digit_in(rng.randrange(2), ds_window(a, a + rng.randint(1, 4)))
+        if kind == 2:
+            return divpow(rng.randint(1, 2))
+        return min_digit_in(ds_mod(2, rng.randrange(2)))
+    op = rng.randrange(3)
+    if op == 0:
+        return not_(_random_concrete(rng, depth - 1))
+    parts = [_random_concrete(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    return and_(*parts) if op == 1 else or_(*parts)
+
+
+def _random_index_body(rng, lo):
+    """A body with an index atom whose shift lies at or below lo, alone or
+    combined with a concrete body."""
+    atom = rng.choice((POrdGeEta, POrdLtEta))(
+        from_int(rng.randint(0, 6)), rng.choice((ZERO, lo)), rng.randint(1, 2))
     kind = rng.randrange(3)
+    if kind == 0:
+        return atom
+    if kind == 1:
+        return and_(atom, _random_concrete(rng, 1))
+    return or_(atom, not_(_random_concrete(rng, 1)))
+
+
+def _random_family(rng, length):
+    """A family of the given length from one of the builders, with compound
+    concrete bodies and, from `from_segments`, concrete segments next to
+    segments with index atoms.  Value traces need no decreasing family."""
+    kind = rng.randrange(4)
     if kind == 0 or length.is_finite:
         n = length.fin() if length.is_finite else rng.randint(2, 5)
         cuts = sorted(rng.sample(range(1, 30), n - 1))
         pats = [TRUE] + [or_(ord_ge(from_int(c)), and_(EVENS, ord_ge(W)))
+                         if rng.random() < 0.3 else
+                         and_(ord_ge(from_int(c)), _random_concrete(rng))
                          if rng.random() < 0.3 else ord_ge(from_int(c))
                          for c in cuts]
         return explicit_family(pats)
@@ -262,10 +301,21 @@ def _random_family(rng, length):
         return tails_family(length, base=from_int(rng.randint(0, 3)),
                             coeff=rng.randint(1, 2))
     k = rng.randint(1, 4)
-    a = from_int(2 * rng.randint(1, 5))
-    segs = [(ZERO, from_int(k), TRUE), (from_int(k), W, ord_ge(a))]
-    if length != W:
-        segs.append((W, length, POrdGeEta(a, W, 1)))
+    if kind == 2:
+        a = from_int(2 * rng.randint(1, 5))
+        segs = [(ZERO, from_int(k), TRUE), (from_int(k), W, ord_ge(a))]
+        if length != W:
+            segs.append((W, length, POrdGeEta(a, W, 1)))
+        return from_segments(length, segs)
+    # mixed: every segment concrete or with index atoms, at random
+    bounds = [ZERO, from_int(k)] + [b for b in (W, add(W, 3), mul(W, 2), mul(W, 3))
+                                    if b.terms < length.terms] + [length]
+    segs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        body = (TRUE if lo.is_zero and rng.random() < 0.5 else
+                _random_concrete(rng) if rng.random() < 0.5 else
+                _random_index_body(rng, lo))
+        segs.append((lo, hi, body))
     return from_segments(length, segs)
 
 
@@ -299,6 +349,141 @@ def test_value_trace_matches_reference_random():
             sums = altsum_unrolled(seq, x, unrolled_steps)
             for n in range(unrolled_steps + 1):
                 assert altsum_eval(seq, x, from_int(n)) == sums[n]
+
+
+def test_value_trace_reads_concrete_segments_directly():
+    """The generator above reaches both kinds of segment, and a concrete
+    segment is one truth interval valued by its body."""
+    rng = random.Random(516)
+    kinds = {True: 0, False: 0}
+    for _ in range(40):
+        for _, fam in _random_combo(rng).terms:
+            for s in fam.segments:
+                kinds[s.concrete] += 1
+    assert min(kinds.values()) >= 20, kinds
+    body = or_(and_(digit_mod(0, 2, 0), not_(divpow(1))), min_digit_in(ds_mod(2, 1)))
+    fam = from_segments(mul(W, 2), [(ZERO, from_int(3), TRUE), (from_int(3), W, body),
+                                    (W, mul(W, 2), POrdGeEta(from_int(2), W, 1))])
+    assert [s.concrete for s in fam.segments] == [True, True, False]
+    three, seen = from_int(3), set()
+    for x in (from_int(4), from_int(5), mul(W, 2), add(W, 3), mul(W, 4)):
+        ivs = fam.truth_intervals(x)
+        # no cut inside the concrete segment [3, w)
+        assert not [iv for iv in ivs if three.terms < iv[0].terms < W.terms], ivs
+        (val,) = [v for a, b, v in ivs if a.terms <= three.terms < b.terms]
+        assert val == fam.member(three, x)
+        assert val == all(fam.member(from_int(n), x) for n in range(3, 9))
+        seen.add(val)
+    assert seen == {True, False}
+
+
+def _reference_readings(trace, theta):
+    """(_trace_sum, value of the last mark at or below theta, 0 before the
+    first), stage by stage."""
+    val = Fraction(0)
+    for start, v in trace:
+        if start.terms > theta.terms:
+            break
+        val = v
+    return _trace_sum(trace, theta), val
+
+
+def _random_trace(rng):
+    """A value trace with marks at finite, successor and limit stages, its
+    first mark at 0 or at an odd stage, and a length past the last mark."""
+    pool = ([from_int(n) for n in range(1, 9)]
+            + [add(mul(W, a), b) for a in range(1, 4) for b in range(4)]
+            + [omega_power(2), add(omega_power(2), 1), add(omega_power(2), W)])
+    marks = sorted(rng.sample(pool, rng.randint(0, 6)), key=lambda a: a.terms)
+    if rng.random() < 0.25:  # first mark odd: the trace starts after 0
+        first = rng.choice([from_int(1), from_int(3), add(W, 1)])
+        marks = [first] + [m for m in marks if first.terms < m.terms]
+    else:
+        marks = [ZERO] + marks
+    vals = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in marks]
+    trace = tuple(zip(marks, vals))
+    last = marks[-1]
+    length = rng.choice([add(last, rng.randint(1, 3)), add(last, W),
+                         add(last, omega_power(2)), mul(add(last, 1), 2)])
+    return trace, length
+
+
+def test_stage_readings_match_per_stage_reference():
+    rng = random.Random(5151)
+    odd_first = past_last = 0
+    for _ in range(400):
+        trace, length = _random_trace(rng)
+        cands = set(_even_stage_samples(length)) | {length, ZERO}
+        for m, _ in trace:  # at, just after and a limit past every mark
+            cands.update((m, add(m, 1), add(m, 2), add(m, W)))
+        thetas = sorted((c for c in cands if c.terms <= length.terms),
+                        key=lambda a: a.terms)
+        thetas = sorted(rng.sample(thetas, rng.randint(1, len(thetas))),
+                        key=lambda a: a.terms)
+        if rng.random() < 0.5:
+            thetas = sorted(set(thetas) | {length}, key=lambda a: a.terms)
+        got = _stage_readings(trace, thetas)
+        assert len(got) == len(thetas)
+        for theta, reading in zip(thetas, got):
+            assert reading == _reference_readings(trace, theta), (trace, theta)
+        odd_first += not trace[0][0].is_zero
+        past_last += any(trace[-1][0].terms < t.terms for t in thetas)
+    assert odd_first >= 50 and past_last >= 200, (odd_first, past_last)
+
+
+def test_combo_seq_and_segment_hash_contract():
+    rng = random.Random(5252)
+    for _ in range(30):
+        seq = _random_combo(rng)
+        twin = ComboSeq(
+            tuple((Fraction(w.numerator, w.denominator),
+                   TransfiniteFamily(Ordinal(f.length.terms),
+                                     tuple(Segment(Ordinal(s.lo.terms), Ordinal(s.hi.terms),
+                                                   s.body) for s in f.segments)))
+                  for w, f in seq.terms),
+            Ordinal(seq.length.terms), SpaceDesc(S2.bound))
+        assert twin == seq and hash(twin) == hash(seq)
+        assert twin is not seq
+        for x in (from_int(rng.randint(0, 20)), add(mul(W, rng.randint(1, 5)), 2)):
+            assert twin.value_trace(x) == seq.value_trace(x)
+        ComboSeq.value_trace.cache_clear()
+        assert twin.value_trace(from_int(5)) == _reference_trace(seq, from_int(5))
+    seq = _random_combo(rng)
+    assert repr(seq) == "ComboSeq(terms=%r, length=%r, space=%r)" % (
+        seq.terms, seq.length, seq.space)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seq._hash = 0
+    # a segment's concreteness is derived, outside equality, hash and repr
+    seg = Segment(ZERO, W, ord_ge(3))
+    idx = Segment(ZERO, W, POrdGeEta(from_int(3), ZERO, 1))
+    assert seg.concrete and not idx.concrete
+    for s in (seg, idx):
+        assert hash(s) == hash((s.lo, s.hi, s.body))
+        assert repr(s) == "Segment(lo=%r, hi=%r, body=%r)" % (s.lo, s.hi, s.body)
+        assert s == Segment(Ordinal(s.lo.terms), Ordinal(s.hi.terms), s.body)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.concrete = not s.concrete
+    assert [f.name for f in dataclasses.fields(Segment) if f.compare] == ["lo", "hi", "body"]
+
+
+def test_xi_below_one_raises():
+    from ordrank.ranks import alpha_xi_verify
+    from ordrank.space import refine
+    fam = explicit_family([TRUE, FALSE])
+    for xi in (0, -3):
+        with pytest.raises(ValueError, match="xi must be at least 1, got %d" % xi):
+            alpha_xi_verify(TRUE, FALSE, fam, xi, TW)
+        with pytest.raises(ValueError, match="at least 1"):
+            validate_set_family(fam, TW, xi=xi)
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_dusb(char_seq(fam, SW), xi, TW)
+        with pytest.raises(ValueError, match="at least 1"):
+            build_char_decomposition(fam, TW, xi=xi)
+        with pytest.raises(ValueError, match="at least 1"):  # no terms at all
+            build_step_decomposition(constant(0, SW), [], TW, xi=xi)
+        with pytest.raises(ValueError, match="at least 1"):
+            refine(TW, [ord_lt(3)], xi)
+    assert alpha_xi_verify(TRUE, FALSE, fam, 1, TW).xi == 1
 
 
 def _valid_decompositions():

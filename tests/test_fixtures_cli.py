@@ -207,6 +207,13 @@ def test_cli_zero_denominator_exit1(tmp_path):
     ("(fn f (stepfn (piece 1)))", "(piece ...) needs 2 argument(s)"),
     ('(family f (length "w") (segment (from)))', "(from ...) needs 1 argument(s)"),
     ("(set (x) (true))", "expected an atom, got ['x']"),
+    # naturals take no sign; before, (mod -1 2 0) reached the pattern layer
+    ("(set neg (mod -1 2 0))", "expected a natural number, got '-1'"),
+    ("(set neg (eq 0 -1))", "expected a natural number, got '-1'"),
+    ("(set neg (divpow -2))", "expected a natural number, got '-2'"),
+    ("(set neg (mod 0 +2 0))", "expected a natural number, got '+2'"),
+    ('(space (bound "w^2") (depth -1))', "expected a natural number, got '-1'"),
+    ("(refine (sets evens) (xi 1-))", "expected an integer, got '1-'"),
 ])
 def test_cli_malformed_item_exit1(tmp_path, item, message):
     text = '(fixture (space (bound "w^2")) (set evens (mod 0 2 0)) %s)' % item

@@ -1,6 +1,7 @@
 """The digit-set algebra and cell machinery against brute-force references."""
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +81,13 @@ def test_constructors_against_reference():
     assert members(ds_lt(4)) == {0, 1, 2, 3}
     assert members(ds_window(3, 9)) == set(range(3, 9))
     assert members(ds_mod(3, 2)) == {v for v in range(REF_RANGE) if v % 3 == 2}
+
+
+def test_ds_eq_rejects_negative():
+    # before, ds_eq(-1) built {0}
+    with pytest.raises(ValueError, match="digit value must be >= 0"):
+        ds_eq(-1)
+    assert members(ds_eq(0)) == {0}
 
 
 def test_cells_difference_pointwise():

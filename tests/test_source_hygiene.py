@@ -2,6 +2,7 @@
 
 Every name a module imports must be read somewhere in that module.
 `__init__.py` is skipped: it imports names to re-export them.
+Every private module-level name must be read by some module of the package.
 """
 import ast
 import os
@@ -42,3 +43,58 @@ def test_unused_import_check_flags_and_spares():
            "def f():\n    from y import e\n    d = 1\n    return os, a, e.attr\n")
     # d is only written, never read
     assert unused_imports(src) == ["c (line 4)", "d (line 4)", "json (line 3)"]
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names (one leading underscore) of the given
+    modules that none of them reads.  A read is a loaded `ast.Name`, an
+    attribute of that name or an imported name."""
+    defined: dict[tuple[str, str], int] = {}
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[(module, name)] = node.lineno
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.alias):
+                read.add(n.name)
+    return ["%s: %s (line %d)" % (module, name, line)
+            for (module, name), line in sorted(defined.items()) if name not in read]
+
+
+def test_no_orphaned_private_names():
+    sources = {}
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert orphaned_private_names(sources) == []
+
+
+def test_orphan_check_flags_and_spares():
+    sources = {
+        "a.py": ("import b\n_TABLE = {}\n_x, _y = 1, 2\n__all__ = []\n"
+                 "def _helper():\n    return _x\n"
+                 "def _unused():\n    pass\nclass _Kind:\n    pass\n"
+                 "def public():\n    return b._across\n"),
+        "b.py": ("from a import _Kind\n_across = 1\n_alone: int = 2\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n"),
+    }
+    # read: _x (a name), _across (an attribute), _Kind (an import) and
+    # _recursive (by itself); __all__ is not private
+    assert orphaned_private_names(sources) == [
+        "a.py: _TABLE (line 2)", "a.py: _helper (line 5)", "a.py: _unused (line 7)",
+        "a.py: _y (line 3)", "b.py: _alone (line 3)"]

@@ -97,8 +97,7 @@ class DUSBSeq:
         return self.seq.length
 
 
-def verify_dusb(seq: ComboSeq, xi: int, t: Topology,
-                check_vanishing: bool = True) -> DUSBSeq:
+def verify_dusb(seq: ComboSeq, xi: int, t: Topology) -> DUSBSeq:
     """Establish the decreasing-sequence certificates or raise with the
     first violated one.  The level xi is at least 1 (ValueError otherwise),
     also for a sequence without terms."""
@@ -111,13 +110,11 @@ def verify_dusb(seq: ComboSeq, xi: int, t: Topology,
     certs.append("nonnegative (weights >= 0, indicator components)")
     certs.append("bounded by %s" % seq.norm_bound())
     for i, (w, fam) in enumerate(seq.terms):
-        sub = validate_set_family(
-            fam, t, xi=xi,
-            check_vanishing=check_vanishing and o.classify(seq.length) is Kind.LIMIT)
+        sub = validate_set_family(fam, t, xi=xi)
         certs.append("component %d: %s" % (i, "; ".join(sub)))
         if o.compare(fam.length, seq.length) > 0:
             raise VerificationError("length", "component %d too long" % i)
-    if check_vanishing and o.classify(seq.length) is Kind.LIMIT:
+    if o.classify(seq.length) is Kind.LIMIT:
         certs.append("vanishing at the limit length (componentwise)")
     return DUSBSeq(seq, xi, tuple(certs))
 
@@ -248,7 +245,7 @@ def build_step_decomposition(f: StepFn, witnesses: list[TransfiniteFamily],
         nxt = levels[i + 1] if i + 1 < len(levels) else Fraction(0)
         weight = v - nxt
         level_set = or_(*(p for w, p in f.pieces if w >= v))
-        u = even_diff_union(witnesses[i], space)
+        u = even_diff_union(witnesses[i])
         if not sem_eq(u, level_set, space):
             bad = sample_points(or_(and_(u, not_(level_set)),
                                     and_(level_set, not_(u))), space, 1)

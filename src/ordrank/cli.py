@@ -34,8 +34,9 @@ _PARSE_ERRORS = (FixtureParseError, ValueError)
 _VERIFY_ERRORS = (VerificationError, InclusionViolation, WitnessMismatch,
                   ResidualViolation, ExitNotFound, ClassViolation,
                   PartitionViolation, CertificateViolation, NotOracleSpace)
+# RecursionError: the minimum search recurses once per digit position
 _BUDGET_ERRORS = (BudgetExceeded, UnsupportedProgression,
-                  PrecisionUnreachable, DepthExceeded, NotLimit)
+                  PrecisionUnreachable, DepthExceeded, NotLimit, RecursionError)
 
 
 def _budget() -> Budget:

@@ -35,9 +35,8 @@ from .errors import BudgetExceeded, UnsupportedProgression
 from .functions import FnFamily, StepFn, eventual, union_from_param
 from .ordinal import Ordinal, ZERO, W
 from .patterns import (
-    Cell, DigitSet, FALSE, PAnd, PDigitGeN, PDigitLtN, PDivN, PNot, POr,
-    POrdGeN, POrdLtN, Pat, _mk_cell, and_, cells_difference, cells_pattern,
-    ds_and, ds_ge, meet, or_, prune_cells, subst_n, to_cells,
+    PARAM_N, Cell, DigitSet, FALSE, Pat, _mk_cell, and_, atoms, cells_difference,
+    cells_pattern, ds_and, ds_ge, meet, or_, prune_cells, subst_n, to_cells,
 )
 from .space import SpaceDesc, Topology, cells_eq, cells_subset, closure_cells
 
@@ -82,12 +81,11 @@ class ConvDeriv:
     fam: FnFamily
     eps: Fraction
 
-    def tail_disagreement_param(self, space: SpaceDesc) -> Pat:
+    def tail_disagreement_param(self) -> Pat:
         """{y : two eps-separated values both occur among f_n(y), n >= N},
         as a pattern affine in the start index N."""
         vals = self.fam.values()
-        ever = {v: union_from_param(self.fam.cell_pattern_of(v), space)
-                for v in vals}
+        ever = {v: union_from_param(self.fam.cell_pattern_of(v)) for v in vals}
         parts = []
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
@@ -96,7 +94,7 @@ class ConvDeriv:
         return or_(*parts)
 
     def tail_disagreement(self, start: int, space: SpaceDesc) -> Pat:
-        return subst_n(self.tail_disagreement_param(space), start)
+        return subst_n(self.tail_disagreement_param(), start)
 
     def step(self, F: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
         """F cap the intersection over N of cl(W_N cap F).
@@ -108,9 +106,9 @@ class ConvDeriv:
         atom at N = omega.  The persistent limit points are the limit part
         of cl(W_N cap F) once the start index passes every atom flip,
         which is verified at two spread probes.  F enters through `meet`."""
-        space, bound = t.space, t.space.bound
-        wparam = self.tail_disagreement_param(space)
-        core = to_cells(eventual(wparam, space), bound)
+        bound = t.space.bound
+        wparam = self.tail_disagreement_param()
+        core = to_cells(eventual(wparam), bound)
         n_star = 8 + _max_atom_base(wparam)
 
         def limit_part(n: int) -> tuple[Cell, ...]:
@@ -126,15 +124,10 @@ class ConvDeriv:
 
 
 def _max_atom_base(p: Pat) -> int:
-    if isinstance(p, (PAnd, POr)):
-        return max((_max_atom_base(q) for q in p.parts), default=0)
-    if isinstance(p, PNot):
-        return _max_atom_base(p.part)
-    if isinstance(p, (PDigitGeN, PDigitLtN, PDivN)):
-        return p.base + p.slope
-    if isinstance(p, (POrdGeN, POrdLtN)):
-        return p.base.fin() + p.slope.fin()
-    return 0
+    """The largest base + slope among p's natural-parameter atoms (finite
+    parts of ordinal ones), 0 when there is none."""
+    return max((o._coerce(a.base).fin() + o._coerce(a.slope).fin()
+                for a in atoms(p) if type(a) in PARAM_N), default=0)
 
 
 DerivativeVariant = SeparationDeriv | CantorBendixson | OscDeriv | ConvDeriv

@@ -17,10 +17,10 @@ from . import ordinal as o
 from .errors import UnsupportedProgression, VerificationError
 from .ordinal import Kind, Ordinal, ZERO, W
 from .patterns import (
-    FALSE, Pat, PAnd, PNot, POr, POrdGeEta, POrdLtEta, TRUE, and_, digit_mod,
+    FALSE, PARAM_ETA, Pat, PAnd, POrdGeEta, TRUE, and_, atoms, digit_mod,
     holds_at, is_concrete, not_, or_, ord_ge, ord_lt, subst_eta,
 )
-from .space import SpaceDesc, Topology, is_closed, is_empty, sem_eq, subset
+from .space import Topology, is_closed, is_empty, sem_eq, subset
 
 
 @dataclass(frozen=True)
@@ -107,22 +107,17 @@ def _index_intervals(s: Segment, x: Ordinal) -> list[tuple[Ordinal, Ordinal, boo
             for start, end in zip(marks, ends)]
 
 
-def _eta_breakpoints(body: Pat, x: Ordinal) -> list[Ordinal]:
-    if isinstance(body, (PAnd, POr)):
-        out = []
-        for q in body.parts:
-            out.extend(_eta_breakpoints(q, x))
-        return out
-    if isinstance(body, PNot):
-        return _eta_breakpoints(body.part, x)
-    if isinstance(body, (POrdGeEta, POrdLtEta)):
+def _eta_breakpoints(body: Pat, x: Ordinal):
+    """The indices where an index atom of body may switch at x."""
+    for a in atoms(body):
+        if type(a) not in PARAM_ETA:
+            continue
         # x >= base + (eta - shift)*coeff holds until eta - shift reaches
         # the least z with z*coeff > x - base
-        if o.compare(x, body.base) < 0:
-            return [ZERO]
-        return [o.add(body.shift, o.least_multiple_above(
-            o.left_sub(x, body.base), body.coeff))]
-    return []
+        if o.compare(x, a.base) < 0:
+            yield ZERO
+        else:
+            yield o.add(a.shift, o.least_multiple_above(o.left_sub(x, a.base), a.coeff))
 
 
 def _tail_intersection(seg: Segment, theta: Ordinal) -> Pat:
@@ -130,14 +125,14 @@ def _tail_intersection(seg: Segment, theta: Ordinal) -> Pat:
     body = seg.body
     if seg.concrete:
         return body
-    if isinstance(body, POrdGeEta):
-        val = o.add(body.base, o.mul(o.left_sub(theta, body.shift), body.coeff))
-        return ord_ge(val)
     if isinstance(body, PAnd):
         return and_(*(_tail_intersection(Segment(seg.lo, seg.hi, q), theta)
                       for q in body.parts))
-    raise UnsupportedProgression(
-        "symbolic tail intersection unsupported for %r" % (body,))
+    kind = PARAM_ETA.get(type(body))
+    if kind is None or kind.below is None:
+        raise UnsupportedProgression(
+            "symbolic tail intersection unsupported for %r" % (body,))
+    return kind.below(body, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +171,7 @@ def pad_with_empty(fam: TransfiniteFamily, new_length: Ordinal) -> TransfiniteFa
 _SAMPLES = 6  # indices sampled from each segment's start, limits included
 
 
-def validate_set_family(fam: TransfiniteFamily, t: Topology, xi: int = 1,
-                        check_vanishing: bool = True) -> list[str]:
+def validate_set_family(fam: TransfiniteFamily, t: Topology, xi: int = 1) -> list[str]:
     """Check the decreasing-continuous-family invariants; returns the list of
     established certificates, raises VerificationError at the first failure.
     The level xi is at least 1 (ValueError otherwise)."""
@@ -227,7 +221,7 @@ def validate_set_family(fam: TransfiniteFamily, t: Topology, xi: int = 1,
             raise VerificationError("continuity", "at %s" % theta)
     certs.append("continuity at limit stages")
     # vanishing
-    if check_vanishing and o.classify(fam.length) is Kind.LIMIT:
+    if o.classify(fam.length) is Kind.LIMIT:
         tail = fam.pointwise_intersection_tail(fam.length)
         if not is_empty(tail, space):
             raise VerificationError("vanishing",
@@ -280,7 +274,7 @@ def _interior_limits(fam: TransfiniteFamily) -> list[Ordinal]:
 # ---------------------------------------------------------------------------
 # Even-difference unions (the transfinite-difference value of a family).
 
-def even_diff_union(fam: TransfiniteFamily, space: SpaceDesc) -> Pat:
+def even_diff_union(fam: TransfiniteFamily) -> Pat:
     """Union of F_eta minus F_{eta+1} over even eta below the length, with
     F_eta empty from the length on."""
     parts: list[Pat] = []
@@ -297,7 +291,7 @@ def even_diff_union(fam: TransfiniteFamily, space: SpaceDesc) -> Pat:
         if s.concrete:
             pass  # constant on the segment: interior differences vanish
         elif isinstance(s.body, POrdGeEta) and s.body.coeff == 1:
-            parts.append(_tail_diffs_pattern(s, space))
+            parts.append(_tail_diffs_pattern(s))
         else:
             raise UnsupportedProgression(
                 "even differences unsupported for segment body %r" % (s.body,))
@@ -310,7 +304,7 @@ def even_diff_union(fam: TransfiniteFamily, space: SpaceDesc) -> Pat:
     return or_(*parts)
 
 
-def _tail_diffs_pattern(s: Segment, space: SpaceDesc) -> Pat:
+def _tail_diffs_pattern(s: Segment) -> Pat:
     """Union over even eta in [s.lo, s.hi), eta+1 < s.hi, of the singleton
     difference of x >= base + (eta - shift)."""
     base, shift = s.body.base, s.body.shift

@@ -179,16 +179,11 @@ def sexpr_to_pattern(node, named: dict[str, Pat] | None = None) -> Pat:
         return digit_in(_nat(args[0]), _parse_ds(args[1]))
     if head == "mindigit-in":
         return min_digit_in(_parse_ds(args[0]))
-    if head == "ge-param":
+    if head in ("ge-param", "lt-param"):
         base = _ord(args[0]) if len(args) > 0 else ZERO
         shift = _ord(args[1]) if len(args) > 1 else ZERO
         coeff = _nat(args[2]) if len(args) > 2 else 1
-        return POrdGeEta(base, shift, coeff)
-    if head == "lt-param":
-        base = _ord(args[0]) if len(args) > 0 else ZERO
-        shift = _ord(args[1]) if len(args) > 1 else ZERO
-        coeff = _nat(args[2]) if len(args) > 2 else 1
-        return POrdLtEta(base, shift, coeff)
+        return (POrdGeEta if head == "ge-param" else POrdLtEta)(base, shift, coeff)
     if head == "ge-n":
         return PDigitGeN(_nat(args[0]), _nat(args[1]), _nat(args[2]))
     if head == "lt-n":
@@ -211,6 +206,8 @@ def _parse_ds(node) -> DigitSet:
             prefix = tuple(_nat(b) == 1 for b in part[1:])
         elif part[0] == "period":
             period = _nat(part[1])
+            if period < 1:
+                raise FixtureParseError("a digit-set period must be at least 1")
         elif part[0] == "residues":
             residues = {_nat(r) for r in part[1:]}
     return mk_digitset(prefix, period, residues)

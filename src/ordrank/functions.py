@@ -21,11 +21,10 @@ from . import ordinal as o
 from . import space as sp
 from .errors import (CertificateViolation, PartitionViolation,
                      UnsupportedProgression)
-from .ordinal import Ordinal
+from .ordinal import Ordinal, W
 from .patterns import (
-    FALSE, TRUE, Pat, PAnd, PDigitGeN, PDigitLtN, PDivN, PNot, POr, POrdGeN,
-    POrdLtN, _dnf, _nnf, and_, digit_in, holds_at, not_, or_, ord_ge, ord_lt,
-    subst_n,
+    FALSE, PARAM_N, TRUE, Pat, PDigitGeN, PDigitLtN, PDivN, _dnf, _nnf, and_,
+    atoms, digit_in, holds_at, map_atoms, mk_digitset, not_, or_, subst_n,
 )
 from .space import SpaceDesc, Topology, closure, is_open, member
 
@@ -202,7 +201,7 @@ class FnFamily:
     def eventual_pattern(self, value: Fraction) -> Pat:
         for v, p in self.pieces:
             if v == value:
-                return eventual(p, self.space)
+                return eventual(p)
         return FALSE
 
     def pointwise_limit(self) -> StepFn:
@@ -237,20 +236,20 @@ def _breakpoints(p: Pat, x: Ordinal) -> set[int]:
 
     An atom's truth at x is monotone in n, so it switches at most once,
     and only when its value at n = 0 differs from its value at n = omega."""
-    if isinstance(p, (PAnd, POr)):
-        return set().union(*(_breakpoints(q, x) for q in p.parts))
-    if isinstance(p, PNot):
-        return _breakpoints(p.part, x)
-    if (not isinstance(p, _PARAM)
-            or holds_at(subst_n(p, 0), x) == holds_at(_atom_at_limit(p), x)):
-        return set()
-    if isinstance(p, (PDigitGeN, PDigitLtN)):
-        return {(x.digit(p.i) - p.base) // p.slope + 1}
-    if isinstance(p, PDivN):
-        return {(x.min_exp() - p.base) // p.slope + 1}
-    # base <= x < base + slope*omega: the switch is after the last
-    # threshold base + slope*n at or below x
-    return {_max_mult(p.slope, o.left_sub(x, p.base)) + 1}
+    out = set()
+    for a in atoms(p):
+        if (type(a) not in PARAM_N
+                or holds_at(subst_n(a, 0), x) == holds_at(_atom_at_limit(a), x)):
+            continue
+        if isinstance(a, (PDigitGeN, PDigitLtN)):
+            out.add((x.digit(a.i) - a.base) // a.slope + 1)
+        elif isinstance(a, PDivN):
+            out.add((x.min_exp() - a.base) // a.slope + 1)
+        else:
+            # base <= x < base + slope*omega: the switch is after the last
+            # threshold base + slope*n at or below x
+            out.add(_max_mult(a.slope, o.left_sub(x, a.base)) + 1)
+    return out
 
 
 def _max_mult(step: Ordinal, r: Ordinal) -> int:
@@ -270,43 +269,39 @@ def _max_mult(step: Ordinal, r: Ordinal) -> int:
 
 # -- symbolic limits and unions over the parameter ---------------------------
 
-_DECREASING = (PDigitGeN, POrdGeN, PDivN)   # sets shrink as n grows
-_INCREASING = (PDigitLtN, POrdLtN)          # sets grow as n grows
-_PARAM = _DECREASING + _INCREASING
-
-
 def _atom_at_limit(a: Pat) -> Pat:
-    """The natural-parameter atom a at n = omega.
+    """The atom a at n = omega (a itself when it has no natural parameter).
 
     At every fixed point the atom's truth is monotone in n, hence
     eventually constant, and this pattern holds exactly where that
     constant is true.  Slope-0 atoms do not move.  Digit and divisibility
-    thresholds with a positive slope pass every point, so decreasing kinds
-    become FALSE and increasing ones TRUE; ordinal thresholds climb to
+    thresholds with a positive slope pass every point, so shrinking kinds
+    become FALSE and growing ones TRUE; ordinal thresholds climb to
     base + slope*omega."""
-    if isinstance(a, (POrdGeN, POrdLtN)):
-        bound = o.add(a.base, o.mul(a.slope, o.W))
-        return ord_ge(bound) if isinstance(a, POrdGeN) else ord_lt(bound)
+    kind = PARAM_N.get(type(a))
+    if kind is None:
+        return a
+    if kind.at_omega:
+        return kind.at(a, W)
     if a.slope == 0:
-        return subst_n(a, 0)
-    return FALSE if isinstance(a, _DECREASING) else TRUE
+        return kind.at(a, 0)
+    return FALSE if kind.shrinks else TRUE
 
 
-def union_from_param(p: Pat, space: SpaceDesc) -> Pat:
+def union_from_param(p: Pat) -> Pat:
     """Union over n >= N as a pattern affine in the start index N.
 
-    Decreasing cells keep their atoms (now read as functions of N),
-    increasing atoms take their limit value, sliding windows leave a
+    Shrinking cells keep their atoms (now read as functions of N),
+    growing atoms take their limit value, sliding windows leave a
     threshold plus a residue class."""
-    from .patterns import mk_digitset
     cells_out = []
     for conj in _dnf(_nnf(p, False)):
         # a slope-0 atom does not move with n: it is a constant
-        conj = [subst_n(a, 0) if isinstance(a, _PARAM) and a.slope == 0 else a
+        conj = [subst_n(a, 0) if type(a) in PARAM_N and a.slope == 0 else a
                 for a in conj]
-        dec = [a for a in conj if isinstance(a, _DECREASING)]
-        inc = [a for a in conj if isinstance(a, _INCREASING)]
-        const = [a for a in conj if not isinstance(a, _PARAM)]
+        dec = [a for a in conj if type(a) in PARAM_N and PARAM_N[type(a)].shrinks]
+        inc = [a for a in conj if type(a) in PARAM_N and not PARAM_N[type(a)].shrinks]
+        const = [a for a in conj if type(a) not in PARAM_N]
         if not dec:
             cells_out.append(and_(*const, *map(_atom_at_limit, inc)))
         elif not inc:
@@ -331,19 +326,13 @@ def union_from_param(p: Pat, space: SpaceDesc) -> Pat:
     return or_(*cells_out)
 
 
-def eventual(p: Pat, space: SpaceDesc) -> Pat:
+def eventual(p: Pat) -> Pat:
     """{y : y in p(n) for all large n}, exactly.
 
     Every atom is eventually constant at each point, so p(n) eventually
     agrees with p with each atom taken at n = omega; that holds under
     negation too, so no normal form is needed."""
-    if isinstance(p, PAnd):
-        return and_(*(eventual(q, space) for q in p.parts))
-    if isinstance(p, POr):
-        return or_(*(eventual(q, space) for q in p.parts))
-    if isinstance(p, PNot):
-        return not_(eventual(p.part, space))
-    return _atom_at_limit(p) if isinstance(p, _PARAM) else p
+    return map_atoms(p, _atom_at_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ An ordinal is a strictly-decreasing list of ``(exponent, coefficient)``
 terms with positive coefficients; the empty list is 0.  Exponents are
 naturals and must stay below a module-wide ceiling (default 6), so runaway
 arithmetic fails fast instead of silently leaving desk scale.  Values are
-immutable and totally ordered by the term list itself.
+immutable; `compare` orders them by the term list itself, and arithmetic
+goes through `add`, `mul` and `left_sub` (there are no operators).
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import total_ordering
 
 from .errors import DepthExceeded, NotLimit
 
@@ -42,7 +42,6 @@ class Kind(enum.Enum):
     LIMIT = "limit"
 
 
-@total_ordering
 @dataclass(frozen=True)
 class Ordinal:
     terms: tuple[tuple[int, int], ...] = ()
@@ -60,10 +59,6 @@ class Ordinal:
                 raise ValueError("exponents must strictly decrease: %r" % (self.terms,))
             prev = e
 
-    # The CNF term tuples compare lexicographically exactly in ordinal order.
-    def __lt__(self, other: "Ordinal | int") -> bool:
-        return self.terms < _coerce(other).terms
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = from_int(other)
@@ -73,21 +68,6 @@ class Ordinal:
 
     def __hash__(self) -> int:
         return hash(self.terms)
-
-    def __add__(self, other: "Ordinal | int") -> "Ordinal":
-        return add(self, _coerce(other))
-
-    def __radd__(self, other: int) -> "Ordinal":
-        return add(_coerce(other), self)
-
-    def __mul__(self, other: "Ordinal | int") -> "Ordinal":
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other: int) -> "Ordinal":
-        return mul(_coerce(other), self)
-
-    def __sub__(self, other: "Ordinal | int") -> "Ordinal":
-        return left_sub(self, _coerce(other))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -234,6 +214,19 @@ def least_multiple_above(a: Ordinal | int, m: int) -> Ordinal:
     if k % m:
         return omega_power(e, k // m + 1)
     return add(add(omega_power(e, k // m), rest), 1)
+
+
+def sup_mul_below(a: Ordinal, m: int) -> Ordinal:
+    """sup of z*m over z < a, for a limit a and finite m >= 1.
+
+    For a = w^e*k the z below a are w^e*(k-1) + y with y < w^e, and
+    z*m = w^e*((k-1)*m) + y once k >= 2 (y*m for k = 1), so the sup is
+    w^e*((k-1)*m + 1).  With two or more terms the leading term alone is
+    multiplied and the rest of a is reached from below, so the sup is a*m."""
+    if len(a.terms) != 1:
+        return mul(a, m)
+    e, k = a.terms[0]
+    return omega_power(e, (k - 1) * m + 1)
 
 
 def parity(a: Ordinal | int) -> Parity:

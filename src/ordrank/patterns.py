@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from . import ordinal as o
 from .errors import DepthExceeded, UnsupportedProgression
@@ -130,6 +131,8 @@ def ds_lt(v: int) -> DigitSet:
 
 @lru_cache(maxsize=1024)
 def ds_window(a: int, b: int) -> DigitSet:
+    if a < 0:
+        raise ValueError("digit window must start at >= 0")
     return mk_digitset((False,) * a + (True,) * max(0, b - a), 1, set())
 
 
@@ -387,51 +390,88 @@ def singleton(x: Ordinal | int) -> Pat:
     return and_(ord_ge(x), ord_lt(o.add(x, 1)))
 
 
-_PARAM_N = (PDigitGeN, PDigitLtN, POrdGeN, POrdLtN, PDivN)
-_PARAM_ETA = (POrdGeEta, POrdLtEta)
+# -- the parametric atoms: one table entry per kind ---------------------------
+
+class NKind(NamedTuple):
+    """A kind of atom affine in a natural n: `at(a, n)` is the atom at n
+    (ordinal thresholds, `at_omega`, also at n = W, where they climb to
+    their sup); `neg` is the kind of the complement atom, with the same
+    fields (None when it is no atom); the truth at a fixed point is
+    monotone in n, and `shrinks` says the sets shrink as n grows."""
+    at: Callable[[Pat, int | Ordinal], Pat]
+    neg: type | None
+    shrinks: bool
+    at_omega: bool = False
+
+
+class EtaKind(NamedTuple):
+    """A kind of atom affine in a family index: `at(a, eta)` is the atom
+    at eta; `below(a, theta)` the intersection over eta < theta, a limit."""
+    at: Callable[[Pat, Ordinal], Pat]
+    below: Callable[[Pat, Ordinal], Pat] | None = None
+
+
+def _eta_threshold(a: Pat, eta: Ordinal) -> Ordinal:
+    return o.add(a.base, o.mul(o.left_sub(eta, a.shift), a.coeff))
+
+
+PARAM_N: dict[type, NKind] = {
+    PDigitGeN: NKind(lambda a, n: digit_ge(a.i, a.base + a.slope * n), PDigitLtN, True),
+    PDigitLtN: NKind(lambda a, n: digit_in(a.i, ds_lt(a.base + a.slope * n)),
+                     PDigitGeN, False),
+    POrdGeN: NKind(lambda a, n: ord_ge(o.add(a.base, o.mul(a.slope, n))),
+                   POrdLtN, True, at_omega=True),
+    POrdLtN: NKind(lambda a, n: ord_lt(o.add(a.base, o.mul(a.slope, n))),
+                   POrdGeN, False, at_omega=True),
+    # not divpow: x = 0 or a digit below base + slope*n is nonzero
+    PDivN: NKind(lambda a, n: divpow(a.base + a.slope * n), None, True),
+}
+
+PARAM_ETA: dict[type, EtaKind] = {
+    # the thresholds grow with eta, so the intersection is x >= their sup
+    # below theta; for coeff >= 2 that is not the threshold at theta
+    POrdGeEta: EtaKind(lambda a, eta: ord_ge(_eta_threshold(a, eta)),
+                       lambda a, theta: ord_ge(o.add(a.base, o.sup_mul_below(
+                           o.left_sub(theta, a.shift), a.coeff)))),
+    POrdLtEta: EtaKind(lambda a, eta: ord_lt(_eta_threshold(a, eta))),
+}
+
+
+def atoms(p: Pat):
+    """The leaves of p under and/or/not, depth first."""
+    if isinstance(p, (PAnd, POr)):
+        for q in p.parts:
+            yield from atoms(q)
+    elif isinstance(p, PNot):
+        yield from atoms(p.part)
+    else:
+        yield p
+
+
+def map_atoms(p: Pat, fn: Callable[[Pat], Pat]) -> Pat:
+    """p with every leaf a replaced by fn(a), rebuilt through and_/or_/not_."""
+    if isinstance(p, PAnd):
+        return and_(*(map_atoms(q, fn) for q in p.parts))
+    if isinstance(p, POr):
+        return or_(*(map_atoms(q, fn) for q in p.parts))
+    if isinstance(p, PNot):
+        return not_(map_atoms(p.part, fn))
+    return fn(p)
 
 
 def is_concrete(p: Pat) -> bool:
-    if isinstance(p, (PAnd, POr)):
-        return all(is_concrete(q) for q in p.parts)
-    if isinstance(p, PNot):
-        return is_concrete(p.part)
-    return not isinstance(p, _PARAM_N + _PARAM_ETA)
+    return not any(type(a) in PARAM_N or type(a) in PARAM_ETA for a in atoms(p))
 
 
 def subst_n(p: Pat, n: int) -> Pat:
     """Instantiate every natural-parameter atom at n."""
-    if isinstance(p, PAnd):
-        return and_(*(subst_n(q, n) for q in p.parts))
-    if isinstance(p, POr):
-        return or_(*(subst_n(q, n) for q in p.parts))
-    if isinstance(p, PNot):
-        return not_(subst_n(p.part, n))
-    if isinstance(p, PDigitGeN):
-        return digit_ge(p.i, p.base + p.slope * n)
-    if isinstance(p, PDigitLtN):
-        return digit_in(p.i, ds_lt(p.base + p.slope * n))
-    if isinstance(p, POrdGeN):
-        return ord_ge(o.add(p.base, o.mul(p.slope, n)))
-    if isinstance(p, POrdLtN):
-        return ord_lt(o.add(p.base, o.mul(p.slope, n)))
-    if isinstance(p, PDivN):
-        return divpow(p.base + p.slope * n)
-    return p
+    return map_atoms(p, lambda a: PARAM_N[type(a)].at(a, n) if type(a) in PARAM_N else a)
 
 
 def subst_eta(p: Pat, eta: Ordinal) -> Pat:
     """Instantiate every family-index atom at the ordinal eta."""
-    if isinstance(p, PAnd):
-        return and_(*(subst_eta(q, eta) for q in p.parts))
-    if isinstance(p, POr):
-        return or_(*(subst_eta(q, eta) for q in p.parts))
-    if isinstance(p, PNot):
-        return not_(subst_eta(p.part, eta))
-    if isinstance(p, (POrdGeEta, POrdLtEta)):
-        val = o.add(p.base, o.mul(o.left_sub(eta, p.shift), p.coeff))
-        return ord_ge(val) if isinstance(p, POrdGeEta) else ord_lt(val)
-    return p
+    return map_atoms(p, lambda a: PARAM_ETA[type(a)].at(a, eta)
+                     if type(a) in PARAM_ETA else a)
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +591,9 @@ def _nnf(p: Pat, neg: bool) -> Pat:
         return or_(ord_lt(1), *(digit_ge(i, 1) for i in range(p.e)))
     if isinstance(p, PMinDigit):
         return or_(ord_lt(1), min_digit_in(ds_not(p.ds)))
-    if isinstance(p, PDigitGeN):
-        return PDigitLtN(p.i, p.base, p.slope)
-    if isinstance(p, PDigitLtN):
-        return PDigitGeN(p.i, p.base, p.slope)
-    if isinstance(p, POrdGeN):
-        return POrdLtN(p.base, p.slope)
-    if isinstance(p, POrdLtN):
-        return POrdGeN(p.base, p.slope)
+    kind = PARAM_N.get(type(p))
+    if kind is not None and kind.neg is not None:
+        return kind.neg(**vars(p))
     raise UnsupportedProgression("cannot negate %r" % (p,))
 
 
@@ -848,7 +883,7 @@ def _min_geq_box(constraint, top: int, lower: Ordinal) -> Ordinal | None:
     return Ordinal(tuple(sorted(res, reverse=True)))
 
 
-def cell_min_geq(c: Cell, lower: Ordinal, bound: Ordinal | None) -> Ordinal | None:
+def cell_min_geq(c: Cell, lower: Ordinal) -> Ordinal | None:
     """Smallest x in the cell's box with x >= max(lower, lo); ignores hi.
 
     Returns None when the box is empty.  May raise DepthExceeded if the only
@@ -895,7 +930,7 @@ def _terms_value(pairs) -> tuple:
 @lru_cache(maxsize=65536)
 def cell_is_empty(c: Cell, bound: Ordinal | None) -> bool:
     try:
-        m = cell_min_geq(c, c.lo, bound)
+        m = cell_min_geq(c, c.lo)
     except DepthExceeded:
         # A witness exists mathematically but is above the exponent ceiling;
         # on a bounded space it would also be above the bound.
@@ -911,7 +946,7 @@ def cell_is_empty(c: Cell, bound: Ordinal | None) -> bool:
 def iter_cell(c: Cell, bound: Ordinal | None, count: int):
     eff_hi = c.hi if c.hi is not None else bound
     try:
-        x = cell_min_geq(c, c.lo, bound)
+        x = cell_min_geq(c, c.lo)
     except DepthExceeded:
         return
     while x is not None and count > 0:
@@ -920,6 +955,6 @@ def iter_cell(c: Cell, bound: Ordinal | None, count: int):
         yield x
         count -= 1
         try:
-            x = cell_min_geq(c, o.add(x, 1), bound)
+            x = cell_min_geq(c, o.add(x, 1))
         except DepthExceeded:
             return

@@ -53,13 +53,12 @@ def remainder_lt(lam: int, bound: Ordinal) -> Pat:
     return or_(*branches) if branches else FALSE
 
 
-def build_Bk(sep_fam: TransfiniteFamily, lam: int, lam_ks: list[Ordinal],
-             space: SpaceDesc) -> list[Pat]:
+def build_Bk(sep_fam: TransfiniteFamily, lam: int, lam_ks: list[Ordinal]) -> list[Pat]:
     """The window sets: even differences with block offset below lam_k."""
     for lk in lam_ks:
         if not o.is_even(lk) or lk.is_zero:
             raise ValueError("window thresholds must be even and positive")
-    u = even_diff_union(sep_fam, space)
+    u = even_diff_union(sep_fam)
     return [and_(u, remainder_lt(lam, lk)) for lk in lam_ks]
 
 
@@ -171,7 +170,7 @@ def phi_generate(A: Pat, sep_fam: TransfiniteFamily, lam: int, t: Topology,
     _require_tails(sep_fam)
     if sep_fam.length != omega_power(lam + 1):
         raise WitnessMismatch("separation family must have length w^%d" % (lam + 1))
-    u = even_diff_union(sep_fam, space)
+    u = even_diff_union(sep_fam)
     if not sem_eq(u, A, space):
         raise WitnessMismatch("family differences do not produce the target set")
 
@@ -181,7 +180,7 @@ def phi_generate(A: Pat, sep_fam: TransfiniteFamily, lam: int, t: Topology,
     else:
         lam_ks = [o.mul(W, k + 1) for k in range(k_count)]
         fam = window_indicator_family(2, ("limit", 1, 1), space)
-    bks = build_Bk(sep_fam, lam, lam_ks, space)
+    bks = build_Bk(sep_fam, lam, lam_ks)
     for k in range(min(3, k_count)):
         if not sem_eq(fam.at(k).cell_of(Fraction(1)), bks[k], space):
             raise WitnessMismatch("window family disagrees with B_%d" % k)

@@ -151,7 +151,7 @@ def alpha_xi_verify(A: Pat, B: Pat, fam: TransfiniteFamily, xi: int,
     A violation names the least point of the offending cells."""
     bound = t.space.bound
     claims = tuple(validate_set_family(fam, t, xi=xi))
-    u = to_cells(even_diff_union(fam, t.space), bound)
+    u = to_cells(even_diff_union(fam), bound)
     bad = prune_cells(cells_difference(to_cells(A, bound), u, bound))
     if bad:
         raise InclusionViolation("A not covered", _least_point(bad, bound))

@@ -418,7 +418,7 @@ def test_criterion_9_rank_comparison_properties():
         seq = ComboSeq(((weight, fam),), W, space)
         # f is the alternating sum; g the pointwise infimum
         g_support = fam.pointwise_intersection_tail(W)
-        f_pat = even_diff_union(fam, space)
+        f_pat = even_diff_union(fam)
         f = fn_scale(char_fn(f_pat, space), weight)
         eps = Fraction(1, 2)
         levels = [TRUE]

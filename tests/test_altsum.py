@@ -32,6 +32,19 @@ T2 = base_topology(S2)
 EVENS = digit_mod(0, 2, 0)
 
 
+@pytest.mark.parametrize("length, bound, check", [
+    # x >= n*2 for n < w: the intersection is [w, w*2), not empty
+    (W, mul(W, 2), "vanishing"),
+    # F_w = {x >= w*2}, but the intersection below w is {x >= w}
+    (mul(W, 2), mul(W, 3), "continuity"),
+])
+def test_validate_coeff2_tails_family_fails(length, bound, check):
+    t = base_topology(SpaceDesc(bound))
+    with pytest.raises(VerificationError) as err:
+        validate_set_family(tails_family(length, coeff=2), t)
+    assert err.value.args[0] == check
+
+
 def test_verify_dusb_examples():
     zero_fam = from_segments(W, [(ZERO, from_int(1), TRUE), (from_int(1), W, FALSE)])
     d = verify_dusb(ComboSeq(((Fraction(0), zero_fam),), W, SW), 1, TW)

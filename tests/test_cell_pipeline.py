@@ -450,9 +450,9 @@ def _ref_borel_class(p, t):
 
 def _ref_conv_step(cd, F, t):
     """The convergence step with F folded into the parametric W_N."""
-    space, bound = t.space, t.space.bound
-    wparam = and_(cd.tail_disagreement_param(space), cells_pattern(F))
-    core = to_cells(eventual(wparam, space), bound)
+    bound = t.space.bound
+    wparam = and_(cd.tail_disagreement_param(), cells_pattern(F))
+    core = to_cells(eventual(wparam), bound)
     n_star = 8 + _max_atom_base(wparam)
 
     def limit_part(n):
@@ -469,7 +469,7 @@ def _ref_conv_step(cd, F, t):
 def _ref_alpha_xi_verify(A, B, fam, xi, t):
     space = t.space
     claims = tuple(validate_set_family(fam, t, xi=xi))
-    u = even_diff_union(fam, space)
+    u = even_diff_union(fam)
     bad = _ref_sem_difference(A, u, space)
     if not is_empty(bad, space):
         pt = sample_points(bad, space, 1)

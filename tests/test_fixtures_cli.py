@@ -214,6 +214,9 @@ def test_cli_zero_denominator_exit1(tmp_path):
     ("(set neg (mod 0 +2 0))", "expected a natural number, got '+2'"),
     ('(space (bound "w^2") (depth -1))', "expected a natural number, got '-1'"),
     ("(refine (sets evens) (xi 1-))", "expected an integer, got '1-'"),
+    # before, a period of 0 escaped as ZeroDivisionError
+    ("(set z (digit-in 0 (ds (prefix 1 0) (period 0))))",
+     "a digit-set period must be at least 1"),
 ])
 def test_cli_malformed_item_exit1(tmp_path, item, message):
     text = '(fixture (space (bound "w^2")) (set evens (mod 0 2 0)) %s)' % item
@@ -225,6 +228,34 @@ def test_cli_malformed_item_exit1(tmp_path, item, message):
     assert proc.stderr.startswith("parse error: ")
     assert len(proc.stderr.strip().splitlines()) == 1
     assert message in proc.stderr
+
+
+def test_cli_deep_digit_position_exit3(tmp_path):
+    # the minimum search recurses once per digit position: before, a
+    # RecursionError traceback escaped
+    text = '(fixture (space (bound "w^2")) (set evens (mod 0 2 0)) (set big (mod 5000 2 1)))'
+    proc = _run_cli(["rank", _write(tmp_path, text), "--pair", "big", "evens"])
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "RecursionError" in proc.stderr
+
+
+@pytest.mark.parametrize("bound, length, check", [
+    # x >= eta*2 below w: the intersection is [w, w*2), not empty
+    ("w*2", "w", "vanishing"),
+    # F_w = {x >= w*2}, but the intersection below w is {x >= w}
+    ("w*3", "w*2", "continuity"),
+])
+def test_cli_verify_coeff2_family_exit2(tmp_path, bound, length, check):
+    text = ('(fixture (space (bound "%s")) (family t (length "%s") (segment (from "0")'
+            ' (to "%s") (ge-param "0" "0" 2))))' % (bound, length, length))
+    proc = _run_cli(["verify", _write(tmp_path, text), "--family", "t"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert check in proc.stderr
 
 
 @pytest.mark.parametrize("argv, message", [

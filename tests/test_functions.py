@@ -182,7 +182,7 @@ def test_union_from_param_against_window():
         checked = 0
         for k, p in enumerate(pats):
             try:
-                u = union_from_param(p, space)
+                u = union_from_param(p)
             except UnsupportedProgression:
                 assert k >= len(fixed), p
                 continue

@@ -10,7 +10,7 @@ from ordrank.errors import DepthExceeded, NotLimit
 from ordrank.ordinal import (
     W, ZERO, Kind, Parity, add, classify, compare, even_floor,
     format_ordinal, from_int, fundamental_sequence, is_even, least_multiple_above,
-    left_sub, mul, omega_power, parity, parse_ordinal, Ordinal,
+    left_sub, mul, omega_power, parity, parse_ordinal, sup_mul_below, Ordinal,
 )
 
 
@@ -109,6 +109,25 @@ def test_left_sub_and_div():
     assert left_sub(a, a) == ZERO
     with pytest.raises(ValueError):
         left_sub(W, add(W, 1))
+
+
+def test_sup_mul_below_fundamental_samples():
+    """sup of z*m over z < a against the fundamental sequences of a and of
+    the sup: every sample lies below it, and every point below it is passed."""
+    limits = [Ordinal(tuple((e, k) for e, k in ((2, a), (1, b)) if k))
+              for a in range(4) for b in range(4) if a or b]
+    for a in limits:
+        for m in (1, 2, 3):
+            s = sup_mul_below(a, m)
+            below = [mul(fundamental_sequence(a, n), m) for n in range(12)]
+            assert all(compare(z, s) < 0 for z in below), (a, m)
+            for n in range(6):
+                assert any(compare(z, fundamental_sequence(s, n)) >= 0
+                           for z in below), (a, m, n)
+    # for a single-term limit the sup lies below a*m once m >= 2
+    assert sup_mul_below(W, 2) == W
+    assert sup_mul_below(mul(W, 2), 2) == mul(W, 3)
+    assert sup_mul_below(add(omega_power(2), W), 2) == mul(add(omega_power(2), W), 2)
 
 
 def test_least_multiple_above_brute():

@@ -83,6 +83,13 @@ def test_constructors_against_reference():
     assert members(ds_mod(3, 2)) == {v for v in range(REF_RANGE) if v % 3 == 2}
 
 
+def test_ds_window_rejects_negative_start():
+    # before, ds_window(-2, 3) built {0, ..., 4}
+    with pytest.raises(ValueError, match="digit window must start at >= 0"):
+        ds_window(-2, 3)
+    assert members(ds_window(0, 3)) == {0, 1, 2}
+
+
 def test_ds_eq_rejects_negative():
     # before, ds_eq(-1) built {0}
     with pytest.raises(ValueError, match="digit value must be >= 0"):

@@ -40,7 +40,7 @@ def test_remainder_lt():
 
 def test_build_Bk_examples():
     fam = tails_family(omega_power(2))
-    bks = build_Bk(fam, 1, [from_int(2), from_int(4)], S2)
+    bks = build_Bk(fam, 1, [from_int(2), from_int(4)])
     # B_1 = first even difference of each block = {w*n}
     assert sem_eq(bks[0], and_(EVENS, digit_eq(0, 0)), S2) or \
         sem_eq(bks[0], digit_eq(0, 0), S2)
@@ -50,22 +50,22 @@ def test_build_Bk_examples():
     assert member(bks[1], add(mul(W, 3), 2), T2)
     assert not member(bks[1], add(mul(W, 3), 4), T2)
     # full window degenerates to the whole union
-    full = build_Bk(fam, 1, [W], S2)[0]
-    assert sem_eq(full, even_diff_union(fam, S2), S2)
+    full = build_Bk(fam, 1, [W])[0]
+    assert sem_eq(full, even_diff_union(fam), S2)
 
 
 def test_build_P_eta_finite():
     fam = tails_family(omega_power(2))
     p = build_P_eta(fam, 1, 0, from_int(2), T2)
     assert p.length == from_int(6)
-    u = even_diff_union(p, S2)
+    u = even_diff_union(p)
     assert sem_eq(u, and_(ord_lt(from_int(2)), EVENS), S2)
     p4 = build_P_eta(fam, 1, 0, from_int(4), T2)
-    u4 = even_diff_union(p4, S2)
+    u4 = even_diff_union(p4)
     assert sem_eq(u4, and_(ord_lt(from_int(4)), EVENS), S2)
     # block m = 1
     pm = build_P_eta(fam, 1, 1, from_int(4), T2)
-    um = even_diff_union(pm, S2)
+    um = even_diff_union(pm)
     assert member(um, add(W, 2), T2)
     assert not member(um, from_int(2), T2)
 
@@ -76,7 +76,7 @@ def test_build_P_eta_table_branch():
     fam = tails_family(omega_power(3))
     p = build_P_eta(fam, 2, 0, W, t3)
     assert p.length == add(W, 4)
-    u = even_diff_union(p, s3)
+    u = even_diff_union(p)
     assert sem_eq(u, and_(ord_lt(W), EVENS), s3)
     # verify the shift absorbs at the limit: P_w = F_w
     assert sem_eq(p.at(W), ord_ge(W), s3)
@@ -110,7 +110,7 @@ def test_phi_generate_degenerate_empty():
     s1 = SpaceDesc(add(W, 1))
     t1 = base_topology(s1)
     # the family's even differences are empty, so every window is empty
-    bks = build_Bk(fam, 1, [from_int(2)], s1)
+    bks = build_Bk(fam, 1, [from_int(2)])
     from ordrank.space import is_empty
     assert is_empty(bks[0], s1)
 

@@ -2,8 +2,9 @@
 
 Reports are deterministic text (or JSON with --json); identical inputs and
 flags produce byte-identical output.  Exit codes: 1 parse error, 2
-verification failure, 3 budget exhaustion, an unsupported progression or
-an ordinal beyond the exponent ceiling.
+verification failure, 3 budget exhaustion, an unsupported progression, an
+ordinal beyond the exponent ceiling or a fixture digit position above
+`fixtures.MAX_POSITION`.
 """
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from .derivative import Budget, DEFAULT_BUDGET
 from .errors import (BudgetExceeded, CertificateViolation, ClassViolation,
                      DepthExceeded, ExitNotFound, FixtureParseError,
                      InclusionViolation, NotLimit, NotOracleSpace,
-                     PartitionViolation, PrecisionUnreachable,
-                     ResidualViolation, UnsupportedProgression,
-                     VerificationError, WitnessMismatch)
+                     PartitionViolation, PositionLimitExceeded,
+                     PrecisionUnreachable, ResidualViolation,
+                     UnsupportedProgression, VerificationError, WitnessMismatch)
 from .fixtures import Fixture, load_fixture
 from .ordinal import format_ordinal
 from .ranks import NotStabilized, alpha_fn, alpha_pair, beta, gamma_seq
@@ -34,9 +35,10 @@ _PARSE_ERRORS = (FixtureParseError, ValueError)
 _VERIFY_ERRORS = (VerificationError, InclusionViolation, WitnessMismatch,
                   ResidualViolation, ExitNotFound, ClassViolation,
                   PartitionViolation, CertificateViolation, NotOracleSpace)
-# RecursionError: the minimum search recurses once per digit position
-_BUDGET_ERRORS = (BudgetExceeded, UnsupportedProgression,
-                  PrecisionUnreachable, DepthExceeded, NotLimit, RecursionError)
+# RecursionError: the reader and the formula walkers recurse once per
+# level of nesting
+_BUDGET_ERRORS = (BudgetExceeded, UnsupportedProgression, PrecisionUnreachable,
+                  DepthExceeded, NotLimit, PositionLimitExceeded, RecursionError)
 
 
 def _budget() -> Budget:

@@ -61,5 +61,9 @@ class UnsupportedProgression(ToolkitError):
     """Symbolic limit machinery met a shape outside the affine fragment; fail loud."""
 
 
+class PositionLimitExceeded(ToolkitError):
+    """A fixture names a digit position or divisibility level above the limit."""
+
+
 class FixtureParseError(ToolkitError):
     """Malformed fixture text; args carry position information."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import FixtureParseError
+from .errors import FixtureParseError, PositionLimitExceeded
 from .family import Segment, TransfiniteFamily
 from .functions import StepFn, make_stepfn
 from .ordinal import Ordinal, ZERO, format_ordinal, parse_ordinal
@@ -97,6 +97,19 @@ def _nat(tok) -> int:
     return int(_atom_text(tok))
 
 
+# the kernel's work grows faster than linearly with the highest digit
+# position; digit values have no such limit yet
+MAX_POSITION = 256
+
+
+def _pos(tok) -> int:
+    """A natural used as a digit position or divisibility level."""
+    n = _nat(tok)
+    if n > MAX_POSITION:
+        raise PositionLimitExceeded("digit position %d is above the limit %d" % (n, MAX_POSITION))
+    return n
+
+
 def _int(tok) -> int:
     """An integer: decimal digits after an optional minus sign."""
     s = _atom_text(tok) if isinstance(tok, str) else ""
@@ -158,17 +171,17 @@ def sexpr_to_pattern(node, named: dict[str, Pat] | None = None) -> Pat:
             raise FixtureParseError("unknown set name %r" % name)
         return named[name]
     if head == "eq":
-        return digit_in(_nat(args[0]), ds_eq(_nat(args[1])))
+        return digit_in(_pos(args[0]), ds_eq(_nat(args[1])))
     if head == "mod":
-        return digit_in(_nat(args[0]), ds_mod(_nat(args[1]), _nat(args[2])))
+        return digit_in(_pos(args[0]), ds_mod(_nat(args[1]), _nat(args[2])))
     if head == "ge":
         if len(args) == 2:
-            return digit_in(_nat(args[0]), ds_ge(_nat(args[1])))
+            return digit_in(_pos(args[0]), ds_ge(_nat(args[1])))
         return ord_ge(_ord(args[0]))
     if head == "lt":
         return ord_lt(_ord(args[0]))
     if head == "divpow":
-        return divpow(_nat(args[0]))
+        return divpow(_pos(args[0]))
     if head == "mindigit-mod":
         return min_digit_in(ds_mod(_nat(args[0]), _nat(args[1])))
     if head == "mindigit-eq":
@@ -176,7 +189,7 @@ def sexpr_to_pattern(node, named: dict[str, Pat] | None = None) -> Pat:
     if head == "mindigit-ge":
         return min_digit_in(ds_ge(_nat(args[0])))
     if head == "digit-in":
-        return digit_in(_nat(args[0]), _parse_ds(args[1]))
+        return digit_in(_pos(args[0]), _parse_ds(args[1]))
     if head == "mindigit-in":
         return min_digit_in(_parse_ds(args[0]))
     if head in ("ge-param", "lt-param"):
@@ -185,15 +198,15 @@ def sexpr_to_pattern(node, named: dict[str, Pat] | None = None) -> Pat:
         coeff = _nat(args[2]) if len(args) > 2 else 1
         return (POrdGeEta if head == "ge-param" else POrdLtEta)(base, shift, coeff)
     if head == "ge-n":
-        return PDigitGeN(_nat(args[0]), _nat(args[1]), _nat(args[2]))
+        return PDigitGeN(_pos(args[0]), _nat(args[1]), _nat(args[2]))
     if head == "lt-n":
-        return PDigitLtN(_nat(args[0]), _nat(args[1]), _nat(args[2]))
+        return PDigitLtN(_pos(args[0]), _nat(args[1]), _nat(args[2]))
     if head == "ord-ge-n":
         return POrdGeN(_ord(args[0]), _ord(args[1]))
     if head == "ord-lt-n":
         return POrdLtN(_ord(args[0]), _ord(args[1]))
     if head == "divpow-n":
-        return PDivN(_nat(args[0]), _nat(args[1]))
+        return PDivN(_pos(args[0]), _nat(args[1]))
     raise FixtureParseError("unknown pattern head %r" % head)
 
 

@@ -63,16 +63,19 @@ class StepFn:
         return make_stepfn([(fn(v), p) for v, p in self.pieces], self.space)
 
 
-def make_stepfn(pieces, space: SpaceDesc, check: bool = True) -> StepFn:
+def _merged(pieces) -> tuple[tuple[Fraction, Pat], ...]:
+    """The pieces with equal values joined by or_, sorted by value."""
     merged: dict[Fraction, Pat] = {}
     for v, p in pieces:
         v = _q(v)
-        if sp.is_empty(p, space):
-            continue
         merged[v] = or_(merged[v], p) if v in merged else p
-    if not merged:
+    return tuple(sorted(merged.items()))
+
+
+def make_stepfn(pieces, space: SpaceDesc, check: bool = True) -> StepFn:
+    out = _merged((v, p) for v, p in pieces if not sp.is_empty(p, space))
+    if not out:
         raise PartitionViolation("no nonempty pieces")
-    out = tuple(sorted(merged.items()))
     if check:
         pats = [p for _, p in out]
         whole = or_(*pats)
@@ -162,9 +165,13 @@ def semi_borel_class(f: StepFn, t: Topology) -> int:
 
 @dataclass(frozen=True)
 class FnFamily:
-    """Step functions f_n given by one parametric piece list."""
+    """Step functions f_n given by one parametric piece list, one piece
+    per value: equal values are joined at construction, sorted by value."""
     pieces: tuple[tuple[Fraction, Pat], ...]
     space: SpaceDesc
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pieces", _merged(self.pieces))
 
     def at(self, n: int) -> StepFn:
         return make_stepfn([(v, subst_n(p, n)) for v, p in self.pieces],
@@ -193,16 +200,10 @@ class FnFamily:
         return self.value_trace(x)[-1][0]
 
     def cell_pattern_of(self, value: Fraction) -> Pat:
-        for v, p in self.pieces:
-            if v == value:
-                return p
-        return FALSE
+        return dict(self.pieces).get(value, FALSE)
 
     def eventual_pattern(self, value: Fraction) -> Pat:
-        for v, p in self.pieces:
-            if v == value:
-                return eventual(p)
-        return FALSE
+        return eventual(self.cell_pattern_of(value))
 
     def pointwise_limit(self) -> StepFn:
         pieces = [(v, self.eventual_pattern(v)) for v in self.values()]
@@ -211,19 +212,12 @@ class FnFamily:
 
 def fam_add(a: FnFamily, b: FnFamily) -> FnFamily:
     assert a.space == b.space
-    pieces = [(va + vb, and_(pa, pb)) for va, pa in a.pieces for vb, pb in b.pieces]
-    merged: dict[Fraction, Pat] = {}
-    for v, p in pieces:
-        merged[v] = or_(merged[v], p) if v in merged else p
-    return FnFamily(tuple(sorted(merged.items())), a.space)
+    return FnFamily(tuple((va + vb, and_(pa, pb)) for va, pa in a.pieces
+                          for vb, pb in b.pieces), a.space)
 
 
 def fam_map_values(a: FnFamily, fn) -> FnFamily:
-    merged: dict[Fraction, Pat] = {}
-    for v, p in a.pieces:
-        w = fn(v)
-        merged[w] = or_(merged[w], p) if w in merged else p
-    return FnFamily(tuple(sorted(merged.items())), a.space)
+    return FnFamily(tuple((fn(v), p) for v, p in a.pieces), a.space)
 
 
 def fam_clamp_hk(a: FnFamily, k: int) -> FnFamily:

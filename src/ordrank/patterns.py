@@ -846,85 +846,71 @@ def cells_pattern(cells) -> Pat:
 
 # -- minimal element search --------------------------------------------------
 
-def _min_geq_box(constraint, top: int, lower: Ordinal) -> Ordinal | None:
-    """Smallest x >= lower whose digits satisfy constraint(i) for all i <= top
-    (positions above top must allow 0 implicitly: caller picks top large)."""
+def _least_in_box(sets: list[DigitSet], lower: Ordinal) -> Ordinal | None:
+    """Least x >= lower with digit_i(x) in sets[i] for every i < len(sets)
+    and no digit above; lower has none there either.  None when there is no
+    such x.
 
-    def best(i: int, tight: bool) -> list[tuple[int, int]] | None:
-        if i < 0:
-            return []
-        ds = constraint(i)
-        if not tight:
-            m = ds.min_value()
-            if m is None:
-                return None
-            rest = best(i - 1, False)
-            if rest is None:
-                return None
-            return ([(i, m)] if m else []) + rest
-        d_low = lower.digit(i)
-        cand = None
-        if d_low in ds:
-            rest = best(i - 1, True)
-            if rest is not None:
-                cand = ([(i, d_low)] if d_low else []) + rest
-        d_up = ds.min_geq(d_low + 1)
-        if d_up is not None:
-            rest = best(i - 1, False)
-            if rest is not None:
-                alt = [(i, d_up)] + rest
-                if cand is None or _terms_value(alt) < _terms_value(cand):
-                    cand = alt
-        return cand
-
-    res = best(top, True)
-    if res is None:
+    Such an x other than lower keeps lower's digits above some position k,
+    takes at k the least allowed digit above lower's, and below k the least
+    allowed digits.  A lower k gives a smaller x, so the answer uses the
+    lowest feasible k, and that k is at or above the highest position where
+    lower's own digit is not allowed (when there is none, x = lower)."""
+    low = dict(lower.terms)
+    bad = [i for i, ds in enumerate(sets) if low.get(i, 0) not in ds]
+    if not bad:
+        return lower
+    for k in range(bad[-1], len(sets)):
+        up = sets[k].min_geq(low.get(k, 0) + 1)
+        if up is not None:
+            break
+    else:
         return None
-    return Ordinal(tuple(sorted(res, reverse=True)))
+    below = [ds.min_value() for ds in sets[:k]]
+    if None in below:
+        return None
+    terms = [(i, d) for i, d in lower.terms if i > k] + [(k, up)]
+    terms += [(i, below[i]) for i in range(k - 1, -1, -1) if below[i]]
+    return Ordinal(tuple(terms))
 
 
 def cell_min_geq(c: Cell, lower: Ordinal) -> Ordinal | None:
     """Smallest x in the cell's box with x >= max(lower, lo); ignores hi.
 
-    Returns None when the box is empty.  May raise DepthExceeded if the only
+    Returns None when the box is empty.  Raises DepthExceeded when the only
     witnesses live above the exponent ceiling.
     """
     if o.compare(lower, c.lo) < 0:
         lower = c.lo
-    tops = [c.div]
-    if c.digits:
-        tops.append(max(i for i, _ in c.digits) + 1)
-    me = lower.max_exp()
-    if me is not None:
-        tops.append(me + 1)
-    top = max(tops)
+    # every constraint from top up is vacuous, and lower has no digit there
+    top = max([c.div] + [i + 1 for i, _ in c.digits] + [e + 1 for e, _ in lower.terms[:1]])
 
     if c.md is None:
-        return _min_geq_box(c.constraint, top, lower)
+        return _least_in_box([c.constraint(i) for i in range(top + 1)], lower)
 
     # Split on the position e of the least nonzero digit; e = top+1 covers
-    # every higher position (all constraints there are vacuous).
-    best_x: Ordinal | None = None
+    # every higher position.  Digits below e vanish, so no e past a position
+    # that excludes 0 has a member.  A candidate above the ceiling is
+    # skipped: it exceeds every representable one.
+    best: Ordinal | None = None
+    too_deep: DepthExceeded | None = None
     for e in range(c.div, top + 2):
+        if 0 not in c.constraint(e - 1):
+            break
         at_e = ds_and(ds_and(c.constraint(e), c.md), ds_ge(1))
         if at_e.is_empty:
             continue
-
-        def constr(i: int, e=e, at_e=at_e) -> DigitSet:
-            if i < e:
-                return ds_eq(0) if 0 in c.constraint(i) else DS_EMPTY
-            if i == e:
-                return at_e
-            return c.constraint(i)
-
-        x = _min_geq_box(constr, max(top, e), lower)
-        if x is not None and (best_x is None or o.compare(x, best_x) < 0):
-            best_x = x
-    return best_x
-
-
-def _terms_value(pairs) -> tuple:
-    return tuple(sorted(pairs, reverse=True))
+        sets = [ds_eq(0)] * e + [at_e] + [c.constraint(i) for i in range(e + 1, top + 1)]
+        try:
+            x = _least_in_box(sets, lower)
+        except DepthExceeded as err:
+            too_deep = err
+            continue
+        if x is not None and (best is None or o.compare(x, best) < 0):
+            best = x
+    if best is None and too_deep is not None:
+        raise too_deep
+    return best
 
 
 @lru_cache(maxsize=65536)
@@ -947,14 +933,11 @@ def iter_cell(c: Cell, bound: Ordinal | None, count: int):
     eff_hi = c.hi if c.hi is not None else bound
     try:
         x = cell_min_geq(c, c.lo)
+        while x is not None and count > 0:
+            if eff_hi is not None and o.compare(x, eff_hi) >= 0:
+                return
+            yield x
+            count -= 1
+            x = cell_min_geq(c, o.add(x, 1))
     except DepthExceeded:
         return
-    while x is not None and count > 0:
-        if eff_hi is not None and o.compare(x, eff_hi) >= 0:
-            return
-        yield x
-        count -= 1
-        try:
-            x = cell_min_geq(c, o.add(x, 1))
-        except DepthExceeded:
-            return

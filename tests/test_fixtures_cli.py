@@ -3,15 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import ordrank
+from ordrank import cli, errors
 from ordrank.cli import main
-from ordrank.errors import FixtureParseError, VerificationError
+from ordrank.errors import (FixtureParseError, PositionLimitExceeded,
+                            VerificationError)
 from ordrank.family import validate_set_family
-from ordrank.fixtures import (fixture_to_sexpr, load_fixture, parse_sexpr,
-                              pattern_to_sexpr, sexpr_to_pattern)
+from ordrank.fixtures import (MAX_POSITION, fixture_to_sexpr, load_fixture,
+                              parse_sexpr, pattern_to_sexpr, sexpr_to_pattern)
 from ordrank.ordinal import W, omega_power
 from ordrank.patterns import (and_, digit_mod, divpow, min_digit_in, ds_mod,
                               not_, or_, ord_ge, ord_lt)
@@ -238,7 +241,93 @@ def test_cli_deep_digit_position_exit3(tmp_path):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+    assert "PositionLimitExceeded" in proc.stderr
+
+
+@pytest.mark.parametrize("form", [
+    "(eq 300 1)", "(mod 900 2 1)", "(ge 300 1)", "(divpow 300)",
+    "(digit-in 300 (ds (period 2) (residues 1)))", "(ge-n 300 0 1)",
+    "(lt-n 300 0 1)", "(divpow-n 300 1)",
+])
+def test_position_above_limit_refused(form):
+    with pytest.raises(PositionLimitExceeded, match="above the limit %d" % MAX_POSITION):
+        load_fixture('(fixture (space (bound "w^2")) (set big %s))' % form)
+
+
+def test_position_at_limit_accepted():
+    fx = load_fixture('(fixture (space (bound "w^2")) (set big (mod %d 2 1)) '
+                      '(set lvl (divpow %d)))' % (MAX_POSITION, MAX_POSITION))
+    assert set(fx.sets) == {"big", "lvl"}
+
+
+@pytest.mark.parametrize("bound", ["w^2", "ceiling"])
+def test_cli_position_limit_exit3_fast(tmp_path, capsys, bound):
+    # the reader refuses the position before the kernel sees it
+    text = ('(fixture (space (bound "%s")) (set big (mod 900 2 1)) '
+            '(set rest (not (ref big))))' % bound)
+    path = _write(tmp_path, text)
+    start = time.perf_counter()
+    assert main(["rank", path, "--pair", "big", "rest"]) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "PositionLimitExceeded" in err and "900" in err and str(MAX_POSITION) in err
+
+
+def test_cli_deep_nesting_exit3(tmp_path):
+    # the reader recurses once per level of nesting
+    text = ('(fixture (space (bound "w^2")) (set evens (mod 0 2 0)) (set deep %s(true)%s))'
+            % ("(not " * 3000, ")" * 3000))
+    proc = _run_cli(["rank", _write(tmp_path, text), "--pair", "deep", "evens"])
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
     assert "RecursionError" in proc.stderr
+
+
+def test_cli_equal_min_digit_sets_have_equal_alpha(tmp_path, capsys):
+    # on w^2 both sets are the points whose last coefficient is even (digit 4
+    # is always 0); the old search dropped members of the second one
+    text = """
+(fixture
+  (space (bound "w^2"))
+  (set a (mindigit-mod 2 0))
+  (set b (and (mindigit-mod 2 0) (mod 4 2 0)))
+  (set not-a (not (ref a)))
+  (set not-b (not (ref b))))
+"""
+    path = _write(tmp_path, text)
+    outs = []
+    for pair in (["a", "not-a"], ["b", "not-b"]):
+        assert main(["rank", path, "--pair"] + pair) == 0
+        outs.append(capsys.readouterr().out.splitlines()[1])
+    assert outs == ["alpha = 2", "alpha = 2"]
+
+
+def test_cli_nfam_with_a_repeated_value(tmp_path, capsys):
+    # two pieces with the value 1 rank like their union
+    text = """
+(fixture
+  (space (bound "w*2 + 1"))
+  (nfam split (piece 1 (lt "1")) (piece 1 (and (lt-n 0 0 1) (ge "1")))
+              (piece 0 (and (ge "1") (ge-n 0 0 1))))
+  (nfam joined (piece 1 (or (lt "1") (and (lt-n 0 0 1) (ge "1"))))
+               (piece 0 (and (ge "1") (ge-n 0 0 1)))))
+"""
+    path = _write(tmp_path, text)
+    for name in ("split", "joined"):
+        assert main(["rank", path, "--nfam", name]) == 0
+        assert "gamma = 2 (eps 1)" in capsys.readouterr().out
+
+
+def test_each_error_class_has_one_exit_code():
+    tables = (cli._PARSE_ERRORS, cli._VERIFY_ERRORS, cli._BUDGET_ERRORS)
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.ToolkitError)
+               and c is not errors.ToolkitError]
+    assert errors.DepthExceeded in classes and errors.PositionLimitExceeded in classes
+    for c in classes:
+        assert sum(c in t for t in tables) == 1, c.__name__
 
 
 @pytest.mark.parametrize("bound, length, check", [

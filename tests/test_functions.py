@@ -7,8 +7,8 @@ import pytest
 from ordrank.errors import (CertificateViolation, PartitionViolation,
                             UnsupportedProgression)
 from ordrank.functions import (FnFamily, StepFn, UniformPresentation, char_fn,
-                               clamp_hk, constant, fam_add, fn_add,
-                               fn_add_const, fn_max_const, fn_scale,
+                               clamp_hk, constant, fam_add, fam_map_values,
+                               fn_add, fn_add_const, fn_max_const, fn_scale,
                                fn_sub, make_stepfn, monotonize_and_diff,
                                oscillation, semi_borel_class, sup_dist,
                                union_from_param, usc_check, _max_mult)
@@ -17,6 +17,7 @@ from ordrank.ordinal import (W, ZERO, Ordinal, add, compare, from_int, mul,
 from ordrank.patterns import (PDigitGeN, PDigitLtN, PDivN, POrdGeN, POrdLtN,
                               TRUE, and_, digit_mod, holds_at, not_, or_,
                               ord_ge, ord_lt, subst_n)
+from ordrank.ranks import gamma_seq
 from ordrank.space import SpaceDesc, base_topology, refine, sem_eq
 
 W1 = SpaceDesc(add(W, 1))
@@ -135,6 +136,26 @@ def test_fn_family_traces():
         lim = fam.pointwise_limit()
         assert lim.pieces == ((Fraction(0), TRUE),)
         assert [lim.eval(x) for x in (ZERO, from_int(3), W, add(W, 5))] == [0] * 4
+
+
+def test_fn_family_joins_repeated_values():
+    # before, cell_pattern_of and eventual_pattern read only the first piece
+    # with a value: gamma came out as 1, and pointwise_limit raised
+    space = SpaceDesc(add(mul(W, 2), 1))
+    low, rest = ord_lt(1), and_(PDigitLtN(0, 0, 1), ord_ge(1))
+    zero = and_(ord_ge(1), PDigitGeN(0, 0, 1))
+    split = FnFamily(((Fraction(1), low), (Fraction(1), rest), (Fraction(0), zero)), space)
+    joined = FnFamily(((Fraction(1), or_(low, rest)), (Fraction(0), zero)), space)
+    assert split == joined
+    assert split.values() == (Fraction(0), Fraction(1))
+    assert split.cell_pattern_of(Fraction(1)) == or_(low, rest)
+    lim = split.pointwise_limit()
+    assert lim.values() == (Fraction(1),)
+    assert sem_eq(lim.cell_of(Fraction(1)), TRUE, space)
+    t = base_topology(space)
+    assert gamma_seq(split, t).value == gamma_seq(joined, t).value == from_int(2)
+    assert fam_map_values(split, lambda v: Fraction(0)).pieces == (
+        (Fraction(0), or_(zero, low, rest)),)
 
 
 def _brute_max_mult(step, r):

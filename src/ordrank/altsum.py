@@ -321,10 +321,12 @@ def length_upper_certificate(f: StepFn, witness: DUSBSeq, lam: int,
     turns = zip_longest(*(iter_cell(c, space.bound, _SAMPLE_CAP) for _, p in f.pieces
                           for c in to_cells(p, space.bound)))
     pts: list[Ordinal] = []
+    seen: set[Ordinal] = set()  # the list keeps the sampling order
     for x in chain.from_iterable(turns):
         if len(pts) == _SAMPLE_CAP:
             break
-        if x is not None and x not in pts:
+        if x is not None and x not in seen:
+            seen.add(x)
             pts.append(x)
     claims = []
     # one value trace and one f(x) per point serve the identity and every stage

@@ -65,5 +65,9 @@ class PositionLimitExceeded(ToolkitError):
     """A fixture names a digit position or divisibility level above the limit."""
 
 
+class DigitSetTooLarge(ToolkitError):
+    """A digit set would need a prefix or period above the size limit."""
+
+
 class FixtureParseError(ToolkitError):
     """Malformed fixture text; args carry position information."""

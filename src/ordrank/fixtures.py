@@ -98,7 +98,7 @@ def _nat(tok) -> int:
 
 
 # the kernel's work grows faster than linearly with the highest digit
-# position; digit values have no such limit yet
+# position; digit values are held to `patterns.MAX_DIGITSET`
 MAX_POSITION = 256
 
 

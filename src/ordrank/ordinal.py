@@ -60,6 +60,8 @@ class Ordinal:
             prev = e
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is Ordinal:
+            return self.terms == other.terms
         if isinstance(other, int):
             other = from_int(other)
         if not isinstance(other, Ordinal):
@@ -140,14 +142,21 @@ def omega_power(e: int, c: int = 1) -> Ordinal:
 
 def compare(a: Ordinal | int, b: Ordinal | int) -> int:
     """-1, 0 or 1 for LT, EQ, GT."""
-    a, b = _coerce(a), _coerce(b)
+    # nearly every caller passes Ordinals; coerce only the rest
+    if type(a) is not Ordinal:
+        a = _coerce(a)
+    if type(b) is not Ordinal:
+        b = _coerce(b)
     if a.terms < b.terms:
         return -1
     return 0 if a.terms == b.terms else 1
 
 
 def add(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
-    a, b = _coerce(a), _coerce(b)
+    if type(a) is not Ordinal:
+        a = _coerce(a)
+    if type(b) is not Ordinal:
+        b = _coerce(b)
     if not b.terms:
         return a
     e = b.terms[0][0]

@@ -24,12 +24,26 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import ordinal as o
-from .errors import DepthExceeded, UnsupportedProgression
+from .errors import DepthExceeded, DigitSetTooLarge, UnsupportedProgression
 from .ordinal import Ordinal, ZERO, ONE
 
 
 # ---------------------------------------------------------------------------
 # Eventually periodic subsets of the naturals.
+
+# The largest prefix length or period a digit set may have.  The algebra's
+# time and memory grow with both (the period's divisor scan, the lcm of two
+# periods), so a larger one is refused before anything is allocated: by
+# mk_digitset for a period (ds_mod's too), by the constructors that build a
+# prefix, and by _aligned for the lcm.
+MAX_DIGITSET = 4096
+
+
+def _check_size(n: int, what: str) -> None:
+    if n > MAX_DIGITSET:
+        raise DigitSetTooLarge("digit-set %s %d is above the limit %d"
+                               % (what, n, MAX_DIGITSET))
+
 
 @dataclass(frozen=True)
 class DigitSet:
@@ -94,6 +108,7 @@ def _divisors(n: int):
 
 
 def mk_digitset(prefix, period, residues) -> DigitSet:
+    _check_size(period, "period")
     prefix = tuple(bool(b) for b in prefix)
     residues = frozenset(r % period for r in residues)
     for d in _divisors(period):
@@ -116,16 +131,19 @@ DS_EMPTY = mk_digitset((), 1, set())
 def ds_eq(v: int) -> DigitSet:
     if v < 0:
         raise ValueError("digit value must be >= 0")
+    _check_size(v + 1, "prefix")
     return mk_digitset((False,) * v + (True,), 1, set())
 
 
 @lru_cache(maxsize=1024)
 def ds_ge(v: int) -> DigitSet:
+    _check_size(v, "prefix")
     return mk_digitset((False,) * v, 1, {0})
 
 
 @lru_cache(maxsize=1024)
 def ds_lt(v: int) -> DigitSet:
+    _check_size(v, "prefix")
     return mk_digitset((True,) * v, 1, set())
 
 
@@ -133,6 +151,7 @@ def ds_lt(v: int) -> DigitSet:
 def ds_window(a: int, b: int) -> DigitSet:
     if a < 0:
         raise ValueError("digit window must start at >= 0")
+    _check_size(max(a, b), "prefix")
     return mk_digitset((False,) * a + (True,) * max(0, b - a), 1, set())
 
 
@@ -146,6 +165,7 @@ def ds_mod(m: int, r: int) -> DigitSet:
 def _aligned(a: DigitSet, b: DigitSet):
     t = max(len(a.prefix), len(b.prefix))
     m = math.lcm(a.period, b.period)
+    _check_size(m, "period")
     pa = tuple((v in a) for v in range(t))
     pb = tuple((v in b) for v in range(t))
     ra = frozenset(r for r in range(m) if (r % a.period) in a.residues)
@@ -743,9 +763,10 @@ def cells_difference(acells, bcells, bound: Ordinal | None) -> list[Cell]:
 
 def _cell_subsumes(big: Cell, small: Cell) -> bool:
     """Sufficient syntactic check for small <= big."""
-    if o.compare(small.lo, big.lo) < 0:
+    # both bounds are Ordinals, which order by their term tuples
+    if small.lo.terms < big.lo.terms:
         return False
-    if big.hi is not None and (small.hi is None or o.compare(small.hi, big.hi) > 0):
+    if big.hi is not None and (small.hi is None or small.hi.terms > big.hi.terms):
         return False
     if big.div > small.div:
         return False
@@ -815,9 +836,38 @@ def meet(xs: tuple[Cell, ...], ys: tuple[Cell, ...],
          bound: Ordinal | None) -> tuple[Cell, ...]:
     """Cells of the intersection of two canonical cell tuples: the maximal
     pairwise meets, which are the and's own to_cells (its DNF is the product
-    of its parts' DNFs, and cell_and is monotone under _cell_subsumes)."""
-    return prune_cells([m for c in xs for d in ys
-                        if (m := _meet_pair(c, d, bound)) is not None])
+    of its parts' DNFs, and cell_and is monotone under _cell_subsumes).
+
+    Not every pairwise meet is formed.  A nonempty c ∧ d of canonical cells
+    lies syntactically inside both c and d: its lo is the larger, its hi the
+    smaller (below the bound, so never clamped), its div the larger, its md
+    and each of its digit sets the intersection.  So once c ∧ d == c, every
+    other meet of c lies in c, and c's row is just (c,); once c ∧ d == d,
+    every later meet with d lies in d, and later rows skip d.  Each skipped
+    meet is thus subsumed by a kept one, and _cell_subsumes is a partial
+    order (transitive, antisymmetric on canonical cells), so the maximal
+    cells of the kept meets are those of the whole product: a product cell
+    outside the kept ones lies strictly below a kept one, and a kept cell
+    below some product cell lies below a kept one."""
+    out: list[Cell] = []
+    live = list(ys)
+    for c in xs:
+        row: list[Cell] = []
+        inside = set()
+        for d in live:
+            m = _meet_pair(c, d, bound)
+            if m is None:
+                continue
+            if m == c:
+                row = [c]
+                break
+            if m == d:
+                inside.add(d)
+            row.append(m)
+        out += row
+        if inside:
+            live = [d for d in live if d not in inside]
+    return prune_cells(out)
 
 
 def to_cells(p: Pat, space_bound: Ordinal | None) -> tuple[Cell, ...]:

@@ -7,7 +7,8 @@ as the or of the set and its limit-point patterns, the separation step as
 the and of two closures, the oscillation step as F and the or of the
 separated pairs.  Those formulas are kept here as the reference.
 
-The maximal-cell prune is checked against the all-pairs scan, and the
+The maximal-cell prune is checked against the all-pairs scan, the
+absorbing meet against the prune of the whole pairwise product, and the
 cached `Cell` hash against equality across every way a cell is built.
 
 Stage templates build their cells through one slot builder; the pattern
@@ -182,6 +183,52 @@ def test_prune_cells_matches_reference():
         kept += len(got)
     # the pool comes from to_cells, which prunes too: it must not be vacuous
     assert distinct > 1000 and 0 < kept < distinct
+
+
+def _ref_meet(xs, ys, bound):
+    """The maximal cells of the whole pairwise product."""
+    return prune_cells([m for c in xs for d in ys
+                        if (m := cell_and(c, d, bound)) is not None])
+
+
+def test_meet_matches_product_reference():
+    """`meet` skips meets it knows are absorbed; its tuples must be those of
+    the whole product, pruned.  One side is often built inside the other
+    (cells of p against cells of p and q), so both absorption cases run."""
+    rng = random.Random(7272)
+    bounds = (add(mul(W, 2), 3), add(mul(W, 8), 8), add(W, 1), o.from_int(9), None)
+    seen = {"c": 0, "d": 0, "meets": 0}
+
+    def draw():
+        return rich_pattern(rng) if rng.random() < 0.5 else rand_pattern(rng)
+
+    for i in range(240):
+        bound = bounds[i % len(bounds)]
+        p, q = draw(), draw()
+        xs = to_cells(p, bound)
+        kind = i % 3
+        if kind == 0:
+            ys = to_cells(and_(p, q), bound)
+        elif kind == 1:
+            ys = to_cells(or_(q, and_(p, draw())), bound)
+        else:
+            pool = _cell_pool(rng, bound, 2) + list(xs)
+            ys = prune_cells(rng.sample(pool, min(len(pool), rng.randint(1, 8))))
+        if rng.random() < 0.5:
+            xs, ys = ys, xs
+        for c in xs:
+            for d in ys:
+                m = cell_and(c, d, bound)
+                if m is not None:
+                    # the lemma the absorption rests on
+                    assert _cell_subsumes(c, m) and _cell_subsumes(d, m), (c, d)
+                    seen["c"] += m == c
+                    seen["d"] += m == d and m != c
+        got = meet(xs, ys, bound)
+        assert got == _ref_meet(xs, ys, bound), (bound, xs, ys)
+        assert meet(ys, xs, bound) == got
+        seen["meets"] += bool(got)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_cell_hash_contract():

@@ -186,6 +186,31 @@ def test_cli_depth_exceeded_exit3(tmp_path):
     assert "DepthExceeded" in proc.stderr
 
 
+@pytest.mark.parametrize("big", [
+    "(mod 0 99999999999 1)",                 # a period: the divisor scan
+    "(eq 0 99999999999)",                    # a prefix of that many booleans
+    "(mindigit-ge 99999999999)",
+    "(digit-in 0 (ds (period 99999999999) (residues 1)))",
+    "(and (mod 0 4093 1) (mod 0 4091 1))",   # each in range, their lcm is not
+])
+def test_cli_digit_set_budget_exit3(tmp_path, capsys, big):
+    fx = """
+(fixture
+  (space (bound "w^2"))
+  (set evens (mod 0 2 0))
+  (set big %s))
+""" % big
+    path = _write(tmp_path, fx)
+    start = time.process_time()
+    rc = main(["rank", path, "--pair", "big", "evens"])
+    assert time.process_time() - start < 1.0
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "DigitSetTooLarge" in err and "above the limit 4096" in err
+
+
 def test_cli_zero_denominator_exit1(tmp_path):
     bad = """
 (fixture

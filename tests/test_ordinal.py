@@ -44,6 +44,30 @@ def test_add_examples():
     assert add(add(W, 4), add(W, 4)) == add(mul(W, 2), 4)
 
 
+def test_public_arithmetic_coerces_ints():
+    # compare and add take naturals as well as Ordinals, on either side
+    assert compare(3, from_int(3)) == 0 and compare(from_int(3), 3) == 0
+    assert compare(2, W) == -1 and compare(W, 2) == 1 and compare(0, 0) == 0
+    assert add(2, 3) == from_int(5) and add(W, 0) == W and add(0, W) == W
+    assert add(from_int(2), 3) == 5
+    # equality with a natural in both directions; Ordinals compare by terms
+    assert from_int(3) == 3 and 3 == from_int(3) and ZERO == 0
+    assert from_int(3) != 4 and W != 1
+    assert Ordinal(((1, 2),)) == mul(W, 2) and Ordinal(((1, 2),)) != W
+    # another type is refused by the coercing entry points, and is simply
+    # unequal under ==
+    for bad in ("3", 3.0, None, (0, 3)):
+        with pytest.raises(TypeError):
+            compare(W, bad)
+        with pytest.raises(TypeError):
+            compare(bad, W)
+        with pytest.raises(TypeError):
+            add(bad, W)
+        with pytest.raises(TypeError):
+            add(W, bad)
+        assert not (from_int(3) == bad) and from_int(3) != bad
+
+
 def test_mul_absorbs_finite_offsets():
     # (lam_k + 4) * w == lam_k * w, here with lam_k = w and finite lam_k >= 1
     assert mul(add(W, 4), W) == omega_power(2)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordrank import ordinal as o
+from ordrank.errors import DigitSetTooLarge
 from ordrank.ordinal import W, add, from_int, mul
-from ordrank.patterns import (DigitSet, PAnd, PMinDigit, POrdGe, PTrue,
+from ordrank.patterns import (MAX_DIGITSET, DigitSet, PAnd, PMinDigit, POrdGe, PTrue,
                               ds_and, ds_eq, ds_ge, ds_lt, ds_mod, ds_not,
                               ds_or, ds_window, mk_digitset, cells_difference,
                               holds_at, not_, and_, or_, to_cells, cell_and,
@@ -95,6 +96,24 @@ def test_ds_eq_rejects_negative():
     with pytest.raises(ValueError, match="digit value must be >= 0"):
         ds_eq(-1)
     assert members(ds_eq(0)) == {0}
+
+
+def test_digit_set_size_budget():
+    top = MAX_DIGITSET
+    # at the limit every constructor still builds its set
+    assert 4095 in ds_eq(top - 1) and 4094 not in ds_eq(top - 1)
+    assert top in ds_ge(top) and top - 1 not in ds_ge(top)
+    assert top - 1 in ds_lt(top) and 1 in ds_window(1, top)
+    assert 1 in ds_mod(top, 1) and top + 1 in ds_mod(top, 1)
+    assert 1 + 64 * 63 in ds_and(ds_mod(64, 1), ds_mod(63, 1))  # lcm 4032
+    # one past it, or an lcm past it, is refused before anything is built
+    for build in (lambda: ds_eq(top), lambda: ds_ge(top + 1), lambda: ds_lt(top + 1),
+                  lambda: ds_window(0, top + 1), lambda: ds_mod(top + 1, 0),
+                  lambda: mk_digitset((), 10 ** 12, {1}), lambda: ds_eq(10 ** 11),
+                  lambda: ds_and(ds_mod(4093, 1), ds_mod(4091, 1)),
+                  lambda: ds_or(ds_mod(4093, 1), ds_mod(4091, 1))):
+        with pytest.raises(DigitSetTooLarge, match="above the limit 4096"):
+            build()
 
 
 def test_cells_difference_pointwise():

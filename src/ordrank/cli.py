@@ -1,7 +1,7 @@
 """Batch front-end: rank, decompose, verify, phi, and reproduction suites.
 
 Reports are deterministic text (or JSON with --json); identical inputs and
-flags produce byte-identical output.  Exit codes: 1 parse error, 2
+flags produce byte-identical output.  Exit codes: 1 parse or usage error, 2
 verification failure, 3 budget exhaustion, an unsupported progression, an
 ordinal beyond the exponent ceiling, a fixture digit position above
 `fixtures.MAX_POSITION` or a digit set above `patterns.MAX_DIGITSET`.
@@ -31,7 +31,8 @@ from .ranks import NotStabilized, alpha_fn, alpha_pair, beta, gamma_seq
 from .space import sample_points
 from .patterns import FALSE, TRUE
 
-_PARSE_ERRORS = (FixtureParseError, ValueError)
+# argparse.ArgumentError: a usage error, raised by `_Parser.error`
+_PARSE_ERRORS = (FixtureParseError, ValueError, argparse.ArgumentError)
 _VERIFY_ERRORS = (VerificationError, InclusionViolation, WitnessMismatch,
                   ResidualViolation, ExitNotFound, ClassViolation,
                   PartitionViolation, CertificateViolation, NotOracleSpace)
@@ -312,21 +313,29 @@ def cmd_reproduce(args) -> int:
     return 2 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so that `main` reports them like
+    parse errors (exit 1, one line) instead of exiting 2 with a usage block."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ordrank")
+    ap = _Parser(prog="ordrank")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p, fixture=True):
-        if fixture:
-            p.add_argument("fixture")
+    def common(p):
+        p.add_argument("fixture")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--trace", action="store_true")
 
     p = sub.add_parser("rank")
     common(p)
-    p.add_argument("--fn")
-    p.add_argument("--nfam")
-    p.add_argument("--pair", nargs=2)
+    p.add_argument("--trace", action="store_true")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--fn")
+    what.add_argument("--nfam")
+    what.add_argument("--pair", nargs=2)
 
     p = sub.add_parser("decompose")
     common(p)
@@ -353,16 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.verb == "reproduce":
             return cmd_reproduce(args)
         with open(args.fixture, encoding="utf-8") as fh:
             fx = load_fixture(fh.read())
         if args.verb == "rank":
-            if not (args.fn or args.nfam or args.pair):
-                print("rank needs --fn, --nfam or --pair", file=sys.stderr)
-                return 1
             return cmd_rank(fx, args)
         if args.verb == "decompose":
             return cmd_decompose(fx, args)

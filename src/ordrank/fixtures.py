@@ -1,17 +1,22 @@
 """S-expression fixtures: spaces, sets, functions, families, refinements.
 
 The grammar is documented in docs/fixtures.md; parse -> print -> parse is
-the identity on every construct.
+the identity on every construct.  Each form is stated once: `_ATOMS` for
+the atoms whose arguments are their class's fields, `_PARTS` for the parts
+of each compound form and `_ARGS` for every form's argument count.  The
+reader, the printer and the arity check all read them, so a form with an
+unknown, repeated or missing part is refused instead of read as another.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import FixtureParseError, PositionLimitExceeded
 from .family import Segment, TransfiniteFamily
-from .functions import StepFn, make_stepfn
-from .ordinal import Ordinal, ZERO, format_ordinal, parse_ordinal
+from .functions import FnFamily, StepFn, make_stepfn
+from .ordinal import Ordinal, format_ordinal, is_decimal, parse_ordinal
 from .patterns import (DigitSet, FALSE, Pat, PAnd, PDigit, PDigitGeN,
                        PDigitLtN, PDiv, PDivN, PMinDigit, PNot, POr, POrdGe,
                        POrdGeEta, POrdGeN, POrdLt, POrdLtEta, POrdLtN, PTrue,
@@ -33,7 +38,9 @@ def tokenize(text: str) -> list[str]:
             out.append(ch)
             i += 1
         elif ch == '"':
-            j = text.index('"', i + 1)
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise FixtureParseError("unclosed string from %r" % text[i:i + 20])
             out.append(text[i:j + 1])
             i = j + 1
         elif ch == ";":
@@ -92,7 +99,7 @@ def _ord(tok) -> Ordinal:
 
 def _nat(tok) -> int:
     """A natural number: decimal digits, no sign."""
-    if not isinstance(tok, str) or not _is_digits(_atom_text(tok)):
+    if not isinstance(tok, str) or not is_decimal(_atom_text(tok)):
         raise FixtureParseError("expected a natural number, got %r" % (tok,))
     return int(_atom_text(tok))
 
@@ -113,13 +120,16 @@ def _pos(tok) -> int:
 def _int(tok) -> int:
     """An integer: decimal digits after an optional minus sign."""
     s = _atom_text(tok) if isinstance(tok, str) else ""
-    if not _is_digits(s[1:] if s.startswith("-") else s):
+    if not is_decimal(s[1:] if s.startswith("-") else s):
         raise FixtureParseError("expected an integer, got %r" % (tok,))
     return int(s)
 
 
-def _is_digits(s: str) -> bool:
-    return s.isascii() and s.isdigit()
+def _bit(tok) -> bool:
+    """A digit-set prefix bit: 0 or 1."""
+    if not isinstance(tok, str) or _atom_text(tok) not in ("0", "1"):
+        raise FixtureParseError("expected a (prefix ...) bit 0 or 1, got %r" % (tok,))
+    return _atom_text(tok) == "1"
 
 
 def _rat(tok) -> Fraction:
@@ -130,23 +140,88 @@ def _rat(tok) -> Fraction:
         raise FixtureParseError("bad rational %r" % s) from e
 
 
-# the fewest arguments of each form head that takes any
+def _ord_token(a: Ordinal) -> str:
+    return '"%s"' % format_ordinal(a)
+
+
+class _Atom(NamedTuple):
+    cls: type
+    make: Callable[..., Pat]
+    args: tuple[Callable, ...]  # the reader of each field of cls, in order
+
+
+# the atoms whose arguments are their class's fields; (ge i v), the digit
+# form of the overloaded ge, and the digit-set forms are read by hand
+_ATOMS = {
+    "lt": _Atom(POrdLt, ord_lt, (_ord,)),
+    "ge": _Atom(POrdGe, ord_ge, (_ord,)),
+    "divpow": _Atom(PDiv, divpow, (_pos,)),
+    "ge-param": _Atom(POrdGeEta, POrdGeEta, (_ord, _ord, _nat)),
+    "lt-param": _Atom(POrdLtEta, POrdLtEta, (_ord, _ord, _nat)),
+    "ge-n": _Atom(PDigitGeN, PDigitGeN, (_pos, _nat, _nat)),
+    "lt-n": _Atom(PDigitLtN, PDigitLtN, (_pos, _nat, _nat)),
+    "ord-ge-n": _Atom(POrdGeN, POrdGeN, (_ord, _ord)),
+    "ord-lt-n": _Atom(POrdLtN, POrdLtN, (_ord, _ord)),
+    "divpow-n": _Atom(PDivN, PDivN, (_pos, _nat)),
+}
+_HEAD = {a.cls: head for head, a in _ATOMS.items()}
+_PRINT = {_ord: _ord_token, _nat: str, _pos: str}
+
+# the parts each compound form takes after its arguments: "1" exactly once,
+# "?" at most once, "*" any number of times; None stands for the one part
+# whose head the form does not declare, a segment's body pattern
+_PARTS = {
+    "space": {"bound": "1", "depth": "?"},
+    "ds": {"prefix": "?", "period": "?", "residues": "?"},
+    "refine": {"sets": "1", "xi": "1"},
+    "family": {"length": "1", "segment": "*"},
+    "segment": {"from": "1", "to": "1", None: "1"},
+    "stepfn": {"piece": "*"},
+    "nfam": {"piece": "*"},
+}
+
+# the number of arguments of each form head that takes a fixed number; a
+# compound form takes them before its parts
 _ARGS = {"set": 2, "fn": 2, "family": 1, "nfam": 1, "bound": 1, "depth": 1, "xi": 1,
          "piece": 2, "length": 1, "from": 1, "to": 1, "period": 1,
-         "not": 1, "ref": 1, "eq": 2, "mod": 3, "ge": 1, "lt": 1, "divpow": 1,
+         "true": 0, "false": 0, "not": 1, "ref": 1, "eq": 2, "mod": 3,
          "mindigit-mod": 2, "mindigit-eq": 1, "mindigit-ge": 1, "digit-in": 2,
-         "mindigit-in": 1, "ge-n": 3, "lt-n": 3, "ord-ge-n": 2, "ord-lt-n": 2,
-         "divpow-n": 2}
+         "mindigit-in": 1, **{head: len(a.args) for head, a in _ATOMS.items()}}
 
 
 def _form(node, what: str) -> list:
-    """node, checked to be a form with an atom head and the arguments it needs."""
+    """node, checked to be a form with an atom head and the arguments it takes."""
     if not isinstance(node, list) or not node or not isinstance(node[0], str):
         raise FixtureParseError("%s must be a form with an atom head: %r" % (what, node))
-    if len(node) <= _ARGS.get(node[0], 0):
-        raise FixtureParseError("(%s ...) needs %d argument(s): %r"
-                                % (node[0], _ARGS[node[0]], node))
+    n = 2 if node[0] == "ge" and len(node) == 3 else _ARGS.get(node[0])
+    if n is not None and (len(node) - 1 < n if node[0] in _PARTS else len(node) - 1 != n):
+        raise FixtureParseError("(%s ...) needs %d argument(s): %r" % (node[0], n, node))
     return node
+
+
+def _parts(node) -> dict:
+    """The parts of a compound form, keyed by head (None for the body): the
+    part itself, or the list of them for a "*" head.  An unknown, repeated
+    or missing part is refused."""
+    head, spec = node[0], _PARTS[node[0]]
+    got: dict = {}
+    for part in node[1 + _ARGS.get(head, 0):]:
+        key = _form(part, "%s part" % head)[0]
+        key = key if key in spec else None  # an undeclared head is the body
+        if key not in spec:
+            raise FixtureParseError("(%s ...) has no part %r" % (head, part[0]))
+        if spec[key] == "*":
+            got.setdefault(key, []).append(part)
+        elif key in got:
+            raise FixtureParseError("(%s ...) has a second %s" % (
+                head, "(%s ...)" % key if key else "body pattern"))
+        else:
+            got[key] = part
+    for key, n in spec.items():
+        if n == "1" and key not in got:
+            raise FixtureParseError("(%s ...) needs a %s" % (
+                head, "(%s ...)" % key if key else "body pattern"))
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +245,15 @@ def sexpr_to_pattern(node, named: dict[str, Pat] | None = None) -> Pat:
         if name not in named:
             raise FixtureParseError("unknown set name %r" % name)
         return named[name]
+    if head == "ge" and len(args) == 2:
+        return digit_in(_pos(args[0]), ds_ge(_nat(args[1])))
+    if head in _ATOMS:
+        atom = _ATOMS[head]
+        return atom.make(*(read(a) for read, a in zip(atom.args, args)))
     if head == "eq":
         return digit_in(_pos(args[0]), ds_eq(_nat(args[1])))
     if head == "mod":
         return digit_in(_pos(args[0]), ds_mod(_nat(args[1]), _nat(args[2])))
-    if head == "ge":
-        if len(args) == 2:
-            return digit_in(_pos(args[0]), ds_ge(_nat(args[1])))
-        return ord_ge(_ord(args[0]))
-    if head == "lt":
-        return ord_lt(_ord(args[0]))
-    if head == "divpow":
-        return divpow(_pos(args[0]))
     if head == "mindigit-mod":
         return min_digit_in(ds_mod(_nat(args[0]), _nat(args[1])))
     if head == "mindigit-eq":
@@ -192,38 +264,18 @@ def sexpr_to_pattern(node, named: dict[str, Pat] | None = None) -> Pat:
         return digit_in(_pos(args[0]), _parse_ds(args[1]))
     if head == "mindigit-in":
         return min_digit_in(_parse_ds(args[0]))
-    if head in ("ge-param", "lt-param"):
-        base = _ord(args[0]) if len(args) > 0 else ZERO
-        shift = _ord(args[1]) if len(args) > 1 else ZERO
-        coeff = _nat(args[2]) if len(args) > 2 else 1
-        return (POrdGeEta if head == "ge-param" else POrdLtEta)(base, shift, coeff)
-    if head == "ge-n":
-        return PDigitGeN(_pos(args[0]), _nat(args[1]), _nat(args[2]))
-    if head == "lt-n":
-        return PDigitLtN(_pos(args[0]), _nat(args[1]), _nat(args[2]))
-    if head == "ord-ge-n":
-        return POrdGeN(_ord(args[0]), _ord(args[1]))
-    if head == "ord-lt-n":
-        return POrdLtN(_ord(args[0]), _ord(args[1]))
-    if head == "divpow-n":
-        return PDivN(_pos(args[0]), _nat(args[1]))
     raise FixtureParseError("unknown pattern head %r" % head)
 
 
 def _parse_ds(node) -> DigitSet:
     if _form(node, "digit set")[0] != "ds":
         raise FixtureParseError("expected (ds ...)")
-    prefix, period, residues = (), 1, set()
-    for part in node[1:]:
-        if _form(part, "digit set part")[0] == "prefix":
-            prefix = tuple(_nat(b) == 1 for b in part[1:])
-        elif part[0] == "period":
-            period = _nat(part[1])
-            if period < 1:
-                raise FixtureParseError("a digit-set period must be at least 1")
-        elif part[0] == "residues":
-            residues = {_nat(r) for r in part[1:]}
-    return mk_digitset(prefix, period, residues)
+    p = _parts(node)
+    period = _nat(p["period"][1]) if "period" in p else 1
+    if period < 1:
+        raise FixtureParseError("a digit-set period must be at least 1")
+    return mk_digitset(tuple(_bit(b) for b in p.get("prefix", ())[1:]), period,
+                       {_nat(r) for r in p.get("residues", ())[1:]})
 
 
 def _ds_sexpr(ds: DigitSet) -> str:
@@ -237,11 +289,11 @@ def _ds_sexpr(ds: DigitSet) -> str:
     return "(ds %s)" % " ".join(parts)
 
 
-def _ord_token(a: Ordinal) -> str:
-    return '"%s"' % format_ordinal(a)
-
-
 def pattern_to_sexpr(p: Pat) -> str:
+    head = _HEAD.get(type(p))
+    if head is not None:
+        return "(%s %s)" % (head, " ".join(
+            _PRINT[read](getattr(p, f.name)) for read, f in zip(_ATOMS[head].args, fields(p))))
     if isinstance(p, PTrue):
         return "(true)"
     if isinstance(p, PFalse):
@@ -267,26 +319,6 @@ def pattern_to_sexpr(p: Pat) -> str:
         if ds.period > 1 and not ds.prefix and len(ds.residues) == 1:
             return "(mindigit-mod %d %d)" % (ds.period, min(ds.residues))
         return "(mindigit-in %s)" % _ds_sexpr(ds)
-    if isinstance(p, POrdGe):
-        return "(ge %s)" % _ord_token(p.b)
-    if isinstance(p, POrdLt):
-        return "(lt %s)" % _ord_token(p.b)
-    if isinstance(p, PDiv):
-        return "(divpow %d)" % p.e
-    if isinstance(p, POrdGeEta):
-        return "(ge-param %s %s %d)" % (_ord_token(p.base), _ord_token(p.shift), p.coeff)
-    if isinstance(p, POrdLtEta):
-        return "(lt-param %s %s %d)" % (_ord_token(p.base), _ord_token(p.shift), p.coeff)
-    if isinstance(p, PDigitGeN):
-        return "(ge-n %d %d %d)" % (p.i, p.base, p.slope)
-    if isinstance(p, PDigitLtN):
-        return "(lt-n %d %d %d)" % (p.i, p.base, p.slope)
-    if isinstance(p, POrdGeN):
-        return "(ord-ge-n %s %s)" % (_ord_token(p.base), _ord_token(p.slope))
-    if isinstance(p, POrdLtN):
-        return "(ord-lt-n %s %s)" % (_ord_token(p.base), _ord_token(p.slope))
-    if isinstance(p, PDivN):
-        return "(divpow-n %d %d)" % (p.base, p.slope)
     raise FixtureParseError("cannot print %r" % (p,))
 
 
@@ -300,26 +332,22 @@ class Fixture:
     sets: dict[str, Pat] = field(default_factory=dict)
     fns: dict[str, StepFn] = field(default_factory=dict)
     families: dict[str, TransfiniteFamily] = field(default_factory=dict)
-    nfams: dict[str, "FnFamily"] = field(default_factory=dict)
+    nfams: dict[str, FnFamily] = field(default_factory=dict)
     refinements: list[tuple[tuple[str, ...], int]] = field(default_factory=list)
 
 
 def load_fixture(text: str) -> Fixture:
     tree = parse_sexpr(text)
-    if not isinstance(tree, list) or tree[0] != "fixture":
+    if _form(tree, "top form")[0] != "fixture":
         raise FixtureParseError("top form must be (fixture ...)")
     space = None
     items = []
     for node in tree[1:]:
         if isinstance(node, list) and node and node[0] == "space":
-            bound, depth = None, 6
-            for part in node[1:]:
-                if _form(part, "space part")[0] == "bound":
-                    txt = _atom_text(part[1])
-                    bound = None if txt == "ceiling" else parse_ordinal(txt)
-                elif part[0] == "depth":
-                    depth = _nat(part[1])
-            space = SpaceDesc(bound, depth)
+            p = _parts(node)
+            bound = _atom_text(p["bound"][1])
+            space = SpaceDesc(None if bound == "ceiling" else parse_ordinal(bound),
+                              _nat(p["depth"][1]) if "depth" in p else 6)
         else:
             items.append(node)
     if space is None:
@@ -330,26 +358,21 @@ def load_fixture(text: str) -> Fixture:
         if head == "set":
             fx.sets[_atom_text(node[1])] = sexpr_to_pattern(node[2], fx.sets)
         elif head == "fn":
-            fx.fns[_atom_text(node[1])] = _parse_stepfn(node[2], fx)
+            if _form(node[2], "function")[0] != "stepfn":
+                raise FixtureParseError("expected (stepfn ...)")
+            fx.fns[_atom_text(node[1])] = make_stepfn(_pieces(node[2], fx), fx.space)
         elif head == "family":
-            fx.families[_atom_text(node[1])] = _parse_family(node[2:], fx)
+            p = _parts(node)
+            segs = tuple(_segment(s, fx) for s in p.get("segment", ()))
+            fx.families[_atom_text(node[1])] = TransfiniteFamily(_ord(p["length"][1]), segs)
         elif head == "nfam":
-            from .functions import FnFamily
-            pieces = []
-            for part in node[2:]:
-                if _form(part, "piece")[0] != "piece":
-                    raise FixtureParseError("expected (piece VALUE PATTERN)")
-                pieces.append((_rat(part[1]), sexpr_to_pattern(part[2], fx.sets)))
-            fx.nfams[_atom_text(node[1])] = FnFamily(tuple(pieces), fx.space)
+            fx.nfams[_atom_text(node[1])] = FnFamily(_pieces(node, fx), fx.space)
         elif head == "refine":
-            names, xi = [], 2
-            for part in node[1:]:
-                if _form(part, "refine part")[0] == "sets":
-                    names = [_atom_text(n) for n in part[1:]]
-                elif part[0] == "xi":
-                    xi = _int(part[1])
-                    if xi < 1:
-                        raise FixtureParseError("(xi ...) must be at least 1, got %d" % xi)
+            p = _parts(node)
+            names = [_atom_text(n) for n in p["sets"][1:]]
+            xi = _int(p["xi"][1])
+            if xi < 1:
+                raise FixtureParseError("(xi ...) must be at least 1, got %d" % xi)
             sets = [sexpr_to_pattern(["ref", n], fx.sets) for n in names]
             fx.topology = refine(fx.topology, sets, xi)
             fx.refinements.append((tuple(names), xi))
@@ -358,45 +381,19 @@ def load_fixture(text: str) -> Fixture:
     return fx
 
 
-def _parse_stepfn(node, fx: Fixture) -> StepFn:
-    if _form(node, "function")[0] != "stepfn":
-        raise FixtureParseError("expected (stepfn ...)")
-    pieces = []
-    for part in node[1:]:
-        if _form(part, "piece")[0] != "piece":
-            raise FixtureParseError("expected (piece VALUE PATTERN)")
-        pieces.append((_rat(part[1]), sexpr_to_pattern(part[2], fx.sets)))
-    return make_stepfn(pieces, fx.space)
+def _pieces(node, fx: Fixture) -> tuple[tuple[Fraction, Pat], ...]:
+    """The (piece VALUE PATTERN) parts of a stepfn or nfam form."""
+    return tuple((_rat(v), sexpr_to_pattern(pat, fx.sets))
+                 for _, v, pat in _parts(node).get("piece", ()))
 
 
-def _parse_family(nodes, fx: Fixture) -> TransfiniteFamily:
-    length = None
-    segs = []
-    for part in nodes:
-        if _form(part, "family part")[0] == "length":
-            length = _ord(part[1])
-        elif part[0] == "segment":
-            lo = hi = None
-            body = None
-            for sub in part[1:]:
-                if _form(sub, "segment part")[0] == "from":
-                    lo = _ord(sub[1])
-                elif sub[0] == "to":
-                    hi = _ord(sub[1])
-                else:
-                    body = sexpr_to_pattern(sub, fx.sets)
-            segs.append(Segment(lo, hi, body))
-        else:
-            raise FixtureParseError("unknown family item %r" % part[0])
-    if length is None:
-        raise FixtureParseError("family needs a length")
-    return TransfiniteFamily(length, tuple(segs))
+def _pieces_sexpr(pieces) -> str:
+    return " ".join("(piece %s %s)" % (v, pattern_to_sexpr(p)) for v, p in pieces)
 
 
-def stepfn_to_sexpr(f: StepFn) -> str:
-    pieces = " ".join("(piece %s %s)" % (v, pattern_to_sexpr(p))
-                      for v, p in f.pieces)
-    return "(stepfn %s)" % pieces
+def _segment(node, fx: Fixture) -> Segment:
+    p = _parts(node)
+    return Segment(_ord(p["from"][1]), _ord(p["to"][1]), sexpr_to_pattern(p[None], fx.sets))
 
 
 def fixture_to_sexpr(fx: Fixture) -> str:
@@ -406,7 +403,7 @@ def fixture_to_sexpr(fx: Fixture) -> str:
     for name in fx.sets:
         lines.append("  (set %s %s)" % (name, pattern_to_sexpr(fx.sets[name])))
     for name in fx.fns:
-        lines.append("  (fn %s %s)" % (name, stepfn_to_sexpr(fx.fns[name])))
+        lines.append("  (fn %s (stepfn %s))" % (name, _pieces_sexpr(fx.fns[name].pieces)))
     for name in fx.families:
         fam = fx.families[name]
         lines.append("  (family %s (length %s) %s)"
@@ -416,9 +413,7 @@ def fixture_to_sexpr(fx: Fixture) -> str:
                                     pattern_to_sexpr(s.body))
                                  for s in fam.segments)))
     for name in fx.nfams:
-        pieces = " ".join("(piece %s %s)" % (v, pattern_to_sexpr(p))
-                          for v, p in fx.nfams[name].pieces)
-        lines.append("  (nfam %s %s)" % (name, pieces))
+        lines.append("  (nfam %s %s)" % (name, _pieces_sexpr(fx.nfams[name].pieces)))
     for names, xi in fx.refinements:
         lines.append("  (refine (sets %s) (xi %d))" % (" ".join(names), xi))
     lines.append(")")

@@ -313,6 +313,11 @@ def format_ordinal(a: Ordinal) -> str:
     return " + ".join(parts)
 
 
+def is_decimal(s: str) -> bool:
+    """s is ASCII decimal digits; `str.isdigit` also takes other scripts' digits."""
+    return s.isascii() and s.isdigit()
+
+
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the textual syntax, e.g. ``w^2*3 + w*1 + 4`` (also bare ``w``, ``w^2``)."""
     acc = ZERO
@@ -329,14 +334,14 @@ def parse_ordinal(text: str) -> Ordinal:
             if rest.startswith("^"):
                 rest = rest[1:]
                 num = ""
-                while rest and rest[0].isdigit():
+                while rest and is_decimal(rest[0]):
                     num += rest[0]
                     rest = rest[1:]
                 if not num:
                     raise ValueError("missing exponent in %r" % text)
                 e = int(num)
             if rest.startswith("*"):
-                if not rest[1:].isdigit():
+                if not is_decimal(rest[1:]):
                     raise ValueError("bad coefficient in %r" % text)
                 c = int(rest[1:])
                 rest = ""
@@ -344,7 +349,7 @@ def parse_ordinal(text: str) -> Ordinal:
                 raise ValueError("trailing junk in %r" % text)
             acc = add(acc, omega_power(e, c))
         else:
-            if not chunk.isdigit():
+            if not is_decimal(chunk):
                 raise ValueError("bad term %r in %r" % (chunk, text))
             acc = add(acc, from_int(int(chunk)))
     return acc

@@ -2,9 +2,9 @@
 
 Reports are deterministic text (or JSON with --json); identical inputs and
 flags produce byte-identical output.  Exit codes: 1 parse or usage error, 2
-verification failure, 3 budget exhaustion, an unsupported progression, an
-ordinal beyond the exponent ceiling, a fixture digit position above
-`fixtures.MAX_POSITION` or a digit set above `patterns.MAX_DIGITSET`.
+verification failure, 3 budget exhaustion, an unsupported progression, a
+fixture digit position or ordinal exponent above `fixtures.MAX_POSITION` or
+a digit set above `patterns.MAX_DIGITSET`.
 """
 from __future__ import annotations
 
@@ -20,9 +20,9 @@ from .altsum import (altsum_eval, build_char_decomposition,
                      length_upper_certificate)
 from .derivative import Budget, DEFAULT_BUDGET
 from .errors import (BudgetExceeded, CertificateViolation, ClassViolation,
-                     DepthExceeded, DigitSetTooLarge, ExitNotFound,
-                     FixtureParseError, InclusionViolation, NotLimit,
-                     NotOracleSpace, PartitionViolation, PositionLimitExceeded,
+                     DigitSetTooLarge, ExitNotFound, FixtureParseError,
+                     InclusionViolation, NotLimit, NotOracleSpace,
+                     PartitionViolation, PositionLimitExceeded,
                      PrecisionUnreachable, ResidualViolation,
                      UnsupportedProgression, VerificationError, WitnessMismatch)
 from .fixtures import Fixture, load_fixture
@@ -39,8 +39,7 @@ _VERIFY_ERRORS = (VerificationError, InclusionViolation, WitnessMismatch,
 # RecursionError: the reader and the formula walkers recurse once per
 # level of nesting
 _BUDGET_ERRORS = (BudgetExceeded, UnsupportedProgression, PrecisionUnreachable,
-                  DepthExceeded, NotLimit, PositionLimitExceeded, DigitSetTooLarge,
-                  RecursionError)
+                  NotLimit, PositionLimitExceeded, DigitSetTooLarge, RecursionError)
 
 
 def _budget() -> Budget:

@@ -5,10 +5,6 @@ class ToolkitError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DepthExceeded(ToolkitError):
-    """An ordinal would need an exponent at or above the configured ceiling."""
-
-
 class NotLimit(ToolkitError):
     """A fundamental sequence was requested for a non-limit ordinal."""
 
@@ -62,7 +58,7 @@ class UnsupportedProgression(ToolkitError):
 
 
 class PositionLimitExceeded(ToolkitError):
-    """A fixture names a digit position or divisibility level above the limit."""
+    """A fixture names a digit position, divisibility level or exponent above the limit."""
 
 
 class DigitSetTooLarge(ToolkitError):

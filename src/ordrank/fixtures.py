@@ -92,9 +92,12 @@ def _atom_text(tok) -> str:
 
 
 def _ord(tok) -> Ordinal:
+    """An ordinal literal whose exponents are held to MAX_POSITION."""
     if not isinstance(tok, str):
         raise FixtureParseError("expected an ordinal literal, got %r" % (tok,))
-    return parse_ordinal(_atom_text(tok))
+    a = parse_ordinal(_atom_text(tok))
+    _limit(a.max_exp() or 0, "ordinal exponent")
+    return a
 
 
 def _nat(tok) -> int:
@@ -105,16 +108,20 @@ def _nat(tok) -> int:
 
 
 # the kernel's work grows faster than linearly with the highest digit
-# position; digit values are held to `patterns.MAX_DIGITSET`
+# position, an ordinal's exponents included; digit values are held to
+# `patterns.MAX_DIGITSET`
 MAX_POSITION = 256
+
+
+def _limit(n: int, what: str) -> int:
+    if n > MAX_POSITION:
+        raise PositionLimitExceeded("%s %d is above the limit %d" % (what, n, MAX_POSITION))
+    return n
 
 
 def _pos(tok) -> int:
     """A natural used as a digit position or divisibility level."""
-    n = _nat(tok)
-    if n > MAX_POSITION:
-        raise PositionLimitExceeded("digit position %d is above the limit %d" % (n, MAX_POSITION))
-    return n
+    return _limit(_nat(tok), "digit position")
 
 
 def _int(tok) -> int:
@@ -345,9 +352,10 @@ def load_fixture(text: str) -> Fixture:
     for node in tree[1:]:
         if isinstance(node, list) and node and node[0] == "space":
             p = _parts(node)
-            bound = _atom_text(p["bound"][1])
-            space = SpaceDesc(None if bound == "ceiling" else parse_ordinal(bound),
-                              _nat(p["depth"][1]) if "depth" in p else 6)
+            if "depth" in p:  # read for compatibility; every point can be named
+                _nat(p["depth"][1])
+            bound = p["bound"][1]
+            space = SpaceDesc(None if _atom_text(bound) == "ceiling" else _ord(bound))
         else:
             items.append(node)
     if space is None:
@@ -399,7 +407,7 @@ def _segment(node, fx: Fixture) -> Segment:
 def fixture_to_sexpr(fx: Fixture) -> str:
     lines = ["(fixture"]
     bound = "ceiling" if fx.space.bound is None else format_ordinal(fx.space.bound)
-    lines.append('  (space (bound "%s") (depth %d))' % (bound, fx.space.depth))
+    lines.append('  (space (bound "%s"))' % bound)
     for name in fx.sets:
         lines.append("  (set %s %s)" % (name, pattern_to_sexpr(fx.sets[name])))
     for name in fx.fns:

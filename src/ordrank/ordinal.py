@@ -1,34 +1,18 @@
-"""Ordinals below an omega-power ceiling, in Cantor normal form.
+"""Ordinals below w^w, in Cantor normal form.
 
 An ordinal is a strictly-decreasing list of ``(exponent, coefficient)``
 terms with positive coefficients; the empty list is 0.  Exponents are
-naturals and must stay below a module-wide ceiling (default 6), so runaway
-arithmetic fails fast instead of silently leaving desk scale.  Values are
-immutable; `compare` orders them by the term list itself, and arithmetic
-goes through `add`, `mul` and `left_sub` (there are no operators).
+naturals with no upper limit here; the fixture reader holds the ones a user
+writes to `fixtures.MAX_POSITION`.  Values are immutable; `compare` orders
+them by the term list itself, and arithmetic goes through `add`, `mul` and
+`left_sub` (there are no operators).
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 
-from .errors import DepthExceeded, NotLimit
-
-_CEILING = 6
-
-
-def depth_ceiling() -> int:
-    return _CEILING
-
-
-def set_depth_ceiling(n: int) -> int:
-    """Set the exponent ceiling; returns the previous value."""
-    global _CEILING
-    if n < 1:
-        raise ValueError("ceiling must be at least 1")
-    old = _CEILING
-    _CEILING = n
-    return old
+from .errors import NotLimit
 
 
 class Parity(enum.Enum):
@@ -53,8 +37,6 @@ class Ordinal:
                 raise ValueError("coefficients must be positive: %r" % (self.terms,))
             if e < 0:
                 raise ValueError("negative exponent: %r" % (self.terms,))
-            if e >= _CEILING:
-                raise DepthExceeded(e)
             if prev is not None and e >= prev:
                 raise ValueError("exponents must strictly decrease: %r" % (self.terms,))
             prev = e

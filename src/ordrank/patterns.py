@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import ordinal as o
-from .errors import DepthExceeded, DigitSetTooLarge, UnsupportedProgression
+from .errors import DigitSetTooLarge, UnsupportedProgression
 from .ordinal import Ordinal, ZERO, ONE
 
 
@@ -362,7 +362,7 @@ def digit_ge(i: int, v: int) -> Pat:
 
 
 def digit_mod(i: int, m: int, r: int) -> Pat:
-    return PDigit(i, ds_mod(m, r))
+    return digit_in(i, ds_mod(m, r))
 
 
 def digit_in(i: int, ds: DigitSet) -> Pat:
@@ -926,10 +926,7 @@ def _least_in_box(sets: list[DigitSet], lower: Ordinal) -> Ordinal | None:
 
 def cell_min_geq(c: Cell, lower: Ordinal) -> Ordinal | None:
     """Smallest x in the cell's box with x >= max(lower, lo); ignores hi.
-
-    Returns None when the box is empty.  Raises DepthExceeded when the only
-    witnesses live above the exponent ceiling.
-    """
+    Returns None when the box is empty."""
     if o.compare(lower, c.lo) < 0:
         lower = c.lo
     # every constraint from top up is vacuous, and lower has no digit there
@@ -940,10 +937,8 @@ def cell_min_geq(c: Cell, lower: Ordinal) -> Ordinal | None:
 
     # Split on the position e of the least nonzero digit; e = top+1 covers
     # every higher position.  Digits below e vanish, so no e past a position
-    # that excludes 0 has a member.  A candidate above the ceiling is
-    # skipped: it exceeds every representable one.
+    # that excludes 0 has a member.
     best: Ordinal | None = None
-    too_deep: DepthExceeded | None = None
     for e in range(c.div, top + 2):
         if 0 not in c.constraint(e - 1):
             break
@@ -951,28 +946,15 @@ def cell_min_geq(c: Cell, lower: Ordinal) -> Ordinal | None:
         if at_e.is_empty:
             continue
         sets = [ds_eq(0)] * e + [at_e] + [c.constraint(i) for i in range(e + 1, top + 1)]
-        try:
-            x = _least_in_box(sets, lower)
-        except DepthExceeded as err:
-            too_deep = err
-            continue
+        x = _least_in_box(sets, lower)
         if x is not None and (best is None or o.compare(x, best) < 0):
             best = x
-    if best is None and too_deep is not None:
-        raise too_deep
     return best
 
 
 @lru_cache(maxsize=65536)
 def cell_is_empty(c: Cell, bound: Ordinal | None) -> bool:
-    try:
-        m = cell_min_geq(c, c.lo)
-    except DepthExceeded:
-        # A witness exists mathematically but is above the exponent ceiling;
-        # on a bounded space it would also be above the bound.
-        if bound is None and c.hi is None:
-            return False
-        return True
+    m = cell_min_geq(c, c.lo)
     if m is None:
         return True
     eff_hi = c.hi if c.hi is not None else bound
@@ -981,13 +963,10 @@ def cell_is_empty(c: Cell, bound: Ordinal | None) -> bool:
 
 def iter_cell(c: Cell, bound: Ordinal | None, count: int):
     eff_hi = c.hi if c.hi is not None else bound
-    try:
-        x = cell_min_geq(c, c.lo)
-        while x is not None and count > 0:
-            if eff_hi is not None and o.compare(x, eff_hi) >= 0:
-                return
-            yield x
-            count -= 1
-            x = cell_min_geq(c, o.add(x, 1))
-    except DepthExceeded:
-        return
+    x = cell_min_geq(c, c.lo)
+    while x is not None and count > 0:
+        if eff_hi is not None and o.compare(x, eff_hi) >= 0:
+            return
+        yield x
+        count -= 1
+        x = cell_min_geq(c, o.add(x, 1))

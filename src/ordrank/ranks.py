@@ -138,10 +138,9 @@ def is_pseudouniform(rep: RankReport) -> bool:
 # ---------------------------------------------------------------------------
 # Modified separation rank: witness verification.
 
-def _least_point(cells: tuple[Cell, ...], bound: Ordinal | None) -> Ordinal | None:
-    """The least point of the cells; None when every one lies past the ceiling."""
-    return min((x for c in cells for x in iter_cell(c, bound, 1)),
-               key=lambda x: x.terms, default=None)
+def _least_point(cells: tuple[Cell, ...], bound: Ordinal | None) -> Ordinal:
+    """The least point of nonempty canonical cells."""
+    return min((x for c in cells for x in iter_cell(c, bound, 1)), key=lambda x: x.terms)
 
 
 def alpha_xi_verify(A: Pat, B: Pat, fam: TransfiniteFamily, xi: int,

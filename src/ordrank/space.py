@@ -2,13 +2,11 @@
 
 A space is the set of ordinals below a bound, carrying the order topology;
 ``bound=None`` is the unbounded space (every ordinal below w^w), the
-desk-scale stand-in for an unbounded-rank non-compact space.  Only its
-points below w^ceiling (`ordinal.depth_ceiling`) can be named, but its
-sets keep the points above: a set of those points alone is nonempty, and
-the rank alpha = w of the polish-failure indicator needs them.  A
-topology is the base order topology plus a finite list of declared sets
-whose generated partition cells become clopen; the refined closure
-operator works cell by cell.
+desk-scale stand-in for an unbounded-rank non-compact space.  Every point of
+it can be named, and the rank alpha = w of the polish-failure indicator
+needs points at every exponent.  A topology is the base order topology plus
+a finite list of declared sets whose generated partition cells become
+clopen; the refined closure operator works cell by cell.
 
 Closure and the Borel classification (the difference chain) work on
 canonical cell tuples; cells become patterns only at the boundary, in
@@ -40,7 +38,6 @@ from .patterns import (
 class SpaceDesc:
     """Ordinals below ``bound`` with the order topology; None = unbounded."""
     bound: Ordinal | None
-    depth: int = 6
 
     def __post_init__(self) -> None:
         if self.bound is not None and self.bound.is_zero:

@@ -6,7 +6,7 @@ import pytest
 
 from ordrank import ordinal as o
 from ordrank.cli import main
-from ordrank.errors import DepthExceeded, FixtureParseError
+from ordrank.errors import FixtureParseError
 from ordrank.fixtures import (fixture_to_sexpr, load_fixture, parse_sexpr,
                               pattern_to_sexpr, sexpr_to_pattern)
 from ordrank.patterns import (PDigit, PDigitGeN, PDigitLtN, PDiv, PDivN,
@@ -38,6 +38,7 @@ def _rand_atom(rng):
     return rng.choice([
         lambda: digit_in(i, ds_eq(n)), lambda: digit_in(i, ds_ge(n)),
         lambda: digit_in(i, ds_mod(rng.randint(1, 6), n)), lambda: digit_in(i, _rand_ds(rng)),
+        lambda: digit_mod(i, rng.randint(1, 6), n),
         lambda: min_digit_in(ds_mod(rng.randint(2, 6), n)),
         lambda: min_digit_in(ds_eq(n)), lambda: min_digit_in(ds_ge(n)),
         lambda: min_digit_in(_rand_ds(rng)),
@@ -177,16 +178,15 @@ def test_usage_error_exit1(tmp_path, capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_ceiling_space_is_unbounded_but_named_below_the_ceiling(tmp_path, capsys):
-    # (mod 6 2 1) holds only at points >= w^6: the ceiling space keeps them,
-    # so the set is nonempty and ranks like (mod 5 2 1), but no such point
-    # can be written down
+def test_ceiling_space_names_every_point(tmp_path, capsys):
+    # (mod 6 2 1) holds only at points >= w^6: the ceiling space keeps them
+    # and names them, and the set ranks like (mod 5 2 1)
     space = SpaceDesc(None)
     assert not is_empty(digit_mod(6, 2, 1), space)
-    assert sample_points(digit_mod(6, 2, 1), space, 5) == []
+    w6 = o.omega_power(6)
+    assert sample_points(digit_mod(6, 2, 1), space, 3) == [w6, o.add(w6, 1), o.add(w6, 2)]
     assert sample_points(digit_mod(5, 2, 1), space, 5)
-    with pytest.raises(DepthExceeded):
-        o.parse_ordinal("w^%d" % o.depth_ceiling())
+    assert o.parse_ordinal("w^6") == w6
     alphas = []
     for i in (5, 6):
         text = ('(fixture (space (bound ceiling)) (set a (mod %d 2 1)) (set b (not (ref a))))'

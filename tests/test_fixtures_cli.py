@@ -171,19 +171,18 @@ def test_cli_undeclared_name_exit1(tmp_path, argv, missing):
     assert repr(missing) in proc.stderr
 
 
-def test_cli_depth_exceeded_exit3(tmp_path):
-    # (depth 9) is not applied, so w^7 is beyond the exponent ceiling:
-    # a documented exit, not a traceback
-    deep = """
-(fixture
-  (space (bound "w^7") (depth 9))
-  (set evens (mod 0 2 0)))
-"""
-    proc = _run_cli(["rank", _write(tmp_path, deep), "--pair", "evens", "evens"])
-    assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1
-    assert "DepthExceeded" in proc.stderr
+def test_cli_exponent_limit(tmp_path, capsys):
+    # (depth 9) has no effect and w^7 is a plain bound; an exponent above
+    # MAX_POSITION is refused by the reader, the bound's included
+    pair = ('(fixture (space (bound "%s") (depth 9)) (set a (mindigit-mod 2 0))'
+            ' (set b (not (ref a))) %s)')
+    assert main(["rank", _write(tmp_path, pair % ("w^7", "")), "--pair", "a", "b"]) == 0
+    assert "alpha = 7" in capsys.readouterr().out.splitlines()
+    for text in (pair % ("w^257", ""), pair % ("w^2", '(set c (lt "w^300"))')):
+        assert main(["rank", _write(tmp_path, text), "--pair", "a", "b"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "PositionLimitExceeded" in err and str(MAX_POSITION) in err
 
 
 @pytest.mark.parametrize("big", [
@@ -350,7 +349,7 @@ def test_each_error_class_has_one_exit_code():
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, errors.ToolkitError)
                and c is not errors.ToolkitError]
-    assert errors.DepthExceeded in classes and errors.PositionLimitExceeded in classes
+    assert errors.PositionLimitExceeded in classes
     for c in classes:
         assert sum(c in t for t in tables) == 1, c.__name__
 

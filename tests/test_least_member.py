@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from ordrank import ordinal as o
 from ordrank.derivative import Budget
-from ordrank.errors import DepthExceeded
 from ordrank.functions import char_fn, fn_add, fn_scale
 from ordrank.ordinal import Ordinal, ONE
 from ordrank.patterns import (Cell, DS_EMPTY, and_, cell_min_geq, digit_mod,
@@ -21,7 +20,7 @@ from ordrank.space import SpaceDesc, base_topology, is_empty
 
 
 def test_min_digit_with_a_high_digit_constraint_is_nonempty():
-    # the old search tried the least exponent e = 6 too, hit the exponent
+    # an older search tried the least exponent e = 6 too, hit an exponent
     # ceiling there, and called the whole cell empty; 1 is a member
     for i in (4, 5):
         p = and_(digit_mod(i, 2, 0), min_digit_in(ds_mod(2, 1)))
@@ -29,7 +28,7 @@ def test_min_digit_with_a_high_digit_constraint_is_nonempty():
         assert holds_at(p, ONE)
 
 
-def test_min_digit_window_below_the_ceiling_is_nonempty():
+def test_min_digit_window_below_w5_is_nonempty():
     p = and_(min_digit_in(ds_mod(2, 0)), ord_ge(o.omega_power(4)),
              ord_lt(o.omega_power(5)))
     assert holds_at(p, o.omega_power(4, 2))
@@ -38,8 +37,8 @@ def test_min_digit_window_below_the_ceiling_is_nonempty():
 
 
 def test_perturbed_polish_failure_keeps_w4_at_stage_2():
-    # rank-dense's perturbation (d, m, v, c, sign) = (0, 3, 0, 4, +); at a
-    # ceiling of 9, where no witness is out of reach, stage 2 also holds w^4
+    # rank-dense's perturbation (d, m, v, c, sign) = (0, 3, 0, 4, +); every
+    # witness can be named, and stage 2 also holds w^4
     space = SpaceDesc(None)
     bump = and_(digit_mod(0, 3, 0), ord_lt(o.omega_power(4)))
     g = fn_add(char_fn(min_digit_in(ds_mod(2, 0)), space),
@@ -141,10 +140,7 @@ def test_scan_matches_the_recursive_search_where_it_returned():
     for _ in range(3000):
         c = _rand_cell(rng, 5, 4, 5)
         lower = _rand_ordinal(rng, 4, 5)
-        try:
-            want = _recursive_cell_min_geq(c, lower)
-        except DepthExceeded:
-            continue
+        want = _recursive_cell_min_geq(c, lower)
         returned += 1
         assert cell_min_geq(c, lower) == want, (c, lower)
     assert returned > 1000
@@ -157,37 +153,25 @@ def _brute_least(c, lower, points):
     return next((x for x in points if o.compare(x, lower) >= 0 and c.holds(x)), None)
 
 
-def test_scan_against_brute_force_at_ceiling_3():
+def test_scan_against_brute_force_below_w3():
     """Every cell and lower bound below w^3, against the least member among
-    all points with digits below _COEFF.  DepthExceeded is right only when
-    no member lies below w^3: at a ceiling of 6 the search must then find
-    one at or above w^3."""
+    all points with digits below _COEFF.  When no member lies below w^3 the
+    search must find one at or above w^3."""
     rng = random.Random(3)
-    old = o.set_depth_ceiling(3)
-    try:
-        points = sorted((Ordinal(tuple((e, k) for e, k in zip((2, 1, 0), ds) if k))
-                         for ds in itertools.product(range(_COEFF), repeat=3)),
-                        key=lambda x: x.terms)
-        cases = [(_rand_cell(rng, 3, 2, 4), _rand_ordinal(rng, 2, 5)) for _ in range(1500)]
-        deep = []
-        for c, lower in cases:
-            want = _brute_least(c, lower, points)
-            try:
-                got = cell_min_geq(c, lower)
-            except DepthExceeded:
-                assert want is None, (c, lower, want)
-                deep.append((c, lower))
-                continue
-            if got is None:
-                assert want is None, (c, lower, want)
-            elif all(k < _COEFF for _, k in got.terms):
-                assert got == want, (c, lower, got, want)
-            else:  # past the brute-force points: a member, and none before it
-                assert c.holds(got) and o.compare(got, lower) >= 0
-                assert want is None or o.compare(want, got) > 0
-    finally:
-        o.set_depth_ceiling(old)
+    points = sorted((Ordinal(tuple((e, k) for e, k in zip((2, 1, 0), ds) if k))
+                     for ds in itertools.product(range(_COEFF), repeat=3)),
+                    key=lambda x: x.terms)
+    cases = [(_rand_cell(rng, 3, 2, 4), _rand_ordinal(rng, 2, 5)) for _ in range(1500)]
+    w3, deep = o.omega_power(3), 0
+    for c, lower in cases:
+        want = _brute_least(c, lower, points)
+        got = cell_min_geq(c, lower)
+        if got is None:
+            assert want is None, (c, lower, want)
+        elif all(k < _COEFF for _, k in got.terms) and o.compare(got, w3) < 0:
+            assert got == want, (c, lower, got, want)
+        else:  # past the brute-force points: a member, and none before it
+            assert c.holds(got) and o.compare(got, lower) >= 0
+            assert want is None or o.compare(want, got) > 0
+            deep += o.compare(got, w3) >= 0
     assert deep
-    for c, lower in deep:
-        x = cell_min_geq(c, lower)
-        assert x is not None and x.max_exp() >= 3 and c.holds(x), (c, lower)

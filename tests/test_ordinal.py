@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordrank import ordinal as o
-from ordrank.errors import DepthExceeded, NotLimit
+from ordrank.errors import NotLimit
 from ordrank.ordinal import (
     W, ZERO, Kind, Parity, add, classify, compare, even_floor,
     format_ordinal, from_int, fundamental_sequence, is_even, least_multiple_above,
@@ -113,17 +112,10 @@ def test_fundamental_sequence_monotone_cofinal():
         assert any(compare(b, fundamental_sequence(a, n)) == -1 for n in range(10))
 
 
-def test_depth_ceiling():
-    with pytest.raises(DepthExceeded):
-        omega_power(o.depth_ceiling())
-    old = o.set_depth_ceiling(9)
-    try:
-        x = omega_power(8)
-        assert x.max_exp() == 8
-    finally:
-        o.set_depth_ceiling(old)
-    with pytest.raises(DepthExceeded):
-        mul(omega_power(4), omega_power(4))
+def test_no_exponent_ceiling():
+    assert omega_power(6).max_exp() == 6
+    assert Ordinal(((7, 2),)) == omega_power(7, 2)
+    assert mul(omega_power(4), omega_power(4)) == omega_power(8)
 
 
 def test_left_sub_and_div():
@@ -171,24 +163,16 @@ def test_least_multiple_above_brute():
 @settings(max_examples=300)
 @given(ordinals(), ordinals(), ordinals())
 def test_associativity(a, b, c):
-    old = o.set_depth_ceiling(16)
-    try:
-        assert add(add(a, b), c) == add(a, add(b, c))
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
-    finally:
-        o.set_depth_ceiling(old)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
 def test_associativity_bulk_random():
     rng = random.Random(20240)
-    old = o.set_depth_ceiling(16)
-    try:
-        for _ in range(10_000):
-            a, b, c = (rand_ordinal(rng) for _ in range(3))
-            assert add(add(a, b), c) == add(a, add(b, c))
-            assert mul(mul(a, b), c) == mul(a, mul(b, c))
-    finally:
-        o.set_depth_ceiling(old)
+    for _ in range(10_000):
+        a, b, c = (rand_ordinal(rng) for _ in range(3))
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
 @settings(max_examples=200)
@@ -231,10 +215,6 @@ def test_parse_variants():
 
 def test_distributive_left():
     rng = random.Random(5)
-    old = o.set_depth_ceiling(16)
-    try:
-        for _ in range(500):
-            a, b, c = (rand_ordinal(rng) for _ in range(3))
-            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-    finally:
-        o.set_depth_ceiling(old)
+    for _ in range(500):
+        a, b, c = (rand_ordinal(rng) for _ in range(3))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))

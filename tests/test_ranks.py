@@ -156,6 +156,16 @@ def test_alpha_xi_verify_examples():
         alpha_xi_verify(EVENS, ODDS, broken, 1, tw)
 
 
+def test_alpha_xi_violation_names_a_point_at_w6():
+    # the even differences of (X, X, 0) are empty, so A is not covered; its
+    # least point is w^6, which an exponent ceiling of 6 could not name
+    A = digit_mod(6, 2, 1)
+    t = base_topology(SpaceDesc(None))
+    with pytest.raises(InclusionViolation) as err:
+        alpha_xi_verify(A, not_(A), explicit_family([TRUE, TRUE, FALSE]), 1, t)
+    assert err.value.args == ("A not covered", omega_power(6))
+
+
 def test_class_membership_routes():
     sw = SpaceDesc(W)
     tw = base_topology(sw)

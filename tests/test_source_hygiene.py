@@ -4,6 +4,7 @@ Every name a module imports must be read somewhere in that module.
 `__init__.py` is skipped: it imports names to re-export them.
 Every private module-level name must be read by some module of the package.
 Every parameter of a def must be read in its body, unless allowlisted.
+No module rebinds a module-level name through a `global` statement.
 """
 import ast
 import os
@@ -154,3 +155,25 @@ def test_unused_parameter_check_flags_and_spares():
     assert unused_parameters(src) == [
         "f.b (line 1)", "f.args (line 1)", "f.kw (line 1)", "K.m.y (line 4)",
         "K.m.inner.w (line 5)"]
+
+
+def global_statements(source: str) -> list[str]:
+    """The names of every `global` statement, with its line."""
+    return ["%s (line %d)" % (name, n.lineno) for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Global) for name in n.names]
+
+
+def test_no_global_statements():
+    found = []
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            found += ["%s: %s" % (module, entry) for entry in global_statements(fh.read())]
+    assert found == []
+
+
+def test_global_check_flags_and_spares():
+    src = ("_LIMIT = 6\ndef set_limit(n):\n    global _LIMIT, _OLD\n    _LIMIT = n\n"
+           "def walk():\n    pos = 0\n    def step():\n        nonlocal pos\n"
+           "        pos += 1\n    return step, 'global _LIMIT'\n")
+    # a nonlocal and the word in a string are not global statements
+    assert global_statements(src) == ["_LIMIT (line 3)", "_OLD (line 3)"]

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import FixtureParseError, PositionLimitExceeded
+from .errors import FixtureParseError
 from .family import Segment, TransfiniteFamily
 from .functions import FnFamily, StepFn, make_stepfn
-from .ordinal import Ordinal, format_ordinal, is_decimal, parse_ordinal
+from .ordinal import Ordinal, format_ordinal, is_decimal, parse_ordinal, read_natural
 from .patterns import (DigitSet, FALSE, Pat, PAnd, PDigit, PDigitGeN,
                        PDigitLtN, PDiv, PDivN, PMinDigit, PNot, POr, POrdGe,
                        POrdGeEta, POrdGeN, POrdLt, POrdLtEta, POrdLtN, PTrue,
@@ -95,16 +95,14 @@ def _ord(tok) -> Ordinal:
     """An ordinal literal whose exponents are held to MAX_POSITION."""
     if not isinstance(tok, str):
         raise FixtureParseError("expected an ordinal literal, got %r" % (tok,))
-    a = parse_ordinal(_atom_text(tok))
-    _limit(a.max_exp() or 0, "ordinal exponent")
-    return a
+    return parse_ordinal(_atom_text(tok), MAX_POSITION)
 
 
-def _nat(tok) -> int:
-    """A natural number: decimal digits, no sign."""
+def _nat(tok, limit: int | None = None, what: str = "natural") -> int:
+    """A natural number: decimal digits, no sign; above limit, PositionLimitExceeded."""
     if not isinstance(tok, str) or not is_decimal(_atom_text(tok)):
         raise FixtureParseError("expected a natural number, got %r" % (tok,))
-    return int(_atom_text(tok))
+    return read_natural(_atom_text(tok), limit, what)
 
 
 # the kernel's work grows faster than linearly with the highest digit
@@ -113,15 +111,9 @@ def _nat(tok) -> int:
 MAX_POSITION = 256
 
 
-def _limit(n: int, what: str) -> int:
-    if n > MAX_POSITION:
-        raise PositionLimitExceeded("%s %d is above the limit %d" % (what, n, MAX_POSITION))
-    return n
-
-
 def _pos(tok) -> int:
     """A natural used as a digit position or divisibility level."""
-    return _limit(_nat(tok), "digit position")
+    return _nat(tok, MAX_POSITION, "digit position")
 
 
 def _int(tok) -> int:
@@ -354,27 +346,34 @@ def load_fixture(text: str) -> Fixture:
             p = _parts(node)
             if "depth" in p:  # read for compatibility; every point can be named
                 _nat(p["depth"][1])
-            bound = p["bound"][1]
-            space = SpaceDesc(None if _atom_text(bound) == "ceiling" else _ord(bound))
+            bound = None if _atom_text(p["bound"][1]) == "ceiling" else _ord(p["bound"][1])
+            if space is not None:
+                raise FixtureParseError("the fixture has a second (space ...)")
+            space = SpaceDesc(bound)
         else:
             items.append(node)
     if space is None:
         raise FixtureParseError("fixture needs a (space ...) declaration")
     fx = Fixture(space, base_topology(space))
+    named = {"set": fx.sets, "fn": fx.fns, "family": fx.families, "nfam": fx.nfams}
     for node in items:
         head = _form(node, "fixture item")[0]
+        if head in named:
+            name = _atom_text(node[1])
+            if name in named[head]:
+                raise FixtureParseError("the fixture has a second (%s %s ...)" % (head, name))
         if head == "set":
-            fx.sets[_atom_text(node[1])] = sexpr_to_pattern(node[2], fx.sets)
+            fx.sets[name] = sexpr_to_pattern(node[2], fx.sets)
         elif head == "fn":
             if _form(node[2], "function")[0] != "stepfn":
                 raise FixtureParseError("expected (stepfn ...)")
-            fx.fns[_atom_text(node[1])] = make_stepfn(_pieces(node[2], fx), fx.space)
+            fx.fns[name] = make_stepfn(_pieces(node[2], fx), fx.space)
         elif head == "family":
             p = _parts(node)
             segs = tuple(_segment(s, fx) for s in p.get("segment", ()))
-            fx.families[_atom_text(node[1])] = TransfiniteFamily(_ord(p["length"][1]), segs)
+            fx.families[name] = TransfiniteFamily(_ord(p["length"][1]), segs)
         elif head == "nfam":
-            fx.nfams[_atom_text(node[1])] = FnFamily(_pieces(node, fx), fx.space)
+            fx.nfams[name] = FnFamily(_pieces(node, fx), fx.space)
         elif head == "refine":
             p = _parts(node)
             names = [_atom_text(n) for n in p["sets"][1:]]

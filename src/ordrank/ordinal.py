@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import NotLimit
+from .errors import NotLimit, PositionLimitExceeded
 
 
 class Parity(enum.Enum):
@@ -300,8 +300,19 @@ def is_decimal(s: str) -> bool:
     return s.isascii() and s.isdigit()
 
 
-def parse_ordinal(text: str) -> Ordinal:
-    """Parse the textual syntax, e.g. ``w^2*3 + w*1 + 4`` (also bare ``w``, ``w^2``)."""
+def read_natural(digits: str, limit: int | None = None, what: str = "natural") -> int:
+    """The natural written in ASCII digits; PositionLimitExceeded above limit,
+    told by the digit count first, as int() refuses more than 4,300 digits."""
+    digits = digits.lstrip("0") or "0"
+    if limit is not None and (len(digits) > len(str(limit)) or int(digits) > limit):
+        shown = digits if len(digits) <= 20 else "of %d digits" % len(digits)
+        raise PositionLimitExceeded("%s %s is above the limit %d" % (what, shown, limit))
+    return int(digits)
+
+
+def parse_ordinal(text: str, max_exp: int | None = None) -> Ordinal:
+    """Parse the textual syntax, e.g. ``w^2*3 + w*1 + 4`` (also bare ``w``,
+    ``w^2``); an exponent above max_exp raises PositionLimitExceeded."""
     acc = ZERO
     s = text.strip()
     if not s:
@@ -311,27 +322,15 @@ def parse_ordinal(text: str) -> Ordinal:
         if not chunk:
             raise ValueError("empty term in %r" % text)
         if chunk[0] in "wW":
-            rest = chunk[1:].replace(" ", "")
-            e, c = 1, 1
-            if rest.startswith("^"):
-                rest = rest[1:]
-                num = ""
-                while rest and is_decimal(rest[0]):
-                    num += rest[0]
-                    rest = rest[1:]
-                if not num:
-                    raise ValueError("missing exponent in %r" % text)
-                e = int(num)
-            if rest.startswith("*"):
-                if not is_decimal(rest[1:]):
-                    raise ValueError("bad coefficient in %r" % text)
-                c = int(rest[1:])
-                rest = ""
-            if rest:
-                raise ValueError("trailing junk in %r" % text)
-            acc = add(acc, omega_power(e, c))
+            power, star, coeff = chunk[1:].replace(" ", "").partition("*")
+            if power and not (power[0] == "^" and is_decimal(power[1:])):
+                raise ValueError("bad exponent in %r" % text)
+            if star and not is_decimal(coeff):
+                raise ValueError("bad coefficient in %r" % text)
+            e = read_natural(power[1:], max_exp, "ordinal exponent") if power else 1
+            acc = add(acc, omega_power(e, read_natural(coeff) if star else 1))
         else:
             if not is_decimal(chunk):
                 raise ValueError("bad term %r in %r" % (chunk, text))
-            acc = add(acc, from_int(int(chunk)))
+            acc = add(acc, from_int(read_natural(chunk)))
     return acc

@@ -426,8 +426,11 @@ class NKind(NamedTuple):
 
 class EtaKind(NamedTuple):
     """A kind of atom affine in a family index: `at(a, eta)` is the atom
-    at eta; `below(a, theta)` the intersection over eta < theta, a limit."""
+    at eta; `neg` and `shrinks` as in `NKind`, with eta for n; `below(a,
+    theta)` the intersection over eta < theta, a limit."""
     at: Callable[[Pat, Ordinal], Pat]
+    neg: type
+    shrinks: bool
     below: Callable[[Pat, Ordinal], Pat] | None = None
 
 
@@ -450,10 +453,10 @@ PARAM_N: dict[type, NKind] = {
 PARAM_ETA: dict[type, EtaKind] = {
     # the thresholds grow with eta, so the intersection is x >= their sup
     # below theta; for coeff >= 2 that is not the threshold at theta
-    POrdGeEta: EtaKind(lambda a, eta: ord_ge(_eta_threshold(a, eta)),
+    POrdGeEta: EtaKind(lambda a, eta: ord_ge(_eta_threshold(a, eta)), POrdLtEta, True,
                        lambda a, theta: ord_ge(o.add(a.base, o.sup_mul_below(
                            o.left_sub(theta, a.shift), a.coeff)))),
-    POrdLtEta: EtaKind(lambda a, eta: ord_lt(_eta_threshold(a, eta))),
+    POrdLtEta: EtaKind(lambda a, eta: ord_lt(_eta_threshold(a, eta)), POrdGeEta, False),
 }
 
 
@@ -611,7 +614,7 @@ def _nnf(p: Pat, neg: bool) -> Pat:
         return or_(ord_lt(1), *(digit_ge(i, 1) for i in range(p.e)))
     if isinstance(p, PMinDigit):
         return or_(ord_lt(1), min_digit_in(ds_not(p.ds)))
-    kind = PARAM_N.get(type(p))
+    kind = PARAM_N.get(type(p)) or PARAM_ETA.get(type(p))
     if kind is not None and kind.neg is not None:
         return kind.neg(**vars(p))
     raise UnsupportedProgression("cannot negate %r" % (p,))

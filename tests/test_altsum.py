@@ -13,7 +13,8 @@ from ordrank.altsum import (ComboSeq, DUSBSeq, LazyDUSB, _even_stage_samples,
                             eval_to_precision, exit_parity_eval,
                             length_upper_certificate, verify_dusb)
 from ordrank.errors import (ExitNotFound, PrecisionUnreachable,
-                            VerificationError, WitnessMismatch)
+                            UnsupportedProgression, VerificationError,
+                            WitnessMismatch)
 from ordrank.family import (Segment, TransfiniteFamily, even_diff_union,
                             explicit_family, from_segments, pad_with_empty,
                             tails_family, validate_set_family)
@@ -43,6 +44,41 @@ def test_validate_coeff2_tails_family_fails(length, bound, check):
     with pytest.raises(VerificationError) as err:
         validate_set_family(tails_family(length, coeff=2), t)
     assert err.value.args[0] == check
+
+
+W2 = omega_power(2)
+
+
+@pytest.mark.parametrize("length, bound, verdict", [
+    # theta = w^2 + w is the least limit of [w^2 + 1, ...): (w^2 + w)*2 is
+    # the sup of eta*2 below it, and no limit lies further inside
+    (add(add(W2, W), 1), omega_power(3), "certified"),
+    # w^2 + w*2 lies inside too, and F_theta = [w^2*2 + w, w^3) is nonempty
+    (add(W2, mul(W, 3)), omega_power(3), "unsupported"),
+    # F_theta is empty on this space, so every later limit agrees
+    (add(W2, mul(W, 3)), add(mul(W2, 2), W), "certified"),
+])
+def test_validate_coeff2_past_the_first_interior_limit(length, bound, verdict):
+    one = add(W2, 1)
+    fam = from_segments(length, [(ZERO, one, TRUE), (one, length, POrdGeEta(ZERO, ZERO, 2))])
+    t = base_topology(SpaceDesc(bound))
+    if verdict == "certified":
+        assert validate_set_family(fam, t)
+    else:
+        with pytest.raises(UnsupportedProgression, match="continuity"):
+            validate_set_family(fam, t)
+
+
+def test_validate_mixed_directions_on_an_infinite_segment_unsupported():
+    # x >= eta or x < eta is the whole space at every eta, but the body
+    # mixes directions, and the segment has no last index to walk to
+    body = or_(POrdGeEta(ZERO, ZERO, 1), POrdLtEta(ZERO, ZERO, 1))
+    with pytest.raises(UnsupportedProgression, match="decreases"):
+        validate_set_family(from_segments(W, [(ZERO, W, body)]), TW, xi=2)
+    # a negated lt-param shrinks, so this body decreases, and with coeff 1
+    # it is continuous at w inside its segment
+    body, length = not_(POrdLtEta(ZERO, ZERO, 1)), add(W, 1)
+    assert validate_set_family(from_segments(length, [(ZERO, length, body)]), TW, xi=2)
 
 
 def test_verify_dusb_examples():

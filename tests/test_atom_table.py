@@ -20,7 +20,7 @@ from ordrank.patterns import (
     POrdGe, POrdGeEta, POrdGeN, POrdLt, POrdLtEta, POrdLtN, PDigit, PFalse,
     PTrue, _nnf, and_, atoms, digit_ge, digit_in, digit_mod, divpow, ds_lt, ds_mod,
     ds_not, holds_at, is_concrete, min_digit_in, not_, or_, ord_ge, ord_lt,
-    subst_eta, subst_n,
+    subst_eta, subst_n, PARAM_ETA, PARAM_N,
 )
 from ordrank.space import SpaceDesc
 
@@ -164,6 +164,10 @@ def _ref_nnf(p, neg):
         return POrdLtN(p.base, p.slope)
     if isinstance(p, POrdLtN):
         return POrdGeN(p.base, p.slope)
+    if isinstance(p, POrdGeEta):
+        return POrdLtEta(p.base, p.shift, p.coeff)
+    if isinstance(p, POrdLtEta):
+        return POrdGeEta(p.base, p.shift, p.coeff)
     raise UnsupportedProgression("cannot negate %r" % (p,))
 
 
@@ -240,6 +244,41 @@ def test_table_matches_per_kind_recursions():
                     == _outcome(_ref_eta_breakpoints, p, x)), (p, x)
     assert {PDigitGeN, PDigitLtN, POrdGeN, POrdLtN, PDivN, POrdGeEta,
             POrdLtEta} <= kinds_seen
+
+
+def test_negated_kinds_are_complements():
+    """Every kind with a `neg`: the neg's neg is the kind, it runs the other
+    way, and at seeded points and parameters the two atoms are complements.
+    Each kind's `shrinks` is also checked: its sets shrink as the parameter grows."""
+    rng = random.Random(2323)
+    for table in (PARAM_N, PARAM_ETA):
+        for cls, kind in table.items():
+            if kind.neg is not None:
+                assert table[kind.neg].neg is cls
+                assert table[kind.neg].shrinks is not kind.shrinks
+    seen = set()
+    for _ in range(400):
+        a = _rand_atom(rng, eta=True)
+        table, params = ((PARAM_N, [0, 1, 2, 5]) if type(a) in PARAM_N else
+                         (PARAM_ETA, INDICES) if type(a) in PARAM_ETA else (None, None))
+        if table is None:
+            continue
+        kind = table[type(a)]
+        b = kind.neg(**vars(a)) if kind.neg is not None else None
+        seen.add(type(a))
+        members = []
+        for n in params:
+            outcome, pa = _outcome(kind.at, a, n)
+            if outcome == "raised":  # an index below the shift
+                continue
+            members.append([holds_at(pa, x) for x in POINTS])
+            if b is not None:
+                pb = table[type(b)].at(b, n)
+                assert [not holds_at(pb, x) for x in POINTS] == members[-1], (a, n)
+        for before, after in zip(members, members[1:]):
+            wider, narrower = (before, after) if kind.shrinks else (after, before)
+            assert all(w or not m for w, m in zip(wider, narrower)), a
+    assert seen == set(PARAM_N) | set(PARAM_ETA)
 
 
 def _run_lengths(values):

@@ -244,6 +244,15 @@ def test_cli_zero_denominator_exit1(tmp_path):
     # before, a period of 0 escaped as ZeroDivisionError
     ("(set z (digit-in 0 (ds (prefix 1 0) (period 0))))",
      "a digit-set period must be at least 1"),
+    # before, a second declaration silently replaced the first
+    ("(set evens (mod 0 2 1))", "the fixture has a second (set evens ...)"),
+    ("(fn f (stepfn (piece 1 (true)))) (fn f (stepfn (piece 1 (true))))",
+     "the fixture has a second (fn f ...)"),
+    ('(family f (length "1") (segment (from "0") (to "1") (true))) '
+     '(family f (length "1") (segment (from "0") (to "1") (true)))',
+     "the fixture has a second (family f ...)"),
+    ("(nfam g) (nfam g)", "the fixture has a second (nfam g ...)"),
+    ('(space (bound "w"))', "the fixture has a second (space ...)"),
 ])
 def test_cli_malformed_item_exit1(tmp_path, item, message):
     text = '(fixture (space (bound "w^2")) (set evens (mod 0 2 0)) %s)' % item
@@ -296,6 +305,32 @@ def test_cli_position_limit_exit3_fast(tmp_path, capsys, bound):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "PositionLimitExceeded" in err and "900" in err and str(MAX_POSITION) in err
+
+
+_LONG = '(fixture (space (bound "w^%s")) (set a (mod %s 2 0)) (set b (not (ref a))))'
+
+
+@pytest.mark.parametrize("exp, pos, what", [
+    ("9" * 5000, "0", "ordinal exponent of 5000 digits"),
+    ("2", "9" * 5000, "digit position of 5000 digits"),
+    ("9" * 400, "0", "ordinal exponent of 400 digits"),
+])
+def test_cli_long_number_above_limit_exit3(tmp_path, capsys, exp, pos, what):
+    # before, more than 4,300 digits exited 1 through int()'s digit limit
+    assert main(["rank", _write(tmp_path, _LONG % (exp, pos)), "--pair", "a", "b"]) == 3
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [
+        "budget/undecidable: PositionLimitExceeded: %s is above the limit %d"
+        % (what, MAX_POSITION)]
+
+
+def test_cli_leading_zeros_read_as_the_number(tmp_path, capsys):
+    one = "0" * 5000 + "1"
+    outs = []
+    for exp, pos in ((one, one), ("1", "1")):
+        assert main(["rank", _write(tmp_path, _LONG % (exp, pos)), "--pair", "a", "b"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_cli_deep_nesting_exit3(tmp_path):
@@ -415,6 +450,32 @@ def test_cli_family_shift_above_segment_exit2(tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "segments" in proc.stderr and "shift" in proc.stderr
+
+
+_DECOMPOSE = ["decompose", "--fn", "chi", "--witnesses", "tails", "--lam", "2"]
+_BACKWARDS = '(segment (from "3") (to "2") (ge-param "0" "0" 1))'
+
+
+@pytest.mark.parametrize("argv, segments, message", [
+    (_DECOMPOSE, _BACKWARDS, "gap or overlap at 3"),
+    (["phi", "--set", "evens", "--family", "tails", "--lam", "1"], _BACKWARDS,
+     "gap or overlap at 3"),
+    (["verify", "--family", "tails"], _BACKWARDS, "gap or overlap at 3"),
+    # before, an IndexError traceback
+    (_DECOMPOSE, '(segment (from "0") (to "3") (true)) ' + _BACKWARDS, "gap or overlap at 3"),
+    (_DECOMPOSE, '(segment (from "0") (to "w^2") (ge-param "0" "w" 1))',
+     "index atom shift above segment start 0"),
+])
+def test_cli_malformed_witness_exit2(tmp_path, capsys, argv, segments, message):
+    """Every verb that reads a family refuses one whose segments do not
+    partition its length at the segment check; before, decompose and phi
+    reported a backwards segment as a parse error."""
+    bad = FIX.replace('(segment (from "0") (to "w^2") (ge-param "0" "0" 1))', segments)
+    assert main([argv[0], _write(tmp_path, bad)] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "verification failure: VerificationError: ('segments', '%s')" % message]
 
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")

@@ -119,9 +119,11 @@ def _pos(tok) -> int:
 def _int(tok) -> int:
     """An integer: decimal digits after an optional minus sign."""
     s = _atom_text(tok) if isinstance(tok, str) else ""
-    if not is_decimal(s[1:] if s.startswith("-") else s):
+    digits = s[1:] if s.startswith("-") else s
+    if not is_decimal(digits):
         raise FixtureParseError("expected an integer, got %r" % (tok,))
-    return int(s)
+    n = read_natural(digits, what="integer")
+    return -n if s.startswith("-") else n
 
 
 def _bit(tok) -> bool:

@@ -159,7 +159,10 @@ def _times_nat(a: Ordinal, n: int) -> Ordinal:
 
 
 def mul(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
-    a, b = _coerce(a), _coerce(b)
+    if type(a) is not Ordinal:
+        a = _coerce(a)
+    if type(b) is not Ordinal:
+        b = _coerce(b)
     if not a.terms or not b.terms:
         return ZERO
     acc = ZERO
@@ -173,7 +176,10 @@ def mul(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
 
 def left_sub(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     """The unique z with b + z == a, for b <= a."""
-    a, b = _coerce(a), _coerce(b)
+    if type(a) is not Ordinal:
+        a = _coerce(a)
+    if type(b) is not Ordinal:
+        b = _coerce(b)
     if compare(a, b) < 0:
         raise ValueError("left_sub needs b <= a (%s < %s)" % (a, b))
     for j, (eb, cb) in enumerate(b.terms):
@@ -222,7 +228,9 @@ def sup_mul_below(a: Ordinal, m: int) -> Ordinal:
 
 def parity(a: Ordinal | int) -> Parity:
     """Write a = L + n with L limit-or-zero; even iff n is even (limits are even)."""
-    return Parity.EVEN if _coerce(a).fin() % 2 == 0 else Parity.ODD
+    if type(a) is not Ordinal:
+        a = _coerce(a)
+    return Parity.EVEN if a.fin() % 2 == 0 else Parity.ODD
 
 
 def is_even(a: Ordinal | int) -> bool:
@@ -300,13 +308,22 @@ def is_decimal(s: str) -> bool:
     return s.isascii() and s.isdigit()
 
 
+# int() refuses a decimal string of more digits than this (Python's default
+# int_max_str_digits)
+MAX_DIGITS = 4300
+
+
 def read_natural(digits: str, limit: int | None = None, what: str = "natural") -> int:
     """The natural written in ASCII digits; PositionLimitExceeded above limit,
-    told by the digit count first, as int() refuses more than 4,300 digits."""
+    or above MAX_DIGITS digits with or without one, told by the digit count
+    first, as int() refuses a longer string."""
     digits = digits.lstrip("0") or "0"
+    shown = digits if len(digits) <= 20 else "of %d digits" % len(digits)
     if limit is not None and (len(digits) > len(str(limit)) or int(digits) > limit):
-        shown = digits if len(digits) <= 20 else "of %d digits" % len(digits)
         raise PositionLimitExceeded("%s %s is above the limit %d" % (what, shown, limit))
+    if len(digits) > MAX_DIGITS:
+        raise PositionLimitExceeded("%s %s is above the limit of %d digits"
+                                    % (what, shown, MAX_DIGITS))
     return int(digits)
 
 
@@ -328,9 +345,10 @@ def parse_ordinal(text: str, max_exp: int | None = None) -> Ordinal:
             if star and not is_decimal(coeff):
                 raise ValueError("bad coefficient in %r" % text)
             e = read_natural(power[1:], max_exp, "ordinal exponent") if power else 1
-            acc = add(acc, omega_power(e, read_natural(coeff) if star else 1))
+            acc = add(acc, omega_power(e, read_natural(coeff, what="ordinal coefficient")
+                                        if star else 1))
         else:
             if not is_decimal(chunk):
                 raise ValueError("bad term %r in %r" % (chunk, text))
-            acc = add(acc, from_int(read_natural(chunk)))
+            acc = add(acc, from_int(read_natural(chunk, what="ordinal coefficient")))
     return acc

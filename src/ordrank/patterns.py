@@ -101,10 +101,9 @@ class DigitSet:
             v = self.min_geq(v + 1)
 
 
-def _divisors(n: int):
-    for d in range(1, n + 1):
-        if n % d == 0:
-            yield d
+@lru_cache(maxsize=4096)
+def _divisors(n: int) -> tuple[int, ...]:
+    return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
 def mk_digitset(prefix, period, residues) -> DigitSet:
@@ -533,8 +532,10 @@ def holds_at(p: Pat, x: Ordinal) -> bool:
 class Cell:
     """Digit box times interval times divisibility constraint.
 
-    Every cell built by `_mk_cell` (so every cell `to_cells`, `cell_and`
-    and `cell_minus` return) is canonical:
+    Every cell is canonical: `_mk_cell` builds one from any constraints,
+    and `cell_and` meets two canonical cells field by field (so every cell
+    `to_cells`, `cell_and` and `cell_minus` return, and every cell
+    `cell_minus` carves with, is one):
 
     - lo >= 1 whenever div >= 1 or md is set (both imply x != 0);
     - md is None or a nonempty subset of {>= 1} other than {>= 1} itself,
@@ -547,8 +548,6 @@ class Cell:
     So equal sets of constraints give equal cells, `_cell_subsumes` can
     compare field by field, `_cell_key` orders cells totally, and the
     prune in `prune_cells` may look only at cells of smaller (div, lo).
-    Cells built directly (the one-constraint cells `cell_minus` carves
-    with) need not be canonical; they are only ever passed to `cell_and`.
 
     Cells key the `_meet_pair`, `limit_cells` and closure memos, so the
     hash of the five fields is computed once, at construction.
@@ -706,15 +705,50 @@ def _ds_subset(a: DigitSet, b: DigitSet) -> bool:
 
 
 def cell_and(c: Cell, b: Cell, bound: Ordinal | None) -> Cell | None:
-    digits = dict(c.digits)
-    for i, ds in b.digits:
-        digits[i] = ds_and(digits[i], ds) if i in digits else ds
-    lo = b.lo if o.compare(b.lo, c.lo) > 0 else c.lo
+    """The meet of two canonical cells, canonical; None when empty.
+
+    It is built field by field, with no re-normalisation: the larger lo,
+    the smaller hi (both lie below the bound, so no clamp), the larger div,
+    and the intersections of md and of the digit sets.  An intersection of
+    two proper subsets of {>= 1}, or of two nonempty sets that are not full,
+    is again one when nonempty; a set at a position below the new div is
+    dropped, and one without 0 there empties the cell.  lo >= 1 already
+    holds when div >= 1 or md is set, since it did in the cell that brought
+    either."""
+    lo = b.lo if b.lo.terms > c.lo.terms else c.lo
     hi = c.hi
-    if b.hi is not None and (hi is None or o.compare(b.hi, hi) < 0):
+    if b.hi is not None and (hi is None or b.hi.terms < hi.terms):
         hi = b.hi
-    md = c.md if b.md is None else (b.md if c.md is None else ds_and(c.md, b.md))
-    return _mk_cell(lo, hi, digits, max(c.div, b.div), md, bound)
+    if hi is not None and lo.terms >= hi.terms:
+        return None
+    div = max(c.div, b.div)
+    md = c.md if b.md is None else b.md
+    if c.md is not None and b.md is not None:
+        md = ds_and(c.md, b.md)
+        if md.is_empty:
+            return None
+    digits: list[tuple[int, DigitSet]] = []
+    xs, ys = c.digits, b.digits
+    j = k = 0
+    while j < len(xs) or k < len(ys):
+        if k == len(ys) or (j < len(xs) and xs[j][0] < ys[k][0]):
+            i, ds = xs[j]
+            j += 1
+        elif j == len(xs) or ys[k][0] < xs[j][0]:
+            i, ds = ys[k]
+            k += 1
+        else:
+            i, ds = xs[j][0], ds_and(xs[j][1], ys[k][1])
+            j += 1
+            k += 1
+            if ds.is_empty:
+                return None
+        if i >= div:
+            digits.append((i, ds))
+        elif 0 not in ds:
+            return None
+    out = Cell(lo, hi, tuple(digits), div, md)
+    return None if cell_is_empty(out, bound) else out
 
 
 def cell_minus(c: Cell, b: Cell, bound: Ordinal | None) -> list[Cell]:
@@ -727,29 +761,31 @@ def cell_minus(c: Cell, b: Cell, bound: Ordinal | None) -> list[Cell]:
     if cell_and(c, b, bound) is None:
         return [c]
 
-    def digit(i: int, ds: DigitSet) -> Cell:
-        return Cell(ZERO, None, ((i, ds),), 0)
+    def cell(lo: Ordinal = ZERO, hi: Ordinal | None = None, digits=None,
+             md: DigitSet | None = None) -> Cell | None:
+        return _mk_cell(lo, hi, digits or {}, 0, md, bound)
 
-    steps: list[tuple[Cell, Cell]] = []
+    steps: list[tuple[Cell | None, Cell | None]] = []
     if not b.lo.is_zero:
-        steps.append((Cell(ZERO, b.lo, (), 0), Cell(b.lo, None, (), 0)))
+        steps.append((cell(hi=b.lo), cell(lo=b.lo)))
     if b.hi is not None:
-        steps.append((Cell(b.hi, None, (), 0), Cell(ZERO, b.hi, (), 0)))
+        steps.append((cell(lo=b.hi), cell(hi=b.hi)))
     if b.div >= 1 or b.md is not None:
-        steps.append((Cell(ZERO, ONE, (), 0), Cell(ONE, None, (), 0)))
+        steps.append((cell(hi=ONE), cell(lo=ONE)))
     # not(div): x = 0 or some digit below the level is nonzero; carve the
     # nonzero-digit branches one position at a time to stay disjoint
-    steps += [(digit(i, ds_ge(1)), digit(i, ds_eq(0))) for i in range(b.div)]
+    steps += [(cell(digits={i: ds_ge(1)}), cell(digits={i: ds_eq(0)}))
+              for i in range(b.div)]
     if b.md is not None:
-        steps.append((Cell(ZERO, None, (), 0, ds_not(b.md)), Cell(ZERO, None, (), 0, b.md)))
-    steps += [(digit(i, ds_not(ds)), digit(i, ds)) for i, ds in b.digits]
+        steps.append((cell(md=ds_not(b.md)), cell(md=b.md)))
+    steps += [(cell(digits={i: ds_not(ds)}), cell(digits={i: ds})) for i, ds in b.digits]
     out: list[Cell] = []
     rest: Cell | None = c
     for outside, inside in steps:
-        piece = cell_and(rest, outside, bound)
-        if piece is not None:
+        # a carving cell of None is an empty piece
+        if outside is not None and (piece := cell_and(rest, outside, bound)) is not None:
             out.append(piece)
-        rest = cell_and(rest, inside, bound)
+        rest = None if inside is None else cell_and(rest, inside, bound)
         if rest is None:
             break
     return out
@@ -765,7 +801,11 @@ def cells_difference(acells, bcells, bound: Ordinal | None) -> list[Cell]:
 
 
 def _cell_subsumes(big: Cell, small: Cell) -> bool:
-    """Sufficient syntactic check for small <= big."""
+    """Sufficient syntactic check for small <= big, on canonical cells.
+
+    Each digit set of big must contain small's constraint there: {0} below
+    small.div, small's own set where it has one, and otherwise every digit,
+    which no set of a canonical cell contains."""
     # both bounds are Ordinals, which order by their term tuples
     if small.lo.terms < big.lo.terms:
         return False
@@ -776,9 +816,16 @@ def _cell_subsumes(big: Cell, small: Cell) -> bool:
     if big.md is not None:
         if small.md is None or not _ds_subset(small.md, big.md):
             return False
-    for i, ds_big in big.digits:
-        if not _ds_subset(small.constraint(i), ds_big):
-            return False
+    if big.digits:
+        sets = dict(small.digits)
+        for i, ds_big in big.digits:
+            if i < small.div:
+                if 0 not in ds_big:
+                    return False
+                continue
+            ds = sets.get(i)
+            if ds is None or (ds != ds_big and not _ds_subset(ds, ds_big)):
+                return False
     return True
 
 
@@ -840,6 +887,8 @@ def meet(xs: tuple[Cell, ...], ys: tuple[Cell, ...],
     """Cells of the intersection of two canonical cell tuples: the maximal
     pairwise meets, which are the and's own to_cells (its DNF is the product
     of its parts' DNFs, and cell_and is monotone under _cell_subsumes).
+    Each pairwise meet is built field by field from the two canonical
+    cells (`cell_and`), not re-normalised, and memoized per pair.
 
     Not every pairwise meet is formed.  A nonempty c ∧ d of canonical cells
     lies syntactically inside both c and d: its lo is the larger, its hi the
@@ -861,10 +910,11 @@ def meet(xs: tuple[Cell, ...], ys: tuple[Cell, ...],
             m = _meet_pair(c, d, bound)
             if m is None:
                 continue
-            if m == c:
+            # equal cells have equal cached hashes, and most meets differ
+            if m._hash == c._hash and m == c:
                 row = [c]
                 break
-            if m == d:
+            if m._hash == d._hash and m == d:
                 inside.add(d)
             row.append(m)
         out += row

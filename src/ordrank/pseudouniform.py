@@ -16,7 +16,7 @@ from . import ordinal as o
 from .altsum import Certificate
 from .derivative import Budget, DEFAULT_BUDGET
 from .errors import UnsupportedProgression, VerificationError, WitnessMismatch
-from .family import Segment, TransfiniteFamily, even_diff_union
+from .family import Segment, TransfiniteFamily, _check_segments, even_diff_union
 from .functions import (FnFamily, StepFn, char_fn, fam_add, fam_clamp_hk,
                         fam_map_values, fn_add, constant)
 from .ordinal import Ordinal, W, ZERO, omega_power
@@ -29,6 +29,10 @@ from .space import SpaceDesc, Topology, is_empty, sample_points, sem_eq, subset
 
 
 def _require_tails(fam: TransfiniteFamily) -> None:
+    """Refuse a family other than one plain tail segment: with
+    VerificationError("segments") when its segments do not partition its
+    length, as every other reader of a family does, else as unsupported."""
+    _check_segments(fam)
     ok = (len(fam.segments) == 1
           and isinstance(fam.segments[0].body, POrdGeEta)
           and fam.segments[0].body.base.is_zero

@@ -324,6 +324,25 @@ def test_cli_long_number_above_limit_exit3(tmp_path, capsys, exp, pos, what):
         % (what, MAX_POSITION)]
 
 
+_NINES = "9" * 5000
+_PAIR = '(fixture (space (bound "%s")) (set a %s) (set b (not (ref a)))%s)'
+
+
+@pytest.mark.parametrize("text, what", [
+    (_PAIR % ("w^2", "(eq 0 %s)" % _NINES, ""), "natural"),
+    (_PAIR % ("w*%s" % _NINES, "(mod 0 2 0)", ""), "ordinal coefficient"),
+    (_PAIR % ("w^2", "(mod 0 2 0)", " (refine (sets a) (xi %s))" % _NINES), "integer"),
+], ids=["digit-value", "coefficient", "xi"])
+def test_cli_long_number_without_limit_exit3(tmp_path, capsys, text, what):
+    # a number with no limit of its own is held to int()'s 4,300 digits;
+    # before, these exited 1 through int()
+    assert main(["rank", _write(tmp_path, text), "--pair", "a", "b"]) == 3
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [
+        "budget/undecidable: PositionLimitExceeded: %s of 5000 digits is above "
+        "the limit of 4300 digits" % what]
+
+
 def test_cli_leading_zeros_read_as_the_number(tmp_path, capsys):
     one = "0" * 5000 + "1"
     outs = []
@@ -453,17 +472,21 @@ def test_cli_family_shift_above_segment_exit2(tmp_path):
 
 
 _DECOMPOSE = ["decompose", "--fn", "chi", "--witnesses", "tails", "--lam", "2"]
+_PHI = ["phi", "--set", "evens", "--family", "tails", "--lam", "1"]
 _BACKWARDS = '(segment (from "3") (to "2") (ge-param "0" "0" 1))'
 
 
 @pytest.mark.parametrize("argv, segments, message", [
     (_DECOMPOSE, _BACKWARDS, "gap or overlap at 3"),
-    (["phi", "--set", "evens", "--family", "tails", "--lam", "1"], _BACKWARDS,
-     "gap or overlap at 3"),
+    (_PHI, _BACKWARDS, "gap or overlap at 3"),
     (["verify", "--family", "tails"], _BACKWARDS, "gap or overlap at 3"),
     # before, an IndexError traceback
     (_DECOMPOSE, '(segment (from "0") (to "3") (true)) ' + _BACKWARDS, "gap or overlap at 3"),
     (_DECOMPOSE, '(segment (from "0") (to "w^2") (ge-param "0" "w" 1))',
+     "index atom shift above segment start 0"),
+    # before, phi exited 3 on these: its tail-family check ran first
+    (_PHI, '(segment (from "0") (to "3") (true)) ' + _BACKWARDS, "gap or overlap at 3"),
+    (_PHI, '(segment (from "0") (to "w^2") (ge-param "0" "w" 1))',
      "index atom shift above segment start 0"),
 ])
 def test_cli_malformed_witness_exit2(tmp_path, capsys, argv, segments, message):

@@ -15,7 +15,10 @@ from ordrank.patterns import (MAX_DIGITSET, DigitSet, PAnd, PMinDigit, POrdGe, P
                               cell_pattern, cell_is_empty, _cell_key,
                               _cell_subsumes, _dnf, _merge_cell, _nnf)
 from ordrank.space import SpaceDesc, sample_points
+from ordrank.ordinal import ONE, ZERO
+from ordrank.patterns import Cell, _mk_cell, cell_minus
 
+from test_cell_pipeline import _cell_pool
 from test_closure_probe import rich_pattern
 from test_space import rand_pattern
 
@@ -229,3 +232,119 @@ def test_fundamental_sequence_supremum():
             continue
         assert any(compare(probe, fundamental_sequence(a, n)) < 0
                    for n in range(40))
+
+
+# -- the field-by-field cell algebra against the constraint()-based originals --
+
+_CELL_BOUNDS = (from_int(1), from_int(2), from_int(5), add(mul(W, 8), 8), None)
+
+
+def _ref_ds_subset(a, b):
+    return ds_and(a, ds_not(b)).is_empty
+
+
+def _ref_subsumes(big, small):
+    """The check before the single walk: small's constraint() at every
+    position big constrains."""
+    if small.lo.terms < big.lo.terms:
+        return False
+    if big.hi is not None and (small.hi is None or small.hi.terms > big.hi.terms):
+        return False
+    if big.div > small.div:
+        return False
+    if big.md is not None and (small.md is None or not _ref_ds_subset(small.md, big.md)):
+        return False
+    return all(_ref_ds_subset(small.constraint(i), ds) for i, ds in big.digits)
+
+
+def test_cell_subsumes_matches_constraint_reference():
+    rng = random.Random(6161)
+    seen = {"true": 0, "false": 0, "below_div": 0, "free": 0, "div": 0, "md": 0}
+    for i in range(60):
+        bound = _CELL_BOUNDS[i % len(_CELL_BOUNDS)]
+        pool = list(dict.fromkeys(_cell_pool(rng, bound, rng.randint(2, 5))))
+        for big in pool:
+            for small in pool:
+                want = _ref_subsumes(big, small)
+                assert _cell_subsumes(big, small) == want, (big, small)
+                seen["true" if want else "false"] += 1
+                seen["div"] += small.div >= 1
+                seen["md"] += big.md is not None
+                # the digit walk decides: every test before it passes
+                if (not want and small.lo.terms >= big.lo.terms
+                        and big.div <= small.div and big.md is None
+                        and (big.hi is None or (small.hi is not None
+                                                and small.hi.terms <= big.hi.terms))):
+                    idx = dict(small.digits)
+                    seen["below_div"] += any(j < small.div for j, _ in big.digits)
+                    seen["free"] += any(j >= small.div and j not in idx
+                                        for j, _ in big.digits)
+    assert min(seen.values()) >= 50, seen
+
+
+def _ref_cell_and(c, b, bound):
+    """The meet before it was built field by field: merge, then normalise."""
+    digits = dict(c.digits)
+    for i, ds in b.digits:
+        digits[i] = ds_and(digits[i], ds) if i in digits else ds
+    lo = b.lo if o.compare(b.lo, c.lo) > 0 else c.lo
+    hi = c.hi
+    if b.hi is not None and (hi is None or o.compare(b.hi, hi) < 0):
+        hi = b.hi
+    md = c.md if b.md is None else (b.md if c.md is None else ds_and(c.md, b.md))
+    return _mk_cell(lo, hi, digits, max(c.div, b.div), md, bound)
+
+
+def _ref_cell_minus(c, b, bound):
+    """The staircase carving with one-constraint cells built directly, not
+    canonical, and met through the normalising meet."""
+    if _ref_subsumes(b, c):
+        return []
+    if _ref_cell_and(c, b, bound) is None:
+        return [c]
+
+    def digit(i, ds):
+        return Cell(ZERO, None, ((i, ds),), 0)
+
+    steps = []
+    if not b.lo.is_zero:
+        steps.append((Cell(ZERO, b.lo, (), 0), Cell(b.lo, None, (), 0)))
+    if b.hi is not None:
+        steps.append((Cell(b.hi, None, (), 0), Cell(ZERO, b.hi, (), 0)))
+    if b.div >= 1 or b.md is not None:
+        steps.append((Cell(ZERO, ONE, (), 0), Cell(ONE, None, (), 0)))
+    steps += [(digit(i, ds_ge(1)), digit(i, ds_eq(0))) for i in range(b.div)]
+    if b.md is not None:
+        steps.append((Cell(ZERO, None, (), 0, ds_not(b.md)), Cell(ZERO, None, (), 0, b.md)))
+    steps += [(digit(i, ds_not(ds)), digit(i, ds)) for i, ds in b.digits]
+    out = []
+    rest = c
+    for outside, inside in steps:
+        piece = _ref_cell_and(rest, outside, bound)
+        if piece is not None:
+            out.append(piece)
+        rest = _ref_cell_and(rest, inside, bound)
+        if rest is None:
+            break
+    return out
+
+
+def test_cell_minus_matches_noncanonical_carving():
+    rng = random.Random(6262)
+    seen = {bound: 0 for bound in _CELL_BOUNDS}
+    carved = {"md": 0, "div": 0, "several": 0}
+    for i in range(60):
+        bound = _CELL_BOUNDS[i % len(_CELL_BOUNDS)]
+        pool = list(dict.fromkeys(_cell_pool(rng, bound, rng.randint(2, 4))))
+        for c in pool:
+            for b in rng.sample(pool, min(8, len(pool))):
+                got = tuple(cell_minus(c, b, bound))
+                assert got == tuple(_ref_cell_minus(c, b, bound)), (bound, c, b)
+                seen[bound] += 1
+                if len(got) >= 2:
+                    carved["several"] += 1
+                    carved["md"] += b.md is not None
+                    carved["div"] += b.div >= 1
+    # a space of one or two points has few cells
+    assert min(seen.values()) >= 20 and sum(seen.values()) >= 3000, seen
+    assert min(carved.values()) >= 20, carved

@@ -81,9 +81,12 @@ class ConvDeriv:
     fam: FnFamily
     eps: Fraction
 
+    @lru_cache(maxsize=256)
     def tail_disagreement_param(self) -> Pat:
         """{y : two eps-separated values both occur among f_n(y), n >= N},
-        as a pattern affine in the start index N."""
+        as a pattern affine in the start index N.
+
+        Memoized: `step` and every stage of `oracle.oracle_conv` read it."""
         vals = self.fam.values()
         ever = {v: union_from_param(self.fam.cell_pattern_of(v)) for v in vals}
         parts = []

@@ -134,11 +134,17 @@ def _bit(tok) -> bool:
 
 
 def _rat(tok) -> Fraction:
+    """A rational: an optional minus sign, ASCII decimal digits, and optionally
+    "/" and a nonzero denominator in ASCII digits (what `str(Fraction)` prints)."""
     s = _atom_text(tok)
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:  # zero denominator: "1/0"
-        raise FixtureParseError("bad rational %r" % s) from e
+    num, slash, den = s.removeprefix("-").partition("/")
+    if not is_decimal(num) or (slash and not is_decimal(den)):
+        raise FixtureParseError("bad rational %r" % s)
+    p = read_natural(num, what="numerator")
+    q = read_natural(den, what="denominator") if slash else 1
+    if q == 0:
+        raise FixtureParseError("bad rational %r" % s)
+    return Fraction(-p if s.startswith("-") else p, q)
 
 
 def _ord_token(a: Ordinal) -> str:

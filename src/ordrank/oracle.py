@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import ordinal as o
 from .errors import NotOracleSpace
@@ -46,13 +47,12 @@ class OracleSet:
         return all(ds.is_empty for ds in self.blocks) and not any(self.tail)
 
     def points(self, per_block: int = 24) -> list[Ordinal]:
+        starts, trailing = _block_points(self.m, self.k)
         out = []
         for b, ds in enumerate(self.blocks):
             for j in ds.elements(per_block):
-                out.append(o.add(o.mul(W, b), j))
-        for j, bit in enumerate(self.tail):
-            if bit:
-                out.append(o.add(o.mul(W, self.m), j))
+                out.append(o.add(starts[b], j))
+        out.extend(x for x, bit in zip(trailing, self.tail) if bit)
         return out
 
 
@@ -210,17 +210,26 @@ def oracle_osc(pieces: list[tuple[Fraction, OracleSet]], eps: Fraction,
 
 def from_pattern(p: Pat, space: SpaceDesc) -> OracleSet:
     m, k = oracle_shape(space)
+    starts, trailing = _block_points(m, k)
+    cells = to_cells(p, space.bound) if m else ()
     blocks = []
     for b in range(m):
         ds = DS_EMPTY
-        for cell in to_cells(p, space.bound):
-            ds = ds_or(ds, _block_restrict(cell, b))
+        for cell in cells:
+            ds = ds_or(ds, _block_restrict(cell, b, starts))
         blocks.append(ds)
-    tail = tuple(holds_at(p, o.add(o.mul(W, m), j)) for j in range(k))
+    tail = tuple(holds_at(p, x) for x in trailing)
     return OracleSet(m, k, tuple(blocks), tail)
 
 
-def _block_restrict(cell, b: int) -> DigitSet:
+@lru_cache(maxsize=64)
+def _block_points(m: int, k: int) -> tuple[tuple[Ordinal, ...], tuple[Ordinal, ...]]:
+    """The block starts w*b (b <= m) and the trailing points w*m + j (j < k)."""
+    starts = tuple(o.mul(W, b) for b in range(m + 1))
+    return starts, tuple(o.add(starts[m], j) for j in range(k))
+
+
+def _block_restrict(cell, b: int, starts: tuple[Ordinal, ...]) -> DigitSet:
     for i, ds in cell.digits:
         if i >= 2 and 0 not in ds:
             return DS_EMPTY
@@ -243,7 +252,7 @@ def _block_restrict(cell, b: int) -> DigitSet:
             js = ds_and(js, ds_ge(1))
     # interval restriction
     lo, hi = cell.lo, cell.hi
-    block_start = o.mul(W, b)
+    block_start = starts[b]
     if o.compare(lo, block_start) > 0:
         if lo.digit(1) != b or (lo.max_exp() or 0) >= 2:
             return DS_EMPTY
@@ -251,7 +260,7 @@ def _block_restrict(cell, b: int) -> DigitSet:
     if hi is not None:
         if o.compare(hi, block_start) <= 0:
             return DS_EMPTY
-        if o.compare(hi, o.mul(W, b + 1)) < 0:
+        if o.compare(hi, starts[b + 1]) < 0:
             js = ds_and(js, ds_lt(hi.fin()))
     if b == 0 and cell.div >= 1:
         js = ds_and(js, ds_ge(1))

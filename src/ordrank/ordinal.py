@@ -202,7 +202,8 @@ def least_multiple_above(a: Ordinal | int, m: int) -> Ordinal:
     With a = w^e*k + r, z*m has leading term w^e*(j*m) when z has w^e*j,
     and keeps z's remainder; so the least z is w^e*(k//m + 1), or
     w^e*(k/m) + r + 1 when m divides k."""
-    a = _coerce(a)
+    if type(a) is not Ordinal:
+        a = _coerce(a)
     if m < 1:
         raise ValueError("multiplier must be >= 1")
     if not a.terms:
@@ -239,12 +240,14 @@ def is_even(a: Ordinal | int) -> bool:
 
 def even_floor(a: Ordinal | int) -> Ordinal:
     """The largest even ordinal <= a."""
-    a = _coerce(a)
+    if type(a) is not Ordinal:
+        a = _coerce(a)
     return a if is_even(a) else add(a.limit_part(), from_int(a.fin() - 1))
 
 
 def classify(a: Ordinal | int) -> Kind:
-    a = _coerce(a)
+    if type(a) is not Ordinal:
+        a = _coerce(a)
     if not a.terms:
         return Kind.ZERO
     return Kind.SUCCESSOR if a.terms[-1][0] == 0 else Kind.LIMIT
@@ -255,7 +258,8 @@ def successor(a: Ordinal | int) -> Ordinal:
 
 
 def predecessor(a: Ordinal | int) -> Ordinal:
-    a = _coerce(a)
+    if type(a) is not Ordinal:
+        a = _coerce(a)
     if classify(a) is not Kind.SUCCESSOR:
         raise ValueError("no predecessor: %s" % a)
     return add(a.limit_part(), from_int(a.fin() - 1))
@@ -269,7 +273,8 @@ def fundamental_sequence(a: Ordinal | int, n: int, even_only: bool = False) -> O
     so every element is even while the sequence stays strictly increasing
     and cofinal.
     """
-    a = _coerce(a)
+    if type(a) is not Ordinal:
+        a = _coerce(a)
     if classify(a) is not Kind.LIMIT:
         raise NotLimit(a)
     if n < 0:

@@ -373,12 +373,14 @@ def digit_in(i: int, ds: DigitSet) -> Pat:
 
 
 def ord_lt(b: Ordinal | int) -> Pat:
-    b = o._coerce(b)
+    if type(b) is not Ordinal:
+        b = o._coerce(b)
     return FALSE if b.is_zero else POrdLt(b)
 
 
 def ord_ge(b: Ordinal | int) -> Pat:
-    b = o._coerce(b)
+    if type(b) is not Ordinal:
+        b = o._coerce(b)
     return TRUE if b.is_zero else POrdGe(b)
 
 
@@ -405,7 +407,8 @@ def interval(lo: Ordinal | int, hi: Ordinal | int | None) -> Pat:
 
 
 def singleton(x: Ordinal | int) -> Pat:
-    x = o._coerce(x)
+    if type(x) is not Ordinal:
+        x = o._coerce(x)
     return and_(ord_ge(x), ord_lt(o.add(x, 1)))
 
 

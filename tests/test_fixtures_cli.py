@@ -226,6 +226,41 @@ def test_cli_zero_denominator_exit1(tmp_path):
     assert "bad rational '1/0'" in proc.stderr
 
 
+_PIECE = ('(fixture (space (bound "w")) (set evens (mod 0 2 0)) '
+          '(fn chi (stepfn (piece %s (ref evens)) (piece 0 (not (ref evens))))))')
+
+
+@pytest.mark.parametrize("value", [
+    "٣", "1e3", "1_0", ".5", "3.5", "+3", "1/-2", "1/", "/2", "-", "--1", "0/0",
+])
+def test_cli_piece_value_ascii_only_exit1(tmp_path, capsys, value):
+    # before, Fraction() read "٣" as 3 and "1e3" as 1000, and rank exited 0
+    assert main(["rank", _write(tmp_path, _PIECE % value), "--fn", "chi"]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "parse error: bad rational %r" % value]
+
+
+@pytest.mark.parametrize("value, what", [
+    ("9" * 5000, "numerator"), ("-1/" + "9" * 5000, "denominator"),
+], ids=["numerator", "denominator"])
+def test_cli_long_piece_value_exit3(tmp_path, capsys, value, what):
+    # before, Fraction() refused it and the parse error echoed every digit
+    assert main(["rank", _write(tmp_path, _PIECE % value), "--fn", "chi"]) == 3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "budget/undecidable: PositionLimitExceeded: %s of 5000 digits is above "
+        "the limit of 4300 digits" % what]
+
+
+@pytest.mark.parametrize("value, printed", [
+    ("-4/6", "-2/3"), ("007/2", "7/2"), ("-12", "-12"), ("12/1", "12"),
+])
+def test_piece_values_round_trip(value, printed):
+    fx = load_fixture(_PIECE % value)
+    text = fixture_to_sexpr(fx)
+    assert "(piece %s " % printed in text
+    assert fixture_to_sexpr(load_fixture(text)) == text
+
+
 @pytest.mark.parametrize("item, message", [
     ("(refine (sets nosuch) (xi 2))", "unknown set name 'nosuch'"),
     ("(set)", "(set ...) needs 2 argument(s)"),

@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 
+from . import oracle as orc
 from . import ordinal as o
 from .altsum import (altsum_eval, build_char_decomposition,
                      build_step_decomposition, exit_parity_eval,
@@ -25,14 +27,20 @@ from .errors import (BudgetExceeded, CertificateViolation, ClassViolation,
                      PartitionViolation, PositionLimitExceeded,
                      PrecisionUnreachable, ResidualViolation,
                      UnsupportedProgression, VerificationError, WitnessMismatch)
+from .family import explicit_family, tails_family
 from .fixtures import Fixture, load_fixture
+from .functions import char_fn, fn_add, fn_scale, usc_check
 from .ordinal import format_ordinal
-from .ranks import NotStabilized, alpha_fn, alpha_pair, beta, gamma_seq
-from .space import sample_points
-from .patterns import FALSE, TRUE
+from .patterns import (FALSE, TRUE, and_, digit_eq, digit_ge, digit_mod, ds_mod,
+                       min_digit_in, not_, or_, ord_ge, ord_lt)
+from .pseudouniform import phi_generate
+from .ranks import (NotStabilized, alpha_fn, alpha_pair, alpha_xi_verify, beta,
+                    class_membership, gamma_seq, is_pseudouniform)
+from .space import (SpaceDesc, base_topology, closure, difference_chain, refine,
+                    sample_points)
 
 # argparse.ArgumentError: a usage error, raised by `_Parser.error`
-_PARSE_ERRORS = (FixtureParseError, ValueError, argparse.ArgumentError)
+_PARSE_ERRORS = (FixtureParseError, argparse.ArgumentError)
 _VERIFY_ERRORS = (VerificationError, InclusionViolation, WitnessMismatch,
                   ResidualViolation, ExitNotFound, ClassViolation,
                   PartitionViolation, CertificateViolation, NotOracleSpace)
@@ -44,9 +52,10 @@ _BUDGET_ERRORS = (BudgetExceeded, UnsupportedProgression, PrecisionUnreachable,
 
 def _budget() -> Budget:
     env = os.environ.get("TRANSFINITE_BUDGET")
-    if env:
-        return Budget(successors=int(env))
-    return DEFAULT_BUDGET
+    try:
+        return Budget(successors=int(env)) if env else DEFAULT_BUDGET
+    except ValueError as e:
+        raise FixtureParseError(str(e)) from None
 
 
 def _fmt_rank(value) -> str:
@@ -107,6 +116,8 @@ def cmd_rank(fx: Fixture, args) -> int:
 
 
 def cmd_decompose(fx: Fixture, args) -> int:
+    if args.lam < 0:
+        raise FixtureParseError("--lam must be at least 0, got %d" % args.lam)
     f = _named(fx.fns, "fn", args.fn)
     wits = [_named(fx.families, "family", n) for n in args.witnesses]
     d = build_step_decomposition(f, wits, fx.topology)
@@ -121,7 +132,6 @@ def cmd_decompose(fx: Fixture, args) -> int:
 
 
 def cmd_verify(fx: Fixture, args) -> int:
-    from .ranks import alpha_xi_verify
     if args.xi < 1:
         raise FixtureParseError("--xi must be at least 1, got %d" % args.xi)
     fam = _named(fx.families, "family", args.family)
@@ -143,7 +153,6 @@ def cmd_verify(fx: Fixture, args) -> int:
 
 
 def cmd_phi(fx: Fixture, args) -> int:
-    from .pseudouniform import phi_generate
     A = _named(fx.sets, "set", args.set)
     fam = _named(fx.families, "family", args.family)
     wit = phi_generate(A, fam, args.lam, fx.topology, budget=_budget())
@@ -158,9 +167,6 @@ def cmd_phi(fx: Fixture, args) -> int:
 # Reproduction suites.
 
 def _suite_polish_failure() -> list[tuple[str, bool]]:
-    from .functions import char_fn, fn_add, fn_scale
-    from .patterns import and_, digit_mod, ds_mod, min_digit_in, ord_lt
-    from .space import SpaceDesc, base_topology
     A = min_digit_in(ds_mod(2, 0))
     out = []
     cases = [(SpaceDesc(o.from_int(12)), o.from_int(1)),
@@ -188,10 +194,6 @@ def _suite_polish_failure() -> list[tuple[str, bool]]:
 
 
 def _suite_alternating() -> list[tuple[str, bool]]:
-    from .family import tails_family
-    from .functions import char_fn
-    from .patterns import digit_mod
-    from .space import SpaceDesc, base_topology
     out = []
     for bound in (o.W, o.omega_power(2)):
         space = SpaceDesc(bound)
@@ -212,11 +214,6 @@ def _suite_alternating() -> list[tuple[str, bool]]:
 
 
 def _suite_phi() -> list[tuple[str, bool]]:
-    from .family import tails_family
-    from .patterns import digit_mod
-    from .pseudouniform import phi_generate
-    from .ranks import is_pseudouniform
-    from .space import SpaceDesc, base_topology
     space = SpaceDesc(o.omega_power(2))
     t = base_topology(space)
     wit = phi_generate(digit_mod(0, 2, 0), tails_family(o.omega_power(2)), 1, t)
@@ -225,13 +222,9 @@ def _suite_phi() -> list[tuple[str, bool]]:
 
 
 def _suite_oracle() -> list[tuple[str, bool]]:
-    import random
-    from . import oracle as orc
-    from .space import SpaceDesc, base_topology, closure
     rng = random.Random(123)
     space = SpaceDesc(o.add(o.mul(o.W, 4), 4))
     t = base_topology(space)
-    from .patterns import and_, digit_eq, digit_ge, digit_mod, not_, or_, ord_ge, ord_lt
 
     def rand_pattern(depth=3):
         def atom():
@@ -269,11 +262,6 @@ def _suite_oracle() -> list[tuple[str, bool]]:
 
 
 def _suite_xi_reduction() -> list[tuple[str, bool]]:
-    from .family import explicit_family
-    from .functions import char_fn, usc_check
-    from .patterns import digit_mod, not_
-    from .ranks import class_membership
-    from .space import SpaceDesc, base_topology, difference_chain, refine
     space = SpaceDesc(o.omega_power(2))
     t = base_topology(space)
     blocky = digit_mod(1, 2, 1)

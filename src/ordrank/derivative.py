@@ -32,6 +32,7 @@ from functools import lru_cache
 from . import ordinal as o
 from . import space as sp
 from .errors import BudgetExceeded, UnsupportedProgression
+from .fixtures import pattern_to_sexpr
 from .functions import FnFamily, StepFn, eventual, union_from_param
 from .ordinal import Ordinal, ZERO, W
 from .patterns import (
@@ -59,6 +60,26 @@ class SeparationDeriv:
 class CantorBendixson:
     def step(self, F: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
         return sp.cb_cells(F, t)
+
+
+@dataclass(frozen=True)
+class HausdorffStep:
+    """Two indices of a's Hausdorff difference chain: for even k, `half` takes
+    F_k to F_(k+1) = cl(F_k minus a) and `step` to F_(k+2) = cl(F_(k+1) cap a),
+    so stage theta of the iteration from X is F_(2*theta).  Lemma: in a
+    scattered space an isolated point x of a nonempty closed F leaves within
+    one step (if x is in a, F minus a stays away from x; else half(F) cap a
+    does).  So the stages strictly decrease and reach the empty set, and a
+    point that leaves after an even index lies in a."""
+    a: Pat
+
+    def half(self, F: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
+        bound = t.space.bound
+        return closure_cells(prune_cells(cells_difference(F, to_cells(self.a, bound), bound)), t)
+
+    def step(self, F: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
+        bound = t.space.bound
+        return closure_cells(meet(self.half(F, t), to_cells(self.a, bound), bound), t)
 
 
 @dataclass(frozen=True)
@@ -133,7 +154,7 @@ def _max_atom_base(p: Pat) -> int:
                 for a in atoms(p) if type(a) in PARAM_N), default=0)
 
 
-DerivativeVariant = SeparationDeriv | CantorBendixson | OscDeriv | ConvDeriv
+DerivativeVariant = SeparationDeriv | CantorBendixson | HausdorffStep | OscDeriv | ConvDeriv
 
 
 @dataclass(frozen=True)
@@ -395,7 +416,6 @@ class IterationTrace:
         return cells_pattern(_steps(self.op, cells, gap.to_int()))
 
     def log_lines(self) -> list[str]:
-        from .fixtures import pattern_to_sexpr
         return ["stage %s set %s" % (stage, pattern_to_sexpr(cells_pattern(cells)))
                 for stage, cells in self.events]
 

@@ -95,7 +95,10 @@ def _ord(tok) -> Ordinal:
     """An ordinal literal whose exponents are held to MAX_POSITION."""
     if not isinstance(tok, str):
         raise FixtureParseError("expected an ordinal literal, got %r" % (tok,))
-    return parse_ordinal(_atom_text(tok), MAX_POSITION)
+    try:
+        return parse_ordinal(_atom_text(tok), MAX_POSITION)
+    except ValueError as e:
+        raise FixtureParseError(str(e)) from None
 
 
 def _nat(tok, limit: int | None = None, what: str = "natural") -> int:
@@ -109,6 +112,13 @@ def _nat(tok, limit: int | None = None, what: str = "natural") -> int:
 # position, an ordinal's exponents included; digit values are held to
 # `patterns.MAX_DIGITSET`
 MAX_POSITION = 256
+
+
+def _modulus(tok) -> int:
+    """A natural used as a modulus: at least 1."""
+    if (m := _nat(tok)) < 1:
+        raise FixtureParseError("modulus must be >= 1")
+    return m
 
 
 def _pos(tok) -> int:
@@ -260,9 +270,9 @@ def sexpr_to_pattern(node, named: dict[str, Pat] | None = None) -> Pat:
     if head == "eq":
         return digit_in(_pos(args[0]), ds_eq(_nat(args[1])))
     if head == "mod":
-        return digit_in(_pos(args[0]), ds_mod(_nat(args[1]), _nat(args[2])))
+        return digit_in(_pos(args[0]), ds_mod(_modulus(args[1]), _nat(args[2])))
     if head == "mindigit-mod":
-        return min_digit_in(ds_mod(_nat(args[0]), _nat(args[1])))
+        return min_digit_in(ds_mod(_modulus(args[0]), _nat(args[1])))
     if head == "mindigit-eq":
         return min_digit_in(ds_eq(_nat(args[0])))
     if head == "mindigit-ge":
@@ -357,6 +367,8 @@ def load_fixture(text: str) -> Fixture:
             bound = None if _atom_text(p["bound"][1]) == "ceiling" else _ord(p["bound"][1])
             if space is not None:
                 raise FixtureParseError("the fixture has a second (space ...)")
+            if bound is not None and bound.is_zero:
+                raise FixtureParseError("space must be nonempty")
             space = SpaceDesc(bound)
         else:
             items.append(node)

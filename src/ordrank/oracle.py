@@ -8,16 +8,17 @@ with the symbolic operators is a release-blocking bug.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import ordinal as o
-from .errors import NotOracleSpace
+from .errors import NotOracleSpace, UnsupportedProgression
 from .ordinal import Ordinal, W
-from .patterns import (DS_EMPTY, DS_FULL, DigitSet, Pat, ds_and, ds_eq,
-                       ds_ge, ds_lt, ds_not, ds_or, holds_at, mk_digitset,
-                       to_cells)
+from .patterns import (DS_EMPTY, DS_FULL, DigitSet, Pat, and_, digit_eq, digit_in,
+                       ds_and, ds_eq, ds_ge, ds_lt, ds_not, ds_or, holds_at,
+                       mk_digitset, or_, singleton, to_cells)
 from .space import SpaceDesc
 
 
@@ -142,7 +143,6 @@ def _ds_limit(samples: list[DigitSet]) -> DigitSet:
     if plens[-1] > plens[0] and all(a <= b for a, b in zip(plens, plens[1:])):
         return mk_digitset(prefix, 1, set())
     # residues shared by every sample survive beyond the prefixes
-    import math
     m = math.lcm(*(s.period for s in samples))
     residues = {r for r in range(m)
                 if all((r % s.period) in s.residues for s in samples)}
@@ -156,7 +156,6 @@ def oracle_conv(w_of, F: OracleSet, space: SpaceDesc) -> OracleSet:
     pattern; topology happens blockwise.  The stages decrease, so their
     intersection is computed per block from a sample window plus far
     probes, then re-verified against two more stages."""
-    from .errors import UnsupportedProgression
 
     def stage(n: int) -> OracleSet:
         w = from_pattern(w_of(n), space)
@@ -268,13 +267,11 @@ def _block_restrict(cell, b: int, starts: tuple[Ordinal, ...]) -> DigitSet:
 
 
 def to_pattern(s: OracleSet) -> Pat:
-    from .patterns import and_, digit_eq, digit_in, or_
     parts = []
     for b, ds in enumerate(s.blocks):
         if not ds.is_empty:
             parts.append(and_(digit_eq(1, b), digit_in(0, ds)))
     for j, bit in enumerate(s.tail):
         if bit:
-            from .patterns import singleton
             parts.append(singleton(o.add(o.mul(W, s.m), j)))
     return or_(*parts)

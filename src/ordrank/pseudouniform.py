@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import ordinal as o
 from .altsum import Certificate
 from .derivative import Budget, DEFAULT_BUDGET
-from .errors import UnsupportedProgression, VerificationError, WitnessMismatch
+from .errors import ToolkitError, UnsupportedProgression, VerificationError, WitnessMismatch
 from .family import Segment, TransfiniteFamily, _check_segments, even_diff_union
 from .functions import (FnFamily, StepFn, char_fn, fam_add, fam_clamp_hk,
                         fam_map_values, fn_add, constant)
@@ -95,7 +95,7 @@ def build_P_eta(sep_fam: TransfiniteFamily, lam: int, m: int, lam_k: Ordinal,
     h = and_(ord_ge(base), ord_lt(o.add(base, lam_k)), digit_mod(0, 2, 0))
     try:
         alpha_xi_verify(h, not_(h), fam, 1, t)
-    except Exception as e:
+    except ToolkitError as e:
         raise WitnessMismatch("window witness failed verification") from e
     return fam
 

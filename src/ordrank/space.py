@@ -8,16 +8,16 @@ needs points at every exponent.  A topology is the base order topology plus
 a finite list of declared sets whose generated partition cells become
 clopen; the refined closure operator works cell by cell.
 
-Closure and the Borel classification (the difference chain) work on
-canonical cell tuples; cells become patterns only at the boundary, in
-`closure`, `cb_derivative`, `canonicalize` and `difference_chain`'s
-result.  A limit point x with least exponent e accumulates a cell iff the
-cell's digit box is cofinal inside the final w^e-segment below x, which
-reduces to finitely many digit-set checks (the last constrained level must
-be infinite, levels below it nonempty, the level-e constraint shifts by
-one).  So a cell's limit points are again finitely many cells
-(`limit_cells`, memoized per cell), and the closure is the prune of the
-cells and their limit cells.
+Closure and the Borel classification work on canonical cell tuples; cells
+become patterns only at the boundary, in `closure`, `cb_derivative`,
+`canonicalize` and `difference_chain`'s result.  The difference chain is
+`derivative.iterate` of `HausdorffStep` under the default `Budget`.  A limit
+point x with least exponent e accumulates a cell iff the cell's digit box is
+cofinal inside the final w^e-segment below x, which reduces to finitely many
+digit-set checks (the last constrained level must be infinite, levels below
+it nonempty, the level-e constraint shifts by one).  So a cell's limit points
+are again finitely many cells (`limit_cells`, memoized per cell), and the
+closure is the prune of the cells and their limit cells.
 """
 from __future__ import annotations
 
@@ -228,48 +228,38 @@ class BorelClass(enum.Enum):
     OPEN = "open"
     CLOSED = "closed"
     DELTA2 = "delta2"
-    SIGMA2_OR_ABOVE = "sigma2_or_above"
-
-
-_CHAIN_BUDGET = 16  # the longest difference chain searched for
 
 
 def _chain_cells(p: Pat, t: Topology) -> list[tuple[Cell, ...]] | None:
-    """The cells of `difference_chain`.  The chain ends at the empty set, so
-    its even differences are F_k minus F_k+1 for even k below its last index."""
-    bound = t.space.bound
-    target = to_cells(p, bound)
-    cur = to_cells(TRUE, bound)
-    chain = [cur]
-    for k in range(_CHAIN_BUDGET):
-        part = (prune_cells(cells_difference(cur, target, bound)) if k % 2 == 0
-                else meet(cur, target, bound))
-        nxt = closure_cells(part, t)
-        chain.append(nxt)
-        if not nxt:
-            return chain
-        # structural fixpoint check only: stages are canonical cell tuples,
-        # and a missed semantic fixpoint just burns the remaining budget
-        if nxt == cur:
-            return None
-        cur = nxt
-    return None
+    """The cells of `difference_chain`: the stages of `HausdorffStep(p)` from
+    X interleaved with their halves, cut at the first empty set (so the even
+    differences are F_k minus F_k+1, k even); None after a limit jump."""
+    # derivative imports this module at top level
+    from .derivative import DerivativeOp, HausdorffStep, iterate
+    step = HausdorffStep(p)
+    trace = iterate(DerivativeOp(step, t), TRUE)
+    if trace.fixpoint:
+        raise AssertionError("a Hausdorff step fixed a nonempty closed set")
+    if trace.limit_jumps:
+        return None
+    chain = [c for _, cells in trace.events  # the last stage is empty
+             for c in ((cells, step.half(cells, t)) if cells else (cells,))]
+    return chain[:chain.index(()) + 1]
 
 
 def difference_chain(p: Pat, t: Topology) -> list[Pat] | None:
-    """Decreasing closed sets whose even differences equal p, if one of length
-    <= _CHAIN_BUDGET exists.  F_{k+1} alternates closures of the residue."""
+    """Decreasing closed sets F_0 = X, ..., F_n = empty whose even differences
+    equal p: F_(k+1) is the closure of F_k minus p for even k, of F_k cap p
+    for odd k.  None when the chain is transfinite."""
     chain = _chain_cells(p, t)
     return None if chain is None else [cells_pattern(c) for c in chain]
 
 
 def borel_class(p: Pat, t: Topology) -> BorelClass:
-    """Minimal level among the supported ones.
-
-    In these countable spaces every subset is Sigma^0_2 (a countable union
-    of singletons), so SIGMA2_OR_ABOVE only reports that no finite-length
-    difference chain was found within the budget.
-    """
+    """Minimal level among the supported ones.  Every subset of these
+    countable spaces is Delta^0_2 (it and its complement are countable unions
+    of singletons), so a set neither open nor closed is DELTA2; a finite
+    difference chain is checked to resolve it exactly."""
     closed = is_closed(p, t)
     opened = is_open(p, t)
     if closed and opened:
@@ -285,32 +275,25 @@ def borel_class(p: Pat, t: Topology) -> BorelClass:
                  for c in cells_difference(chain[k], chain[k + 1], bound)]
         assert cells_eq(prune_cells(evens), to_cells(p, bound), bound), \
             "difference chain must resolve the set exactly"
-        return BorelClass.DELTA2
-    return BorelClass.SIGMA2_OR_ABOVE
+    return BorelClass.DELTA2
 
 
 def refine(t: Topology, sets: tuple[Pat, ...] | list[Pat], xi: int) -> Topology:
     """Declare finitely many sets clopen.
 
     Every declared set must be ambiguous at level xi in the current
-    topology: clopen for xi = 1, any of clopen/open/closed/finite-chain
-    Delta2 for xi >= 2 (the chain is the caller's certificate, recomputed
-    here).  The refined opens are then unions of old opens intersected
-    with partition cells, hence Sigma^0_xi in the base by construction.
-    The level xi is at least 1 (ValueError otherwise).
+    topology: clopen for xi = 1, any set (all are Delta^0_2, though the
+    class is still computed) for xi >= 2.  The refined opens are then unions
+    of old opens intersected with partition cells, hence Sigma^0_xi in the
+    base by construction.  The level xi is at least 1 (ValueError otherwise).
     """
     if xi < 1:
         raise ValueError("xi must be at least 1, got %d" % xi)
     sets = tuple(sets)
     for s in sets:
         cls = borel_class(s, t)
-        if xi == 1:
-            if cls is not BorelClass.CLOPEN:
-                raise ClassViolation("declared set is %s, needs clopen" % cls.value)
-        else:
-            if cls is BorelClass.SIGMA2_OR_ABOVE:
-                raise ClassViolation(
-                    "declared set has no finite difference chain (not Delta2-certified)")
+        if xi == 1 and cls is not BorelClass.CLOPEN:
+            raise ClassViolation("declared set is %s, needs clopen" % cls.value)
     return Topology(t.space, t.declared + sets)
 
 

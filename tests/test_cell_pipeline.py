@@ -492,7 +492,7 @@ def _ref_borel_class(p, t):
     if chain is not None:
         assert sem_eq(_ref_even_differences(chain), p, t.space)
         return BorelClass.DELTA2
-    return BorelClass.SIGMA2_OR_ABOVE
+    return None  # the reference gives up
 
 
 def _ref_conv_step(cd, F, t):
@@ -541,23 +541,41 @@ def test_borel_layer_matches_pattern_reference():
     # NNF and DNF.  Under seed 9090 one ceiling-space set took 40 s there on
     # 2 cores with Python 3.11.7 (milliseconds on cells), so this seed keeps
     # the reference quick.
+    # Where the reference gives up (the empty set, whose F_1 equals F_0, and
+    # chains it cannot finish in 16 steps), the chain's even differences are
+    # checked on cells, or the chain is transfinite and the set Delta2.
     rng = random.Random(3)
     tops = _borel_topologies()
     seen = {c: 0 for c in BorelClass}
     chains = 0
+    gave_up = {"finite": 0, "transfinite": 0}
     for i in range(150):
         t = tops[i % len(tops)]
+        bound = t.space.bound
         p = rich_pattern(rng) if rng.random() < 0.5 else rand_pattern(rng)
-        got = difference_chain(p, t)
-        assert got == _ref_difference_chain(p, t), (p, t)
+        got, ref = difference_chain(p, t), _ref_difference_chain(p, t)
+        cls, ref_cls = borel_class(p, t), _ref_borel_class(p, t)
+        if ref is not None:
+            assert got == ref, (p, t)
+        elif got is not None:
+            cs = [to_cells(F, bound) for F in got]
+            evens = [c for k in range(0, len(cs) - 1, 2)
+                     for c in cells_difference(cs[k], cs[k + 1], bound)]
+            assert not cs[-1] and cells_eq(prune_cells(evens), to_cells(p, bound), bound), \
+                (p, t)
+            gave_up["finite"] += 1
+        else:
+            assert cls is BorelClass.DELTA2, (p, t)
+            gave_up["transfinite"] += 1
         chains += got is not None and len(got) > 3
         assert is_open(p, t) == _ref_is_open(p, t), (p, t)
-        cls = borel_class(p, t)
-        assert cls is _ref_borel_class(p, t), (p, t)
+        assert ref_cls is None or cls is ref_cls, (p, t)
         seen[cls] += 1
-    # every class comes up, and chains of more than two steps
+    # every class comes up, chains of more than two steps, and both kinds of
+    # answer where the reference gave up
     assert min(seen.values()) >= 1 and seen[BorelClass.DELTA2] >= 10, seen
     assert chains >= 20, chains
+    assert min(gave_up.values()) >= 1, gave_up
 
 
 def test_conv_step_matches_pattern_reference():

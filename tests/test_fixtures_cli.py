@@ -1,6 +1,7 @@
 """Fixture grammar round-trips and CLI behavior."""
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -489,6 +490,36 @@ def test_cli_refine_xi_below_one_exit1(tmp_path, xi):
     assert proc.stderr.startswith("parse error: ")
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "(xi ...) must be at least 1, got %s" % xi in proc.stderr
+
+
+@pytest.mark.parametrize("space, item, message", [
+    ('"w^2"', "(set a (mod 0 0 1))", "modulus must be >= 1"),
+    ('"w^2"', "(set a (mindigit-mod 0 1))", "modulus must be >= 1"),
+    ('"0"', "(set a (true))", "space must be nonempty"),
+    ('"w^2+"', "(set a (true))", "empty term in 'w^2+'"),
+])
+def test_cli_bad_value_in_fixture_exit1(tmp_path, capsys, space, item, message):
+    # each is refused where it is read, not by a catch-all for ValueError
+    text = "(fixture (space (bound %s)) %s)" % (space, item)
+    with pytest.raises(FixtureParseError, match="^%s$" % re.escape(message)):
+        load_fixture(text)
+    assert main(["rank", _write(tmp_path, text), "--pair", "a", "a"]) == 1
+    assert capsys.readouterr().err == "parse error: %s\n" % message
+
+
+def test_cli_negative_lam_and_bad_budget_exit1(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, FIX)
+    assert main(["decompose", path, "--fn", "chi", "--witnesses", "tails",
+                 "--lam", "-1"]) == 1
+    assert capsys.readouterr().err == "parse error: --lam must be at least 0, got -1\n"
+    monkeypatch.setenv("TRANSFINITE_BUDGET", "many")
+    assert main(["rank", path, "--fn", "chi"]) == 1
+    assert capsys.readouterr().err.startswith("parse error: invalid literal for int()")
+
+
+def test_value_error_is_not_a_parse_error():
+    # a ValueError from deeper code is a bug, not a parse error
+    assert ValueError not in cli._PARSE_ERRORS
 
 
 def test_cli_family_shift_above_segment_exit2(tmp_path):

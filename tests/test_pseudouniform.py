@@ -5,7 +5,8 @@ import pytest
 
 from ordrank.altsum import exit_parity_eval
 from ordrank.derivative import Budget
-from ordrank.errors import UnsupportedProgression, WitnessMismatch
+from ordrank import pseudouniform
+from ordrank.errors import InclusionViolation, UnsupportedProgression, WitnessMismatch
 from ordrank.family import even_diff_union, explicit_family, tails_family
 from ordrank.functions import (UniformPresentation, char_fn, constant,
                                fn_scale, make_stepfn)
@@ -68,6 +69,25 @@ def test_build_P_eta_finite():
     um = even_diff_union(pm)
     assert member(um, add(W, 2), T2)
     assert not member(um, from_int(2), T2)
+
+
+def test_build_P_eta_reports_only_package_errors(monkeypatch):
+    # a failed verification is a mismatch; any other exception is a bug
+    # and propagates unchanged
+    fam = tails_family(omega_power(2))
+
+    def raising(exc):
+        def verify(*args):
+            raise exc
+        return verify
+
+    monkeypatch.setattr(pseudouniform, "alpha_xi_verify",
+                        raising(InclusionViolation("A not covered", None)))
+    with pytest.raises(WitnessMismatch):
+        build_P_eta(fam, 1, 0, from_int(2), T2)
+    monkeypatch.setattr(pseudouniform, "alpha_xi_verify", raising(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        build_P_eta(fam, 1, 0, from_int(2), T2)
 
 
 def test_build_P_eta_table_branch():

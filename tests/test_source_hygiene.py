@@ -5,6 +5,7 @@ Every name a module imports must be read somewhere in that module.
 Every private module-level name must be read by some module of the package.
 Every parameter of a def must be read in its body, unless allowlisted.
 No module rebinds a module-level name through a `global` statement.
+No module imports inside a function, except to break a real import cycle.
 """
 import ast
 import os
@@ -177,3 +178,51 @@ def test_global_check_flags_and_spares():
            "        pos += 1\n    return step, 'global _LIMIT'\n")
     # a nonlocal and the word in a string are not global statements
     assert global_statements(src) == ["_LIMIT (line 3)", "_OLD (line 3)"]
+
+
+def _package_modules(node) -> list[str]:
+    """The package modules a relative import names, as file names."""
+    if not isinstance(node, ast.ImportFrom) or node.level != 1:
+        return []
+    if node.module:
+        return [node.module + ".py"]
+    return [alias.name + ".py" for alias in node.names]
+
+
+def local_imports(sources: dict[str, str]) -> list[str]:
+    """Imports below module level, except a relative import of package
+    modules that each import the importing module at top level (the one way
+    to break that cycle)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    top = {module: {m for node in tree.body for m in _package_modules(node)}
+           for module, tree in trees.items()}
+    out = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or node in tree.body:
+                continue
+            targets = _package_modules(node)
+            if not targets or any(module not in top.get(m, ()) for m in targets):
+                out.append("%s: line %d" % (module, node.lineno))
+    return out
+
+
+def test_no_function_local_imports():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert local_imports(sources) == []
+
+
+def test_local_import_check_flags_and_spares():
+    sources = {
+        "a.py": ("from . import b\nfrom .c import k\n"
+                 "def f():\n    import json\n    from .c import k2\n    return json\n"),
+        "b.py": ("def g():\n    from . import a\n    from .c import k\n"
+                 "    from .a import f\n    return a, k, f\n"),
+        "c.py": "def h():\n    from .a import f\n    return f\n",
+    }
+    # b may import a inside g: a imports b at top level; a's json, a's c
+    # and b's c are not cycles; c's a is, as a imports c at top level
+    assert local_imports(sources) == ["a.py: line 4", "a.py: line 5", "b.py: line 3"]

@@ -14,8 +14,8 @@ from ordrank.patterns import (
 )
 from ordrank.space import (
     BorelClass, SpaceDesc, Topology, base_topology, borel_class,
-    cb_derivative, closure, is_closed, is_empty, is_open, member, refine,
-    sample_points, sem_eq, subset,
+    cb_derivative, closure, difference_chain, is_closed, is_empty, is_open,
+    member, refine, sample_points, sem_eq, subset,
 )
 
 W1 = SpaceDesc(add(W, 1))          # [0, w+1)
@@ -129,11 +129,10 @@ def test_borel_delta2():
     blocky = digit_mod(1, 2, 1)
     assert borel_class(blocky, t) is BorelClass.DELTA2
     # dense/codense by least-nonzero-coefficient parity on the ceiling space:
-    # the chain never terminates at any finite length
-    from ordrank.patterns import min_digit_in, ds_mod
-    sc = SpaceDesc(None)
-    assert borel_class(min_digit_in(ds_mod(2, 0)), base_topology(sc)) \
-        is BorelClass.SIGMA2_OR_ABOVE
+    # still Delta2, but the chain reaches the empty set only at stage w
+    tc = base_topology(SpaceDesc(None))
+    assert borel_class(min_digit_in(ds_mod(2, 0)), tc) is BorelClass.DELTA2
+    assert difference_chain(min_digit_in(ds_mod(2, 0)), tc) is None
 
 
 def test_refine_examples():
@@ -150,10 +149,10 @@ def test_refine_examples():
     for combo in (and_(ord_lt(mul(W, 3)), not_(ord_lt(W))),
                   or_(ord_lt(W), not_(ord_lt(mul(W, 3))))):
         assert borel_class(combo, r2) is BorelClass.CLOPEN
-    from ordrank.patterns import ds_mod, min_digit_in
-    with pytest.raises(ClassViolation):
-        # no finite difference chain on the ceiling space
-        refine(base_topology(SpaceDesc(None)), [min_digit_in(ds_mod(2, 0))], 2)
+    # every set is Delta2: a transfinite difference chain is accepted at xi = 2
+    parity = min_digit_in(ds_mod(2, 0))
+    rc = refine(base_topology(SpaceDesc(None)), [parity], 2)
+    assert borel_class(parity, rc) is BorelClass.CLOPEN
     with pytest.raises(ClassViolation):
         refine(t, [ord_lt(W)], 1)  # not clopen in the base
 

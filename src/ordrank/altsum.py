@@ -12,6 +12,14 @@ index, the partial sum
 gains v at odd stages and returns at even and limit stages; starting at an
 odd index it dips by v at even stages.  Limit stages agree with the
 supremum of even partial sums below, so no approximation is involved.
+
+The sums run on integers.  A sequence fixes D, the least common multiple of
+its weights' denominators, and each weight's integer numerator w*D; the
+memoised trace holds every value f_eta(x) as an integer numerator over D.
+Every value and every partial sum is an integer combination of the weights,
+so it is a multiple of 1/D, and the integer sums are exact: an evaluation
+builds one Fraction, numerator over D, per answer.  The certificate compares
+its residual sandwich on numerators too, which is exact because D > 0.
 """
 from __future__ import annotations
 
@@ -19,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, zip_longest
+from math import lcm
 
 from . import ordinal as o
 from .errors import (ExitNotFound, PrecisionUnreachable, ResidualViolation,
@@ -38,33 +47,44 @@ class ComboSeq:
     """f_eta = sum of weight_i * chi(F^i_eta); weights nonnegative.
 
     Sequences key the value-trace memo, so the hash of the three fields
-    is computed once, at construction."""
+    is computed once, at construction, as are the common denominator
+    `_den` of the weights and their integer numerators `_nums` over it."""
     terms: tuple[tuple[Fraction, TransfiniteFamily], ...]
     length: Ordinal
     space: SpaceDesc
     _hash: int = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
+    _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.terms, self.length, self.space)))
+        den = lcm(*(w.denominator for w, _ in self.terms))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", tuple(w.numerator * (den // w.denominator)
+                                                for w, _ in self.terms))
 
     def __hash__(self) -> int:
         return self._hash
 
-    @lru_cache(maxsize=256)
     def value_trace(self, x: Ordinal) -> tuple[tuple[Ordinal, Fraction], ...]:
-        """The step function eta -> f_eta(x) on [0, length) as ((from, value), ...).
+        """The step function eta -> f_eta(x) on [0, length) as ((from, value), ...)."""
+        return tuple((m, Fraction(v, self._den)) for m, v in self._num_trace(x))
+
+    @lru_cache(maxsize=256)
+    def _num_trace(self, x: Ordinal) -> tuple[tuple[Ordinal, int], ...]:
+        """`value_trace` with each value as its integer numerator over `_den`.
 
         Swept from the families' truth intervals: a term's weight enters
         where an interval of x in F_eta starts and leaves where it ends.
         Memoized: a length certificate and the evaluations after it read
         the same points of the same sequence."""
-        delta = {ZERO: Fraction(0)}
-        for w, fam in self.terms:
+        delta = {ZERO: 0}
+        for w, (_, fam) in zip(self._nums, self.terms):
             for start, end, val in fam.truth_intervals(x):
                 if val:
                     delta[start] = delta.get(start, 0) + w
                     delta[end] = delta.get(end, 0) - w
-        total = Fraction(0)
+        total = 0
         out = []
         for m in sorted(delta, key=lambda a: a.terms):
             if out and o.compare(m, self.length) >= 0:
@@ -122,13 +142,18 @@ def verify_dusb(seq: ComboSeq, xi: int, t: Topology) -> DUSBSeq:
 # ---------------------------------------------------------------------------
 # Exact evaluation.
 
-def _cross(sum0: Fraction, a: Ordinal, b: Ordinal, v: Fraction) -> Fraction:
+# The sums below take a trace of any exact number type: integer numerators
+# from `ComboSeq._num_trace`, or Fractions.
+Num = int | Fraction
+
+
+def _cross(sum0: Num, a: Ordinal, b: Ordinal, v: Num) -> Num:
     """Partial sum after an interval of constant value v on [a, b)."""
     if v == 0:
         return sum0
     if parity(a) is Parity.EVEN:
-        return sum0 + (v if parity(b) is Parity.ODD else 0)
-    return sum0 - (v if parity(b) is Parity.EVEN else 0)
+        return sum0 + v if parity(b) is Parity.ODD else sum0
+    return sum0 - v if parity(b) is Parity.EVEN else sum0
 
 
 def altsum_eval(d: DUSBSeq | ComboSeq, x: Ordinal, theta: Ordinal) -> Fraction:
@@ -138,13 +163,12 @@ def altsum_eval(d: DUSBSeq | ComboSeq, x: Ordinal, theta: Ordinal) -> Fraction:
         raise ValueError("theta beyond the sequence length")
     if theta.is_zero:
         return Fraction(0)
-    return _trace_sum(seq.value_trace(x), theta)
+    return Fraction(_trace_sum(seq._num_trace(x), theta), seq._den)
 
 
-def _trace_sum(trace: tuple[tuple[Ordinal, Fraction], ...],
-               theta: Ordinal) -> Fraction:
+def _trace_sum(trace: tuple[tuple[Ordinal, Num], ...], theta: Ordinal) -> Num:
     """Alternating sum over eta < theta of a value trace."""
-    total = Fraction(0)
+    total = 0
     for i, (start, val) in enumerate(trace):
         if o.compare(start, theta) >= 0:
             break
@@ -155,14 +179,14 @@ def _trace_sum(trace: tuple[tuple[Ordinal, Fraction], ...],
     return total
 
 
-def _stage_readings(trace: tuple[tuple[Ordinal, Fraction], ...],
-                    thetas: list[Ordinal]) -> list[tuple[Fraction, Fraction]]:
+def _stage_readings(trace: tuple[tuple[Ordinal, Num], ...],
+                    thetas: list[Ordinal]) -> list[tuple[Num, Num]]:
     """(alternating sum below theta, f_theta(x)) for each theta of an
     ascending list, from one sweep of a value trace: the sum is
     `_trace_sum(trace, theta)` and the value that of the last mark at or
     below theta (0 before the first mark)."""
     out = []
-    total = Fraction(0)
+    total = 0
     i = 0
     for theta in thetas:
         # cross every interval that ends at or below theta
@@ -174,7 +198,7 @@ def _stage_readings(trace: tuple[tuple[Ordinal, Fraction], ...],
         if c < 0:
             out.append((_cross(total, start, theta, val), val))
         else:  # theta at the mark, or before the first one
-            out.append((total, val if c == 0 else Fraction(0)))
+            out.append((total, val if c == 0 else 0))
     return out
 
 
@@ -329,27 +353,31 @@ def length_upper_certificate(f: StepFn, witness: DUSBSeq, lam: int,
             seen.add(x)
             pts.append(x)
     claims = []
-    # one value trace and one f(x) per point serve the identity and every stage
+    # one value trace and one f(x) per point serve the identity and every
+    # stage; traces and sums are numerators over seq._den
+    seq = witness.seq
     checked = []
     for x in pts:
-        trace = witness.seq.value_trace(x)
-        got = const + _trace_sum(trace, witness.length)
+        trace = seq._num_trace(x)
+        total = _trace_sum(trace, witness.length)
+        got = const + Fraction(total, seq._den)
         want = f.eval(x)
         if got != want:
             raise WitnessMismatch("identity fails at %s: %s != %s" % (x, got, want))
-        checked.append((x, trace, want))
+        checked.append((x, trace, total))
     claims.append("f = const + alternating sum at %d sampled points" % len(pts))
     thetas = _even_stage_samples(witness.length)
-    # every stage of a point is read in one sweep of its trace
-    readings = [(x, fx, _stage_readings(trace, thetas))
-                for x, trace, fx in checked[: max(6, len(pts) // 4)]]
+    # every stage of a point is read in one sweep of its trace; with the
+    # identity f(x) - const = total / seq._den, the residual is
+    # (total - partial) / seq._den
+    readings = [(x, total, _stage_readings(trace, thetas))
+                for x, trace, total in checked[: max(6, len(pts) // 4)]]
     for j, theta in enumerate(thetas):
         inside = o.compare(theta, witness.length) < 0
-        for x, fx, stages in readings:
+        for x, total, stages in readings:
             partial, val = stages[j]
-            resid = fx - (const + partial)
-            cap = val if inside else Fraction(0)
-            if resid < 0 or resid > cap:
+            resid = total - partial
+            if resid < 0 or resid > (val if inside else 0):
                 raise ResidualViolation(x, theta)
     claims.append("residual sandwich at %d even stages" % len(thetas))
     return Certificate("length_upper", lam, witness.xi, tuple(claims))

@@ -110,9 +110,12 @@ def _coerce(x: "Ordinal | int") -> Ordinal:
     raise TypeError(type(x))
 
 
+_NEGATIVE = "ordinals are non-negative"
+
+
 def from_int(n: int) -> Ordinal:
     if n < 0:
-        raise ValueError("ordinals are non-negative")
+        raise ValueError(_NEGATIVE)
     return Ordinal(((0, n),)) if n else Ordinal()
 
 
@@ -137,6 +140,14 @@ def compare(a: Ordinal | int, b: Ordinal | int) -> int:
 def add(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     if type(a) is not Ordinal:
         a = _coerce(a)
+    if type(b) is int:  # a + n: no Ordinal for n
+        if b < 0:
+            raise ValueError(_NEGATIVE)
+        if b == 0:
+            return a
+        if a.terms and a.terms[-1][0] == 0:
+            return Ordinal(a.terms[:-1] + ((0, a.terms[-1][1] + b),))
+        return Ordinal(a.terms + ((0, b),))
     if type(b) is not Ordinal:
         b = _coerce(b)
     if not b.terms:
@@ -161,6 +172,10 @@ def _times_nat(a: Ordinal, n: int) -> Ordinal:
 def mul(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     if type(a) is not Ordinal:
         a = _coerce(a)
+    if type(b) is int:  # a * n: no Ordinal for n
+        if b < 0:
+            raise ValueError(_NEGATIVE)
+        return _times_nat(a, b)
     if type(b) is not Ordinal:
         b = _coerce(b)
     if not a.terms or not b.terms:

@@ -495,7 +495,7 @@ def test_combo_seq_and_segment_hash_contract():
         assert twin is not seq
         for x in (from_int(rng.randint(0, 20)), add(mul(W, rng.randint(1, 5)), 2)):
             assert twin.value_trace(x) == seq.value_trace(x)
-        ComboSeq.value_trace.cache_clear()
+        ComboSeq._num_trace.cache_clear()
         assert twin.value_trace(from_int(5)) == _reference_trace(seq, from_int(5))
     seq = _random_combo(rng)
     assert repr(seq) == "ComboSeq(terms=%r, length=%r, space=%r)" % (
@@ -616,3 +616,199 @@ def test_length_certificate_samples_infinite_points():
     empty = DUSBSeq(ComboSeq((), W, s), 1, ())
     with pytest.raises(WitnessMismatch):
         length_upper_certificate(f, empty, 1, base_topology(s))
+
+
+# ---------------------------------------------------------------------------
+# The integer path against a copy of the Fraction code it replaced: value
+# traces and sums with Fraction deltas, and the certificate's identity and
+# residual sandwich on Fractions.
+
+def _frac_trace(seq, x):
+    delta = {ZERO: Fraction(0)}
+    for w, fam in seq.terms:
+        for start, end, val in fam.truth_intervals(x):
+            if val:
+                delta[start] = delta.get(start, 0) + w
+                delta[end] = delta.get(end, 0) - w
+    total = Fraction(0)
+    out = []
+    for m in sorted(delta, key=lambda a: a.terms):
+        if out and m.terms >= seq.length.terms:
+            break
+        total += delta[m]
+        if not out or out[-1][1] != total:
+            out.append((m, total))
+    return tuple(out)
+
+
+def _frac_cross(sum0, a, b, v):
+    if v == 0:
+        return sum0
+    if is_even(a):
+        return sum0 + (v if not is_even(b) else 0)
+    return sum0 - (v if is_even(b) else 0)
+
+
+def _frac_sum(trace, theta):
+    total = Fraction(0)
+    for i, (start, val) in enumerate(trace):
+        if start.terms >= theta.terms:
+            break
+        end = trace[i + 1][0] if i + 1 < len(trace) else theta
+        if end.terms > theta.terms:
+            end = theta
+        total = _frac_cross(total, start, end, val)
+    return total
+
+
+def _frac_eval(seq, x, theta):
+    if theta.is_zero:
+        return Fraction(0)
+    return _frac_sum(_frac_trace(seq, x), theta)
+
+
+def _frac_certificate(f, witness, lam, t, const=Fraction(0)):
+    """length_upper_certificate on Fraction traces, stage by stage."""
+    from itertools import chain, zip_longest
+
+    from ordrank.altsum import _SAMPLE_CAP, Certificate
+    from ordrank.errors import ResidualViolation
+    from ordrank.patterns import iter_cell, to_cells
+    space = t.space
+    bound_len = omega_power(lam) if lam else from_int(1)
+    if witness.length.terms > bound_len.terms:
+        raise WitnessMismatch("witness length %s exceeds w^%d" % (witness.length, lam))
+    turns = zip_longest(*(iter_cell(c, space.bound, _SAMPLE_CAP) for _, p in f.pieces
+                          for c in to_cells(p, space.bound)))
+    pts, seen = [], set()
+    for x in chain.from_iterable(turns):
+        if len(pts) == _SAMPLE_CAP:
+            break
+        if x is not None and x not in seen:
+            seen.add(x)
+            pts.append(x)
+    claims = []
+    for x in pts:
+        got = const + _frac_sum(_frac_trace(witness.seq, x), witness.length)
+        want = f.eval(x)
+        if got != want:
+            raise WitnessMismatch("identity fails at %s: %s != %s" % (x, got, want))
+    claims.append("f = const + alternating sum at %d sampled points" % len(pts))
+    thetas = _even_stage_samples(witness.length)
+    for theta in thetas:
+        inside = theta.terms < witness.length.terms
+        for x in pts[: max(6, len(pts) // 4)]:
+            trace = _frac_trace(witness.seq, x)
+            val = _trace_value(trace, theta) or Fraction(0)
+            resid = f.eval(x) - (const + _frac_sum(trace, theta))
+            if resid < 0 or resid > (val if inside else Fraction(0)):
+                raise ResidualViolation(x, theta)
+    claims.append("residual sandwich at %d even stages" % len(thetas))
+    return Certificate("length_upper", lam, witness.xi, tuple(claims))
+
+
+# weights with coprime denominators, zero, an int and a negative weight
+_MIXED_WEIGHTS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(0), 1,
+                  Fraction(-1, 3))
+
+
+def test_integer_traces_and_sums_match_fraction_code():
+    rng = random.Random(2020)
+    pts = [add(mul(W, a), b) for a in range(5) for b in range(7)]
+    # no terms, and terms true at index 0 only from x = 3 on
+    late = explicit_family([ord_ge(from_int(3)), ord_ge(from_int(7))])
+    seqs = [ComboSeq((), W, S2),
+            ComboSeq(((Fraction(1, 3), late), (Fraction(2, 5), late)), W, S2)]
+    for _ in range(30):
+        base = _random_combo(rng)
+        weights = [rng.choice(_MIXED_WEIGHTS) for _ in base.terms]
+        seqs.append(ComboSeq(tuple(zip(weights, (fam for _, fam in base.terms))),
+                             base.length, base.space))
+    dens = set()
+    for seq in seqs:
+        dens.add(seq._den)
+        for x in rng.sample(pts, 8) + [from_int(1)]:
+            trace, ref = seq.value_trace(x), _frac_trace(seq, x)
+            assert trace == ref and [m for m, _ in trace] == [m for m, _ in ref]
+            assert all(type(v) is Fraction for _, v in trace)
+            thetas = sorted({ZERO, seq.length, *_even_stage_samples(seq.length),
+                             *(m for m, _ in trace), *(add(m, 1) for m, _ in trace)},
+                            key=lambda a: a.terms)
+            thetas = [th for th in thetas if th.terms <= seq.length.terms]
+            for th in thetas:
+                got = altsum_eval(seq, x, th)
+                assert type(got) is Fraction and got == _frac_eval(seq, x, th)
+            readings = _stage_readings(seq._num_trace(x), thetas)
+            for th, (partial, val) in zip(thetas, readings):
+                assert Fraction(partial, seq._den) == _frac_sum(ref, th)
+                assert Fraction(val, seq._den) == (_trace_value(ref, th) or 0)
+    assert {6, 10, 15, 30} & dens and 1 in dens, dens
+
+
+def _coprime_decompositions():
+    """Nested-level step functions whose level weights are 2/5, 1/3, 1/2."""
+    out = []
+    for a1, a2 in ((2, 5), (3, 4)):
+        f = make_stepfn([(Fraction(37, 30), ord_ge(from_int(a2))),
+                         (Fraction(5, 6), and_(ord_ge(from_int(a1)), ord_lt(from_int(a2)))),
+                         (Fraction(1, 2), ord_lt(from_int(a1)))], SW)
+        wits = [explicit_family([TRUE, ord_lt(from_int(a)), FALSE, FALSE]) for a in (a2, a1)]
+        out.append((f, build_step_decomposition(
+            f, wits + [explicit_family([TRUE, FALSE])], TW), 1, TW))
+    a = 4
+    f = make_stepfn([(Fraction(37, 30), and_(EVENS, ord_ge(from_int(a)))),
+                     (Fraction(5, 6), and_(EVENS, ord_lt(from_int(a)))),
+                     (Fraction(1, 2), not_(EVENS))], S2)
+    top = from_segments(omega_power(2), [
+        (ZERO, from_int(2), TRUE),
+        (from_int(2), omega_power(2), POrdGeEta(from_int(a), from_int(2), 1))])
+    out.append((f, build_step_decomposition(
+        f, [top, tails_family(omega_power(2)), explicit_family([TRUE, FALSE])], T2), 2, T2))
+    return out
+
+
+def _outcome(cert, *args, **kw):
+    try:
+        return "ok", cert(*args, **kw)
+    except Exception as exc:  # compared by type and arguments
+        return type(exc), exc.args
+
+
+def test_integer_certificate_matches_fraction_code():
+    rng = random.Random(2021)
+    both = _coprime_decompositions() + _valid_decompositions()
+    assert {d.seq._den for _, d, _, _ in both} >= {1, 2, 30}
+    seen = set()
+    for f, d, lam, t in both:
+        terms = list(d.seq.terms)
+        two = explicit_family([TRUE, FALSE])  # adds its weight at every point
+        cases = [(terms, 0), (terms, Fraction(-1, 2)), (terms, Fraction(1, 3)),
+                 (terms + [(Fraction(0), two)], 0), (terms + [(1, two)], -1),
+                 (terms + [(Fraction(-1, 3), two)], Fraction(1, 3))]
+        regrow = explicit_family([TRUE, FALSE, TRUE, FALSE])
+        for w in (Fraction(1, 3), Fraction(2, 5), 1):
+            cases.append((terms + [(w, regrow)], -2 * w))
+        for _ in range(6):  # as in test_length_certificate_rejects_perturbations
+            i = rng.randrange(len(terms))
+            bad = list(terms)
+            w, fam = bad[i]
+            if rng.random() < 0.5:
+                bad[i] = (w + rng.choice(_MIXED_WEIGHTS[:3]), fam)
+            else:
+                other = ord_ge(from_int(rng.randint(1, 3)))
+                bad[i] = (w, explicit_family([TRUE, and_(fam.at(from_int(1)), other)]
+                                             if fam.length.terms > from_int(1).terms
+                                             else [TRUE, other]))
+            cases.append((bad, rng.choice((0, Fraction(-1, 2), Fraction(1, 3)))))
+        for bad, const in cases:
+            seq = ComboSeq(tuple(bad), d.seq.length, d.seq.space)
+            wit = DUSBSeq(seq, d.xi, ())
+            got = _outcome(length_upper_certificate, f, wit, lam, t, const=const)
+            want = _outcome(_frac_certificate, f, wit, lam, t, const=const)
+            assert got == want, (bad, const)
+            seen.add(got[0] if got[0] != "ok" else "ok")
+            if got[0] == "ok":
+                for x in sample_points(TRUE, t.space, 12):
+                    assert type(altsum_eval(wit, x, seq.length)) is Fraction
+    from ordrank.errors import ResidualViolation
+    assert seen == {"ok", WitnessMismatch, ResidualViolation}, seen

@@ -67,6 +67,37 @@ def test_public_arithmetic_coerces_ints():
         assert not (from_int(3) == bad) and from_int(3) != bad
 
 
+def test_int_operand_matches_coerced_path(monkeypatch):
+    # add(a, n) and mul(a, n) with an int n build no Ordinal for n; they
+    # equal the path through from_int, refuse a negative n alike, and a
+    # bool still goes through _coerce
+    import ordrank.ordinal as ordmod
+    rng = random.Random(2020)
+    for _ in range(3_000):
+        a = rand_ordinal(rng, max_exp=rng.randint(0, 4), max_coeff=rng.randint(1, 9))
+        n = rng.randint(-3, 50)
+        for op in (add, mul):
+            if n < 0:
+                with pytest.raises(ValueError) as got:
+                    op(a, n)
+                with pytest.raises(ValueError) as want:
+                    op(a, from_int(n))
+                assert got.value.args == want.value.args
+                continue
+            got, want = op(a, n), op(a, from_int(n))
+            assert type(got) is Ordinal and got.terms == want.terms, (op, a, n)
+            assert all(type(c) is int for _, c in got.terms)
+        if n == 0:
+            assert add(a, 0) is a and mul(a, 0) == ZERO
+    calls = []
+    real = ordmod._coerce
+    monkeypatch.setattr(ordmod, "_coerce", lambda x: calls.append(x) or real(x))
+    assert add(W, 3) == add(W, from_int(3)) and mul(W, 3) == mul(W, from_int(3))
+    assert calls == []
+    assert add(W, True) == add(W, 1) and mul(W, True) == W
+    assert calls == [True, True]
+
+
 def test_mul_absorbs_finite_offsets():
     # (lam_k + 4) * w == lam_k * w, here with lam_k = w and finite lam_k >= 1
     assert mul(add(W, 4), W) == omega_power(2)

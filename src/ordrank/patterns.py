@@ -11,14 +11,18 @@ finitely presented.
 The normal form used by every decision procedure is a finite union of
 *cells*: digit-box times interval times divisibility constraint.  Digit
 constraints are eventually periodic subsets of the naturals, which keeps
-the whole algebra exact and closed under complement.  The digit-set
-operations are pure functions of canonical, immutable values and are
-memoized; the cells of an or are the maximal cells among its parts' cached
-cells, so growing a pattern by a disjunct re-normalises only the new part.
+the whole algebra exact and closed under complement.  There is one
+`DigitSet` object per value, kept in a weak table by `mk_digitset`, the
+only constructor, so digit sets compare and hash by identity.  The
+digit-set operations are memoized; the cells of an or are the maximal
+cells among its parts' cached cells, so growing a pattern by a disjunct
+re-normalises only the new part.  A cell's hash thus differs between
+processes, and no result may depend on the order of a set of cells.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -45,12 +49,29 @@ def _check_size(n: int, what: str) -> None:
                                % (what, n, MAX_DIGITSET))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DigitSet:
-    """Membership is prefix[v] for v < len(prefix), else (v % period) in residues."""
+    """Membership is prefix[v] for v < len(prefix), else (v % period) in residues.
+
+    One object per value: `mk_digitset`, the only constructor, canonicalises
+    its arguments and returns the live object of that value from a weak
+    table, so equality and hash are identity.  `DigitSet(...)` raises
+    TypeError; a copy or an unpickled set is the canonical object."""
     prefix: tuple[bool, ...]
     period: int
     residues: frozenset[int]
+
+    def __new__(cls, *_args, **_kwargs):
+        raise TypeError("a DigitSet is made by mk_digitset only")
+
+    def __copy__(self) -> "DigitSet":
+        return self
+
+    def __deepcopy__(self, _memo) -> "DigitSet":
+        return self
+
+    def __reduce__(self):
+        return mk_digitset, (self.prefix, self.period, self.residues)
 
     def __contains__(self, v: int) -> bool:
         if v < len(self.prefix):
@@ -86,12 +107,7 @@ class DigitSet:
 
     def shift_up(self, k: int) -> "DigitSet":
         """{v + k : v in self}."""
-        if k == 0:
-            return self
-        pref = (False,) * k + tuple(
-            ((v - k) in self) for v in range(k, len(self.prefix) + k))
-        res = frozenset((r + k) % self.period for r in self.residues)
-        return mk_digitset(pref, self.period, res)
+        return self if k == 0 else _shift_up(self, k)
 
     def elements(self, count: int, start: int = 0):
         v = self.min_geq(start)
@@ -104,6 +120,11 @@ class DigitSet:
 @lru_cache(maxsize=4096)
 def _divisors(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
+# The live digit sets by canonical value; an entry goes with its last
+# reference, so the table holds only sets that are in use.
+_DIGITSETS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def mk_digitset(prefix, period, residues) -> DigitSet:
@@ -119,7 +140,19 @@ def mk_digitset(prefix, period, residues) -> DigitSet:
     pref = list(prefix)
     while pref and pref[-1] == ((len(pref) - 1) % period in residues):
         pref.pop()
-    return DigitSet(tuple(pref), period, residues)
+    key = (tuple(pref), period, residues)
+    ds = _DIGITSETS.get(key)
+    if ds is None:
+        ds = object.__new__(DigitSet)
+        ds.__init__(*key)
+        _DIGITSETS[key] = ds
+    return ds
+
+
+@lru_cache(maxsize=16384)
+def _shift_up(ds: DigitSet, k: int) -> DigitSet:
+    res = frozenset((r + k) % ds.period for r in ds.residues)
+    return mk_digitset((False,) * k + ds.prefix, ds.period, res)
 
 
 DS_FULL = mk_digitset((), 1, {0})
@@ -569,6 +602,11 @@ class Cell:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # the hash depends on the digit sets' identities: a copy or an
+        # unpickled cell computes its own
+        return Cell, (self.lo, self.hi, self.digits, self.div, self.md)
+
     def constraint(self, i: int) -> DigitSet:
         if i < self.div:
             return ds_eq(0)
@@ -827,7 +865,7 @@ def _cell_subsumes(big: Cell, small: Cell) -> bool:
                     return False
                 continue
             ds = sets.get(i)
-            if ds is None or (ds != ds_big and not _ds_subset(ds, ds_big)):
+            if ds is None or (ds is not ds_big and not _ds_subset(ds, ds_big)):
                 return False
     return True
 

@@ -66,6 +66,11 @@ class ComboSeq:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # as Cell's: the hash depends on digit sets' identities, so a copy
+        # or an unpickled sequence computes its own
+        return ComboSeq, (self.terms, self.length, self.space)
+
     def value_trace(self, x: Ordinal) -> tuple[tuple[Ordinal, Fraction], ...]:
         """The step function eta -> f_eta(x) on [0, length) as ((from, value), ...)."""
         return tuple((m, Fraction(v, self._den)) for m, v in self._num_trace(x))

@@ -64,12 +64,6 @@ class DigitSet:
     def __new__(cls, *_args, **_kwargs):
         raise TypeError("a DigitSet is made by mk_digitset only")
 
-    def __copy__(self) -> "DigitSet":
-        return self
-
-    def __deepcopy__(self, _memo) -> "DigitSet":
-        return self
-
     def __reduce__(self):
         return mk_digitset, (self.prefix, self.period, self.residues)
 

@@ -3,6 +3,7 @@ against stub checkouts whose benchmark prints a fixed result."""
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -76,7 +77,8 @@ args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 seed = int(args["--seed"])
 log = os.path.join(os.path.dirname(__file__), "..", "..", "log")
 with open(log, "a") as fh:
-    fh.write("%s %d %s\\n" % ({side!r}, seed, os.environ.get("PYTHONDONTWRITEBYTECODE")))
+    fh.write("%s %d %s %s\\n" % ({side!r}, seed, args["--seconds"],
+                                 os.environ.get("PYTHONDONTWRITEBYTECODE")))
 value = {base} + seed % 10
 print("details")
 print(json.dumps({{"correct": True, "attempted": 5, "failed": 0, "metrics": {{
@@ -86,7 +88,8 @@ print(json.dumps({{"correct": True, "attempted": 5, "failed": 0, "metrics": {{
 
 
 def test_pairs_alternate_between_stub_checkouts(bp, tmp_path, capsys):
-    spec = {"end_to_end": [
+    spec = {"command": [sys.executable, "ordbench/run.py"], "run_seconds": 7,
+            "end_to_end": [
         {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.24},
         {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.24}]}
     for side, base in (("parent", 100), ("change", 120)):
@@ -95,11 +98,11 @@ def test_pairs_alternate_between_stub_checkouts(bp, tmp_path, capsys):
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
     assert bp.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
                     "--workload", "oracle-diff", "--first-seed", "4001", "--pairs", "3",
-                    "--seconds", "1", "--claim", "ops_per_s"]) == 0
+                    "--claim", "ops_per_s"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (tmp_path / "log").read_text().split("\n")[:-1] == [
-        "parent 4001 1", "change 4001 1", "change 4002 1", "parent 4002 1",
-        "parent 4003 1", "change 4003 1"]
+        "parent 4001 7 1", "change 4001 7 1", "change 4002 7 1", "parent 4002 7 1",
+        "parent 4003 7 1", "change 4003 7 1"]
     wl = out["oracle-diff"]
     assert wl["seeds"] == [4001, 4002, 4003]
     assert wl["first"] == ["parent", "change", "parent"]

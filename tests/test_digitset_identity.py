@@ -7,7 +7,8 @@ equality agree, that the table lets go of unused sets, and that the memoised
 `shift_up` matches its formula.  A cell's hash now depends on its digit
 sets' identities, so it differs between processes; the last tests check
 that the prune and the meet give the same cells whatever order their
-inputs come in, and that a cell pickled elsewhere hashes like one made here.
+inputs come in, and that a cell or a function sequence pickled elsewhere
+hashes like one made here.
 """
 import copy
 import gc
@@ -189,24 +190,41 @@ def test_prune_and_meet_do_not_depend_on_input_order():
     assert seen > 300 and 0 < kept < seen and pairs > 300
 
 
-_PICKLE_CELL = """
+_PICKLED = """
 import pickle, sys
-from ordrank.ordinal import W, add
-from ordrank.patterns import to_cells, digit_mod, min_digit_in, ds_mod, and_
-p = and_(digit_mod(0, 3, 1), min_digit_in(ds_mod(2, 1)))
-sys.stdout.buffer.write(pickle.dumps(to_cells(p, add(W, 5))))
+sys.path.insert(0, sys.argv[1])
+from test_digitset_identity import _pickled_objects
+sys.stdout.buffer.write(pickle.dumps(_pickled_objects()))
 """
 
 
-def test_cell_pickled_in_another_process_hashes_here():
+def _pickled_objects():
+    """Cells and a function sequence whose cached hashes cover digit sets."""
+    from fractions import Fraction
+    from ordrank.altsum import ComboSeq
+    from ordrank.family import explicit_family
     from ordrank.patterns import and_, digit_mod, min_digit_in
+    from ordrank.space import SpaceDesc
+    p = and_(digit_mod(0, 3, 1), min_digit_in(ds_mod(2, 1)))
+    seq = ComboSeq(((Fraction(1, 2), explicit_family([p, digit_mod(1, 2, 0)])),
+                    (Fraction(1, 3), explicit_family([min_digit_in(ds_mod(3, 2))]))),
+                   from_int(2), SpaceDesc(add(W, 5)))
+    return to_cells(p, add(W, 5)), seq
+
+
+def test_cell_pickled_in_another_process_hashes_here():
     env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", _PICKLE_CELL], env=env,
-                         capture_output=True, check=True).stdout
-    cells = pickle.loads(out)
-    here = to_cells(and_(digit_mod(0, 3, 1), min_digit_in(ds_mod(2, 1))), add(W, 5))
+    out = subprocess.run([sys.executable, "-c", _PICKLED, os.path.dirname(__file__)],
+                         env=env, capture_output=True, check=True).stdout
+    cells, seq = pickle.loads(out)
+    here, seq_here = _pickled_objects()
     assert cells == here and len(here) > 0
     assert [hash(c) for c in cells] == [hash(c) for c in here]
     assert set(cells) == set(here)
     for c in here:
         assert copy.deepcopy(c) == c and hash(copy.deepcopy(c)) == hash(c)
+    assert seq == seq_here and hash(seq) == hash(seq_here)
+    assert {seq_here: 1}[seq] == 1
+    assert copy.deepcopy(seq) == seq and hash(copy.deepcopy(seq)) == hash(seq)
+    x = add(W, 3)
+    assert seq.value_trace(x) == seq_here.value_trace(x)

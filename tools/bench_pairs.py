@@ -3,11 +3,11 @@
 Usage:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload oracle-diff --first-seed 4001 --pairs 10 [--seconds 30] \\
-        [--claim ops_per_s]
+        --workload oracle-diff --first-seed 4001 --pairs 10 [--claim ops_per_s]
 
-Pair i runs `python3 ordbench/run.py --workload W --seed S+i --seconds T
---trace 0` once in each checkout, one process at a time, with
+Pair i runs the benchmark's command from the change's BENCHMARK.json with
+`--workload W --seed S+i --seconds T --trace 0`, T being its run_seconds,
+once in each checkout, one process at a time, with
 PYTHONDONTWRITEBYTECODE=1 (as a fresh checkout runs); the parent goes first
 in even-numbered pairs (0, 2, ...) and the change in odd ones.  Progress
 goes to standard error; standard output gets one JSON object: the
@@ -67,10 +67,10 @@ def claim(workload: str, metric: str, entry: dict) -> dict:
             "met": 10 * wins >= 9 * pairs and gain > entry["parent_iqr"]}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, spec: dict, workload: str, seed: int) -> dict:
     """The result object (the last line of output) of one benchmark run."""
-    cmd = [sys.executable, "ordbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    cmd = [*spec["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(spec["run_seconds"]), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -101,7 +101,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--claim", metavar="METRIC")
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -110,7 +109,7 @@ def main(argv=None) -> int:
     results: dict[str, list[dict]] = {s: [] for s in SIDES}
     for i, seed in enumerate(seeds):
         for side in order(i):
-            results[side].append(run_once(dirs[side], args.workload, seed, args.seconds))
+            results[side].append(run_once(dirs[side], spec, args.workload, seed))
             print("pair %d seed %d %s: %s" % (i, seed, side, json.dumps(
                 {k: v["value"] for k, v in results[side][-1]["metrics"].items()})),
                 file=sys.stderr, flush=True)

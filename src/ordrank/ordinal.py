@@ -6,11 +6,20 @@ naturals with no upper limit here; the fixture reader holds the ones a user
 writes to `fixtures.MAX_POSITION`.  Values are immutable; `compare` orders
 them by the term list itself, and arithmetic goes through `add`, `mul` and
 `left_sub` (there are no operators).
+
+There is one `Ordinal` object per value: `Ordinal(terms)` returns the live
+object of those terms from a weak table (`InternTable`), and checks the
+terms only when it makes a new one.  So two ordinals are equal exactly when
+they are the same object, and the hash is the identity hash, which differs
+between processes: no result may depend on the order of a set of ordinals.
+An ordinal still equals the int of its value (``ONE == 1``), though it does
+not hash like it.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError
 
 from .errors import NotLimit, PositionLimitExceeded
 
@@ -26,32 +35,70 @@ class Kind(enum.Enum):
     LIMIT = "limit"
 
 
-@dataclass(frozen=True)
-class Ordinal:
-    terms: tuple[tuple[int, int], ...] = ()
+class InternTable(dict):
+    """Value key -> `weakref.KeyedRef` to the one live object of that value.
 
-    def __post_init__(self) -> None:
+    A lookup is dict's own ``get`` and a call of the reference; `put`
+    enters a new object, and its entry goes with it, unless a newer object
+    has taken the key by then.  So the table holds only objects in use.
+    No lock guards the lookup and the entry: ordrank runs in one thread."""
+    __slots__ = ()
+
+    def put(self, key, obj):
+        self[key] = weakref.KeyedRef(obj, self._drop, key)
+        return obj
+
+    def _drop(self, ref) -> None:
+        if self.get(ref.key) is ref:
+            del self[ref.key]
+
+
+def frozen_setattr(self, name: str, *_value) -> None:
+    """`__setattr__` and `__delattr__` of an immutable slotted class."""
+    raise FrozenInstanceError("cannot assign to field %r of %s" % (name, type(self).__name__))
+
+
+# The live ordinals by terms.
+_ORDINALS = InternTable()
+
+
+class Ordinal:
+    __slots__ = ("terms", "__weakref__")
+    terms: tuple[tuple[int, int], ...]
+
+    def __new__(cls, terms: tuple[tuple[int, int], ...] = ()) -> "Ordinal":
+        ref = _ORDINALS.get(terms)
+        if ref is not None:
+            a = ref()
+            if a is not None:
+                return a
         prev = None
-        for e, c in self.terms:
+        for e, c in terms:
             if c < 1:
-                raise ValueError("coefficients must be positive: %r" % (self.terms,))
+                raise ValueError("coefficients must be positive: %r" % (terms,))
             if e < 0:
-                raise ValueError("negative exponent: %r" % (self.terms,))
+                raise ValueError("negative exponent: %r" % (terms,))
             if prev is not None and e >= prev:
-                raise ValueError("exponents must strictly decrease: %r" % (self.terms,))
+                raise ValueError("exponents must strictly decrease: %r" % (terms,))
             prev = e
+        a = object.__new__(cls)
+        object.__setattr__(a, "terms", terms)
+        return _ORDINALS.put(terms, a)
+
+    __setattr__ = __delattr__ = frozen_setattr
+    __hash__ = object.__hash__
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if type(other) is Ordinal:
-            return self.terms == other.terms
+            return False  # one object per value
         if isinstance(other, int):
-            other = from_int(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.terms == other.terms
+            return self is from_int(other)
+        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self.terms)
+    def __reduce__(self):
+        return Ordinal, (self.terms,)
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -13,23 +13,26 @@ The normal form used by every decision procedure is a finite union of
 constraints are eventually periodic subsets of the naturals, which keeps
 the whole algebra exact and closed under complement.  There is one
 `DigitSet` object per value, kept in a weak table by `mk_digitset`, the
-only constructor, so digit sets compare and hash by identity.  The
-digit-set operations are memoized; the cells of an or are the maximal
-cells among its parts' cached cells, so growing a pattern by a disjunct
-re-normalises only the new part.  A cell's hash thus differs between
-processes, and no result may depend on the order of a set of cells.
+only constructor, and one `Cell` object per value, kept in a weak table by
+its constructor; with the interned `Ordinal`s they compare and hash by
+identity (an ordinal also equals the int of its value).  The digit-set
+operations are memoized; the cells of an or are the maximal cells among
+its parts' cached cells, so growing a pattern by a disjunct re-normalises
+only the new part.  The hash of a digit set, an ordinal, a cell or a
+pattern thus differs between processes, and no result may depend on the
+order of a set of them.
 """
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import ordinal as o
 from .errors import DigitSetTooLarge, UnsupportedProgression
-from .ordinal import Ordinal, ZERO, ONE
+from .ordinal import InternTable, Ordinal, ZERO, ONE, frozen_setattr
 
 
 # ---------------------------------------------------------------------------
@@ -224,24 +227,35 @@ class Pat:
     __slots__ = ()
 
 
+# A dataclass hashes its fields only, so PTrue and PFalse, PAnd and POr, and
+# POrdLt and POrdGe, whose fields agree, hash their class too.
+
 @dataclass(frozen=True)
 class PTrue(Pat):
-    pass
+    def __hash__(self) -> int:
+        return hash(PTrue)
 
 
 @dataclass(frozen=True)
 class PFalse(Pat):
-    pass
+    def __hash__(self) -> int:
+        return hash(PFalse)
 
 
 @dataclass(frozen=True)
 class PAnd(Pat):
     parts: tuple[Pat, ...]
 
+    def __hash__(self) -> int:
+        return hash((PAnd, self.parts))
+
 
 @dataclass(frozen=True)
 class POr(Pat):
     parts: tuple[Pat, ...]
+
+    def __hash__(self) -> int:
+        return hash((POr, self.parts))
 
 
 @dataclass(frozen=True)
@@ -260,10 +274,16 @@ class PDigit(Pat):
 class POrdLt(Pat):
     b: Ordinal
 
+    def __hash__(self) -> int:
+        return hash((POrdLt, self.b))
+
 
 @dataclass(frozen=True)
 class POrdGe(Pat):
     b: Ordinal
+
+    def __hash__(self) -> int:
+        return hash((POrdGe, self.b))
 
 
 @dataclass(frozen=True)
@@ -558,7 +578,10 @@ def holds_at(p: Pat, x: Ordinal) -> bool:
 # ---------------------------------------------------------------------------
 # Cell normal form.
 
-@dataclass(frozen=True, slots=True)
+# The live cells by their five fields.
+_CELLS = InternTable()
+
+
 class Cell:
     """Digit box times interval times divisibility constraint.
 
@@ -579,26 +602,42 @@ class Cell:
     compare field by field, `_cell_key` orders cells totally, and the
     prune in `prune_cells` may look only at cells of smaller (div, lo).
 
-    Cells key the `_meet_pair`, `limit_cells` and closure memos, so the
-    hash of the five fields is computed once, at construction.
+    One object per value: `Cell(lo, hi, digits, div, md)` returns the live
+    cell of those five fields from a weak table, and its fields are
+    interned ordinals and digit sets, so equal cells are the same object
+    and hash by identity.  Cells key the `_meet_pair`, `limit_cells` and
+    closure memos.  A cell's `_cell_key` and `_prune_sig` are computed
+    once, the first time `prune_cells` sees it, and kept on the cell.
     """
+    __slots__ = ("lo", "hi", "digits", "div", "md", "_key", "_sig", "__weakref__")
     lo: Ordinal
     hi: Ordinal | None  # exclusive; None means up to the space bound
     digits: tuple[tuple[int, DigitSet], ...]
     div: int
-    md: DigitSet | None = None  # last-nonzero-coefficient constraint
-    _hash: int = field(init=False, repr=False, compare=False)
+    md: DigitSet | None  # last-nonzero-coefficient constraint
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(
-            (self.lo, self.hi, self.digits, self.div, self.md)))
+    def __new__(cls, lo: Ordinal, hi: Ordinal | None, digits: tuple[tuple[int, DigitSet], ...],
+                div: int, md: DigitSet | None = None) -> "Cell":
+        key = (lo, hi, digits, div, md)
+        ref = _CELLS.get(key)
+        if ref is not None:
+            c = ref()
+            if c is not None:
+                return c
+        c = object.__new__(cls)
+        for name, value in zip(("lo", "hi", "digits", "div", "md"), key):
+            object.__setattr__(c, name, value)
+        object.__setattr__(c, "_key", None)  # filled by _cell_key
+        object.__setattr__(c, "_sig", None)  # filled by _prune_sig
+        return _CELLS.put(key, c)
 
-    def __hash__(self) -> int:
-        return self._hash
+    __setattr__ = __delattr__ = frozen_setattr
+
+    def __repr__(self) -> str:
+        return "Cell(lo=%r, hi=%r, digits=%r, div=%r, md=%r)" % (
+            self.lo, self.hi, self.digits, self.div, self.md)
 
     def __reduce__(self):
-        # the hash depends on the digit sets' identities: a copy or an
-        # unpickled cell computes its own
         return Cell, (self.lo, self.hi, self.digits, self.div, self.md)
 
     def constraint(self, i: int) -> DigitSet:
@@ -728,10 +767,16 @@ def _ds_key(ds: DigitSet):
 
 
 def _cell_key(c: Cell):
-    hi_key = (1, ()) if c.hi is None else (0, c.hi.terms)
-    md_key = ((),) if c.md is None else _ds_key(c.md)
-    return (c.div, c.lo.terms, hi_key,
-            tuple((i,) + _ds_key(ds) for i, ds in c.digits), md_key)
+    """The cell's place in the total order of canonical cells, by value;
+    computed once per cell."""
+    key = c._key
+    if key is None:
+        hi_key = (1, ()) if c.hi is None else (0, c.hi.terms)
+        md_key = ((),) if c.md is None else _ds_key(c.md)
+        key = (c.div, c.lo.terms, hi_key,
+               tuple((i,) + _ds_key(ds) for i, ds in c.digits), md_key)
+        object.__setattr__(c, "_key", key)
+    return key
 
 
 @lru_cache(maxsize=65536)
@@ -878,11 +923,16 @@ def _cells_cached(p: Pat, space_bound: Ordinal | None) -> tuple[Cell, ...]:
 
 def _prune_sig(c: Cell):
     """(div, lo, hi, has md, bitmask of the constrained digit positions,
-    those below div included) as plain values."""
-    mask = (1 << c.div) - 1
-    for i, _ in c.digits:
-        mask |= 1 << i
-    return c.div, c.lo.terms, None if c.hi is None else c.hi.terms, c.md is not None, mask
+    those below div included) as plain values; computed once per cell."""
+    sig = c._sig
+    if sig is None:
+        mask = (1 << c.div) - 1
+        for i, _ in c.digits:
+            mask |= 1 << i
+        sig = (c.div, c.lo.terms, None if c.hi is None else c.hi.terms, c.md is not None,
+               mask)
+        object.__setattr__(c, "_sig", sig)
+    return sig
 
 
 def prune_cells(cells) -> tuple[Cell, ...]:
@@ -945,11 +995,11 @@ def meet(xs: tuple[Cell, ...], ys: tuple[Cell, ...],
             m = _meet_pair(c, d, bound)
             if m is None:
                 continue
-            # equal cells have equal cached hashes, and most meets differ
-            if m._hash == c._hash and m == c:
+            # one object per cell value
+            if m is c:
                 row = [c]
                 break
-            if m._hash == d._hash and m == d:
+            if m is d:
                 inside.add(d)
             row.append(m)
         out += row

@@ -34,7 +34,7 @@ from .errors import (ExitNotFound, PrecisionUnreachable, ResidualViolation,
                      VerificationError, WitnessMismatch)
 from .family import TransfiniteFamily, even_diff_union, validate_set_family
 from .functions import StepFn, UniformPresentation
-from .ordinal import Kind, Ordinal, Parity, ZERO, parity
+from .ordinal import Kind, Ordinal, ZERO
 from .patterns import and_, iter_cell, not_, or_, to_cells
 from .space import SpaceDesc, Topology, sample_points, sem_eq
 
@@ -91,8 +91,9 @@ class ComboSeq:
                     delta[end] = delta.get(end, 0) - w
         total = 0
         out = []
+        length = self.length.terms
         for m in sorted(delta, key=lambda a: a.terms):
-            if out and o.compare(m, self.length) >= 0:
+            if out and m.terms >= length:
                 break
             total += delta[m]
             if not out or out[-1][1] != total:
@@ -153,12 +154,16 @@ Num = int | Fraction
 
 
 def _cross(sum0: Num, a: Ordinal, b: Ordinal, v: Num) -> Num:
-    """Partial sum after an interval of constant value v on [a, b)."""
+    """Partial sum after an interval of constant value v on [a, b).
+
+    An ordinal is odd when its last term is a finite part that is odd."""
     if v == 0:
         return sum0
-    if parity(a) is Parity.EVEN:
-        return sum0 + v if parity(b) is Parity.ODD else sum0
-    return sum0 - v if parity(b) is Parity.EVEN else sum0
+    a, b = a.terms, b.terms
+    b_odd = b and b[-1][0] == 0 and b[-1][1] & 1
+    if a and a[-1][0] == 0 and a[-1][1] & 1:
+        return sum0 if b_odd else sum0 - v
+    return sum0 + v if b_odd else sum0
 
 
 def altsum_eval(d: DUSBSeq | ComboSeq, x: Ordinal, theta: Ordinal) -> Fraction:
@@ -174,11 +179,12 @@ def altsum_eval(d: DUSBSeq | ComboSeq, x: Ordinal, theta: Ordinal) -> Fraction:
 def _trace_sum(trace: tuple[tuple[Ordinal, Num], ...], theta: Ordinal) -> Num:
     """Alternating sum over eta < theta of a value trace."""
     total = 0
+    th = theta.terms
     for i, (start, val) in enumerate(trace):
-        if o.compare(start, theta) >= 0:
+        if start.terms >= th:
             break
         end = trace[i + 1][0] if i + 1 < len(trace) else theta
-        if o.compare(end, theta) > 0:
+        if end.terms > th:
             end = theta
         total = _cross(total, start, end, val)
     return total
@@ -194,16 +200,16 @@ def _stage_readings(trace: tuple[tuple[Ordinal, Num], ...],
     total = 0
     i = 0
     for theta in thetas:
+        th = theta.terms
         # cross every interval that ends at or below theta
-        while i + 1 < len(trace) and o.compare(trace[i + 1][0], theta) <= 0:
+        while i + 1 < len(trace) and trace[i + 1][0].terms <= th:
             total = _cross(total, trace[i][0], trace[i + 1][0], trace[i][1])
             i += 1
         start, val = trace[i]
-        c = o.compare(start, theta)
-        if c < 0:
+        if start.terms < th:
             out.append((_cross(total, start, theta, val), val))
         else:  # theta at the mark, or before the first one
-            out.append((total, val if c == 0 else 0))
+            out.append((total, val if start is theta else 0))
     return out
 
 

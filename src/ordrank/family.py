@@ -18,7 +18,7 @@ from .errors import UnsupportedProgression, VerificationError
 from .ordinal import Kind, Ordinal, ZERO, W
 from .patterns import (
     FALSE, PARAM_ETA, Pat, PAnd, POrdGeEta, TRUE, _nnf, and_, atoms, digit_mod,
-    holds_at, is_concrete, not_, or_, ord_ge, ord_lt, subst_eta,
+    is_concrete, not_, or_, ord_ge, ord_lt, subst_eta,
 )
 from .space import SpaceDesc, Topology, is_closed, is_empty, sem_eq, subset
 
@@ -54,7 +54,10 @@ class TransfiniteFamily:
         return subst_eta(self.segment_of(eta).body, eta)
 
     def member(self, eta: Ordinal, x: Ordinal) -> bool:
-        return holds_at(self.at(eta), x)
+        """x lies in F_eta, read off the body at eta with no pattern built."""
+        if o.compare(eta, self.length) >= 0:
+            return False
+        return self.segment_of(eta).body.holds(x, eta)
 
     # -- per-point analysis ---------------------------------------------
 
@@ -66,11 +69,12 @@ class TransfiniteFamily:
         out = []
         for s in self.segments:
             if s.concrete:
-                pieces = ((s.lo, s.hi, holds_at(s.body, x)),)
+                pieces = ((s.lo, s.hi, s.body.holds(x, None)),)
             else:
                 pieces = _index_intervals(s, x)
             for start, end, val in pieces:
-                if out and out[-1][2] == val and out[-1][1] == start:
+                # one object per ordinal value
+                if out and out[-1][2] == val and out[-1][1] is start:
                     out[-1] = (out[-1][0], end, val)
                 else:
                     out.append((start, end, val))
@@ -96,14 +100,16 @@ class TransfiniteFamily:
 
 
 def _index_intervals(s: Segment, x: Ordinal) -> list[tuple[Ordinal, Ordinal, bool]]:
-    """Intervals of constant membership of x on a segment with index atoms."""
+    """Intervals of constant membership of x on a segment with index atoms;
+    each one's truth is the body's at its start, its index atoms decided
+    there by threshold."""
     cuts = {s.lo}
     for t in _eta_breakpoints(s.body, x):
-        if o.compare(s.lo, t) < 0 and o.compare(t, s.hi) < 0:
+        if s.lo.terms < t.terms < s.hi.terms:
             cuts.add(t)
     marks = sorted(cuts, key=lambda a: a.terms)
     ends = marks[1:] + [s.hi]
-    return [(start, end, holds_at(subst_eta(s.body, start), x))
+    return [(start, end, s.body.holds(x, start))
             for start, end in zip(marks, ends)]
 
 

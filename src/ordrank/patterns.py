@@ -6,7 +6,8 @@ its position (below / at-or-above an ordinal bound), or its divisibility
 by a power of w.  Closed formulas denote concrete subsets; atoms may
 instead carry one affine parameter (a natural n, or the ordinal index of
 a transfinite family) so that families and iteration templates stay
-finitely presented.
+finitely presented.  Whether a point lies in a pattern is each class's own
+`holds` method (see "Direct membership evaluation" below).
 
 The normal form used by every decision procedure is a finite union of
 *cells*: digit-box times interval times divisibility constraint.  Digit
@@ -224,22 +225,36 @@ def ds_not(a: DigitSet) -> DigitSet:
 # Formula AST.
 
 class Pat:
+    """A pattern: and/or/not over atoms.  `holds(x, eta)` says whether the
+    point x lies in it, its family-index atoms taken at the index eta; the
+    natural-parameter atoms, and index atoms when eta is None, have no
+    truth value there, and reach this method."""
     __slots__ = ()
 
+    def holds(self, _x: Ordinal, _eta: Ordinal | None) -> bool:
+        raise UnsupportedProgression("parametric atom in concrete evaluation: %r" % (self,))
 
-# A dataclass hashes its fields only, so PTrue and PFalse, PAnd and POr, and
-# POrdLt and POrdGe, whose fields agree, hash their class too.
+
+# A dataclass hashes its fields only, so every class whose fields agree with
+# another's (PTrue and PFalse, PAnd and POr, POrdLt and POrdGe, and the
+# parametric twins) hashes its class too.
 
 @dataclass(frozen=True)
 class PTrue(Pat):
     def __hash__(self) -> int:
         return hash(PTrue)
 
+    def holds(self, _x: Ordinal, _eta: Ordinal | None) -> bool:
+        return True
+
 
 @dataclass(frozen=True)
 class PFalse(Pat):
     def __hash__(self) -> int:
         return hash(PFalse)
+
+    def holds(self, _x: Ordinal, _eta: Ordinal | None) -> bool:
+        return False
 
 
 @dataclass(frozen=True)
@@ -249,6 +264,12 @@ class PAnd(Pat):
     def __hash__(self) -> int:
         return hash((PAnd, self.parts))
 
+    def holds(self, x: Ordinal, eta: Ordinal | None) -> bool:
+        for q in self.parts:
+            if not q.holds(x, eta):
+                return False
+        return True
+
 
 @dataclass(frozen=True)
 class POr(Pat):
@@ -257,10 +278,19 @@ class POr(Pat):
     def __hash__(self) -> int:
         return hash((POr, self.parts))
 
+    def holds(self, x: Ordinal, eta: Ordinal | None) -> bool:
+        for q in self.parts:
+            if q.holds(x, eta):
+                return True
+        return False
+
 
 @dataclass(frozen=True)
 class PNot(Pat):
     part: Pat
+
+    def holds(self, x: Ordinal, eta: Ordinal | None) -> bool:
+        return not self.part.holds(x, eta)
 
 
 @dataclass(frozen=True)
@@ -269,6 +299,11 @@ class PDigit(Pat):
     i: int
     ds: DigitSet
 
+    def holds(self, x: Ordinal, _eta: Ordinal | None) -> bool:
+        return x.digit(self.i) in self.ds
+
+
+# Ordinals order by their term tuples.
 
 @dataclass(frozen=True)
 class POrdLt(Pat):
@@ -276,6 +311,9 @@ class POrdLt(Pat):
 
     def __hash__(self) -> int:
         return hash((POrdLt, self.b))
+
+    def holds(self, x: Ordinal, _eta: Ordinal | None) -> bool:
+        return x.terms < self.b.terms
 
 
 @dataclass(frozen=True)
@@ -285,11 +323,19 @@ class POrdGe(Pat):
     def __hash__(self) -> int:
         return hash((POrdGe, self.b))
 
+    def holds(self, x: Ordinal, _eta: Ordinal | None) -> bool:
+        return x.terms >= self.b.terms
+
+
+# The last term of a nonzero x is its least exponent and that coefficient.
 
 @dataclass(frozen=True)
 class PDiv(Pat):
     """x != 0 and w^e divides x (all digits below e vanish)."""
     e: int
+
+    def holds(self, x: Ordinal, _eta: Ordinal | None) -> bool:
+        return bool(x.terms) and x.terms[-1][0] >= self.e
 
 
 @dataclass(frozen=True)
@@ -301,6 +347,9 @@ class PMinDigit(Pat):
     """
     ds: DigitSet
 
+    def holds(self, x: Ordinal, _eta: Ordinal | None) -> bool:
+        return bool(x.terms) and x.terms[-1][1] in self.ds
+
 
 # Atoms affine in a natural parameter n.
 @dataclass(frozen=True)
@@ -309,6 +358,9 @@ class PDigitGeN(Pat):
     base: int
     slope: int
 
+    def __hash__(self) -> int:
+        return hash((PDigitGeN, self.i, self.base, self.slope))
+
 
 @dataclass(frozen=True)
 class PDigitLtN(Pat):
@@ -316,17 +368,26 @@ class PDigitLtN(Pat):
     base: int
     slope: int
 
+    def __hash__(self) -> int:
+        return hash((PDigitLtN, self.i, self.base, self.slope))
+
 
 @dataclass(frozen=True)
 class POrdGeN(Pat):
     base: Ordinal
     slope: Ordinal
 
+    def __hash__(self) -> int:
+        return hash((POrdGeN, self.base, self.slope))
+
 
 @dataclass(frozen=True)
 class POrdLtN(Pat):
     base: Ordinal
     slope: Ordinal
+
+    def __hash__(self) -> int:
+        return hash((POrdLtN, self.base, self.slope))
 
 
 @dataclass(frozen=True)
@@ -335,7 +396,8 @@ class PDivN(Pat):
     slope: int
 
 
-# Atoms affine in the ordinal index of a transfinite family.
+# Atoms affine in the ordinal index of a transfinite family; without an
+# index they have no truth value.
 @dataclass(frozen=True)
 class POrdGeEta(Pat):
     """x >= base + (eta - shift)*coeff; segments guarantee eta >= shift."""
@@ -343,12 +405,28 @@ class POrdGeEta(Pat):
     shift: Ordinal
     coeff: int = 1
 
+    def __hash__(self) -> int:
+        return hash((POrdGeEta, self.base, self.shift, self.coeff))
+
+    def holds(self, x: Ordinal, eta: Ordinal | None) -> bool:
+        if eta is None:
+            return Pat.holds(self, x, eta)
+        return x.terms >= _eta_threshold(self, eta).terms
+
 
 @dataclass(frozen=True)
 class POrdLtEta(Pat):
     base: Ordinal
     shift: Ordinal
     coeff: int = 1
+
+    def __hash__(self) -> int:
+        return hash((POrdLtEta, self.base, self.shift, self.coeff))
+
+    def holds(self, x: Ordinal, eta: Ordinal | None) -> bool:
+        if eta is None:
+            return Pat.holds(self, x, eta)
+        return x.terms < _eta_threshold(self, eta).terms
 
 
 TRUE = PTrue()
@@ -547,32 +625,18 @@ def subst_eta(p: Pat, eta: Ordinal) -> Pat:
 
 
 # ---------------------------------------------------------------------------
-# Direct membership evaluation (concrete patterns only).
+# Direct membership evaluation.
+#
+# Each pattern class answers for itself (`Pat.holds`): and/or loop over their
+# parts and stop at the first part that settles the answer, order atoms
+# compare term tuples, and an index atom compares x with its threshold at
+# the given index, so a family reads F_eta's membership off its segment body
+# with no instantiated pattern built.  The natural-parameter atoms, and index
+# atoms without an index, raise UnsupportedProgression.
 
 def holds_at(p: Pat, x: Ordinal) -> bool:
-    if isinstance(p, PTrue):
-        return True
-    if isinstance(p, PFalse):
-        return False
-    if isinstance(p, PAnd):
-        return all(holds_at(q, x) for q in p.parts)
-    if isinstance(p, POr):
-        return any(holds_at(q, x) for q in p.parts)
-    if isinstance(p, PNot):
-        return not holds_at(p.part, x)
-    if isinstance(p, PDigit):
-        return x.digit(p.i) in p.ds
-    if isinstance(p, POrdLt):
-        return o.compare(x, p.b) < 0
-    if isinstance(p, POrdGe):
-        return o.compare(x, p.b) >= 0
-    if isinstance(p, PDiv):
-        me = x.min_exp()
-        return me is not None and me >= p.e
-    if isinstance(p, PMinDigit):
-        me = x.min_exp()
-        return me is not None and x.digit(me) in p.ds
-    raise UnsupportedProgression("parametric atom in concrete evaluation: %r" % (p,))
+    """x lies in the concrete pattern p (see `Pat.holds`)."""
+    return p.holds(x, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1062,30 +1126,43 @@ def _least_in_box(sets: list[DigitSet], lower: Ordinal) -> Ordinal | None:
     return Ordinal(tuple(terms))
 
 
+def _box_top(c: Cell, lower: Ordinal) -> int:
+    """A position from which up every constraint of c is vacuous and lower
+    has no digit."""
+    return max([c.div] + [i + 1 for i, _ in c.digits] + [e + 1 for e, _ in lower.terms[:1]])
+
+
+def _cell_box(c: Cell, top: int) -> list[DigitSet]:
+    """The cell's digit sets at positions 0..top: {0} below div, its own
+    sets where it has them, every digit elsewhere."""
+    box = [ds_eq(0)] * c.div + [DS_FULL] * (top + 1 - c.div)
+    for i, ds in c.digits:
+        box[i] = ds
+    return box
+
+
 def cell_min_geq(c: Cell, lower: Ordinal) -> Ordinal | None:
     """Smallest x in the cell's box with x >= max(lower, lo); ignores hi.
     Returns None when the box is empty."""
-    if o.compare(lower, c.lo) < 0:
+    if lower.terms < c.lo.terms:
         lower = c.lo
-    # every constraint from top up is vacuous, and lower has no digit there
-    top = max([c.div] + [i + 1 for i, _ in c.digits] + [e + 1 for e, _ in lower.terms[:1]])
-
+    top = _box_top(c, lower)
     if c.md is None:
-        return _least_in_box([c.constraint(i) for i in range(top + 1)], lower)
+        return _least_in_box(_cell_box(c, top), lower)
 
     # Split on the position e of the least nonzero digit; e = top+1 covers
     # every higher position.  Digits below e vanish, so no e past a position
     # that excludes 0 has a member.
+    box = _cell_box(c, top + 1)
     best: Ordinal | None = None
     for e in range(c.div, top + 2):
-        if 0 not in c.constraint(e - 1):
+        if e and 0 not in box[e - 1]:
             break
-        at_e = ds_and(ds_and(c.constraint(e), c.md), ds_ge(1))
+        at_e = ds_and(ds_and(box[e], c.md), ds_ge(1))
         if at_e.is_empty:
             continue
-        sets = [ds_eq(0)] * e + [at_e] + [c.constraint(i) for i in range(e + 1, top + 1)]
-        x = _least_in_box(sets, lower)
-        if x is not None and (best is None or o.compare(x, best) < 0):
+        x = _least_in_box([ds_eq(0)] * e + [at_e] + box[e + 1:top + 1], lower)
+        if x is not None and (best is None or x.terms < best.terms):
             best = x
     return best
 
@@ -1100,11 +1177,20 @@ def cell_is_empty(c: Cell, bound: Ordinal | None) -> bool:
 
 
 def iter_cell(c: Cell, bound: Ordinal | None, count: int):
+    """The cell's least `count` members below its hi (or the bound), in order.
+
+    Without md, one box serves every point: each point after the least one
+    keeps its leading exponent at or below the first box's top, where the
+    box is full, so the box for its successor is the same one, or one with
+    another full position above, which changes no answer."""
     eff_hi = c.hi if c.hi is not None else bound
-    x = cell_min_geq(c, c.lo)
+    hi = None if eff_hi is None else eff_hi.terms
+    box = None if c.md is not None else _cell_box(c, _box_top(c, c.lo))
+    x = cell_min_geq(c, c.lo) if box is None else _least_in_box(box, c.lo)
     while x is not None and count > 0:
-        if eff_hi is not None and o.compare(x, eff_hi) >= 0:
+        if hi is not None and x.terms >= hi:
             return
         yield x
         count -= 1
-        x = cell_min_geq(c, o.add(x, 1))
+        nxt = o.add(x, 1)
+        x = cell_min_geq(c, nxt) if box is None else _least_in_box(box, nxt)

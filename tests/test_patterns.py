@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from ordrank import ordinal as o
 from ordrank.errors import DigitSetTooLarge
 from ordrank.ordinal import W, add, from_int, mul
-from ordrank.patterns import (MAX_DIGITSET, DigitSet, PAnd, PMinDigit, POrdGe, PTrue,
+from ordrank.patterns import (MAX_DIGITSET, DigitSet, PAnd, PDigitGeN, PDigitLtN,
+                              PMinDigit, POrdGe, POrdGeEta, POrdGeN, POrdLtEta, POrdLtN,
+                              PTrue,
                               ds_and, ds_eq, ds_ge, ds_lt, ds_mod, ds_not,
                               ds_or, ds_window, mk_digitset, cells_difference,
                               holds_at, not_, and_, or_, to_cells, cell_and,
@@ -348,3 +350,28 @@ def test_cell_minus_matches_noncanonical_carving():
     # a space of one or two points has few cells
     assert min(seen.values()) >= 20 and sum(seen.values()) >= 3000, seen
     assert min(carved.values()) >= 20, carved
+
+
+# -- the parametric twins hash their class too ------------------------------------
+
+_TWINS = ((PDigitGeN, PDigitLtN, lambda rng: (rng.randint(0, 3), rng.randint(0, 5),
+                                              rng.randint(0, 3))),
+          (POrdGeN, POrdLtN, lambda rng: (_rand_small_ord(rng), _rand_small_ord(rng))),
+          (POrdGeEta, POrdLtEta, lambda rng: (_rand_small_ord(rng), _rand_small_ord(rng),
+                                              rng.randint(1, 3))))
+
+
+def _rand_small_ord(rng):
+    return add(mul(W, rng.randint(0, 3)), rng.randint(0, 5))
+
+
+@pytest.mark.parametrize("ge, lt, fields", _TWINS, ids=("digit-n", "ord-n", "ord-eta"))
+def test_parametric_twins_hash_apart(ge, lt, fields):
+    rng = random.Random(2405)
+    for _ in range(40):
+        args = fields(rng)
+        a, b = ge(*args), lt(*args)
+        assert a != b and hash(a) != hash(b), args
+        # equal atoms, built apart, hash equal
+        assert ge(*args) == a and hash(ge(*args)) == hash(a)
+        assert lt(*args) == b and hash(lt(*args)) == hash(b)

@@ -114,16 +114,10 @@ def _index_intervals(s: Segment, x: Ordinal) -> list[tuple[Ordinal, Ordinal, boo
 
 
 def _eta_breakpoints(body: Pat, x: Ordinal):
-    """The indices where an index atom of body may switch at x."""
-    for a in atoms(body):
-        if type(a) not in PARAM_ETA:
-            continue
-        # x >= base + (eta - shift)*coeff holds until eta - shift reaches
-        # the least z with z*coeff > x - base
-        if o.compare(x, a.base) < 0:
-            yield ZERO
-        else:
-            yield o.add(a.shift, o.least_multiple_above(o.left_sub(x, a.base), a.coeff))
+    """The indices where an index atom of body switches at x: their
+    switches (`EtaKind.switch`) other than None."""
+    switches = (PARAM_ETA[type(a)].switch(a, x) for a in atoms(body) if type(a) in PARAM_ETA)
+    return (eta for eta in switches if eta is not None)
 
 
 def _tail_intersection(seg: Segment, theta: Ordinal) -> Pat:

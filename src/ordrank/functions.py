@@ -10,21 +10,20 @@ At every point the truth of an n-atom is monotone in n, so each atom has
 one limit: the atom taken at n = omega (`_atom_at_limit`).  A pointwise
 limit replaces every atom by its limit, digit thresholds and ordinal
 thresholds with any slope alike; an atom switches at a point at most
-once, and only where its values at n = 0 and at n = omega differ.
+once, at the n its kind's `switch` names (`patterns.NKind`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ordinal as o
 from . import space as sp
 from .errors import (CertificateViolation, PartitionViolation,
                      UnsupportedProgression)
 from .ordinal import Ordinal, W
 from .patterns import (
-    FALSE, PARAM_N, TRUE, Pat, PDigitGeN, PDigitLtN, PDivN, _dnf, _nnf, and_,
-    atoms, digit_in, holds_at, map_atoms, mk_digitset, not_, or_, subst_n,
+    FALSE, PARAM_N, TRUE, Pat, PDigitGeN, PDigitLtN, _dnf, _nnf, and_, atoms,
+    digit_in, holds_at, map_atoms, mk_digitset, not_, or_, subst_n,
 )
 from .space import SpaceDesc, Topology, closure, is_open, member
 
@@ -226,39 +225,10 @@ def fam_clamp_hk(a: FnFamily, k: int) -> FnFamily:
 
 
 def _breakpoints(p: Pat, x: Ordinal) -> set[int]:
-    """n-values where the truth of p at x may switch.
-
-    An atom's truth at x is monotone in n, so it switches at most once,
-    and only when its value at n = 0 differs from its value at n = omega."""
-    out = set()
-    for a in atoms(p):
-        if (type(a) not in PARAM_N
-                or holds_at(subst_n(a, 0), x) == holds_at(_atom_at_limit(a), x)):
-            continue
-        if isinstance(a, (PDigitGeN, PDigitLtN)):
-            out.add((x.digit(a.i) - a.base) // a.slope + 1)
-        elif isinstance(a, PDivN):
-            out.add((x.min_exp() - a.base) // a.slope + 1)
-        else:
-            # base <= x < base + slope*omega: the switch is after the last
-            # threshold base + slope*n at or below x
-            out.add(_max_mult(a.slope, o.left_sub(x, a.base)) + 1)
-    return out
-
-
-def _max_mult(step: Ordinal, r: Ordinal) -> int:
-    """Largest n with step*n <= r (0 if none beyond n=0).
-
-    With step = w^e*c + t (t below w^e), step*n = w^e*(c*n) + t for n >= 1,
-    so the comparison with r = w^e*d + s reads off d and s."""
-    if step.is_zero or (r.max_exp() or 0) > step.max_exp():
-        raise UnsupportedProgression("no largest multiple of %s below %s" % (step, r))
-    e, c = step.terms[0]
-    d = r.digit(e)
-    n = d // c
-    if n >= 1 and c * n == d and step.terms[1:] > tuple(t for t in r.terms if t[0] < e):
-        n -= 1
-    return n
+    """The n where the truth of p at x switches: its atoms' switches
+    (`NKind.switch`) other than 0 and None."""
+    switches = (PARAM_N[type(a)].switch(a, x) for a in atoms(p) if type(a) in PARAM_N)
+    return {n for n in switches if n}
 
 
 # -- symbolic limits and unions over the parameter ---------------------------

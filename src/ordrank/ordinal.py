@@ -21,7 +21,7 @@ import enum
 import weakref
 from dataclasses import FrozenInstanceError
 
-from .errors import NotLimit, PositionLimitExceeded
+from .errors import NotLimit, PositionLimitExceeded, UnsupportedProgression
 
 
 class Parity(enum.Enum):
@@ -276,14 +276,29 @@ def least_multiple_above(a: Ordinal | int, m: int) -> Ordinal:
     return add(add(omega_power(e, k // m), rest), 1)
 
 
+def max_mult(step: Ordinal, r: Ordinal) -> int:
+    """Largest n with step*n <= r (0 if none beyond n=0).
+
+    With step = w^e*c + t (t below w^e), step*n = w^e*(c*n) + t for n >= 1,
+    so the comparison with r = w^e*d + s reads off d and s."""
+    if step.is_zero or (r.max_exp() or 0) > step.max_exp():
+        raise UnsupportedProgression("no largest multiple of %s below %s" % (step, r))
+    e, c = step.terms[0]
+    d = r.digit(e)
+    n = d // c
+    if n >= 1 and c * n == d and step.terms[1:] > tuple(t for t in r.terms if t[0] < e):
+        n -= 1
+    return n
+
+
 def sup_mul_below(a: Ordinal, m: int) -> Ordinal:
-    """sup of z*m over z < a, for a limit a and finite m >= 1.
+    """sup of z*m over z < a, for a limit a and a natural m (0 when m is 0).
 
     For a = w^e*k the z below a are w^e*(k-1) + y with y < w^e, and
     z*m = w^e*((k-1)*m) + y once k >= 2 (y*m for k = 1), so the sup is
     w^e*((k-1)*m + 1).  With two or more terms the leading term alone is
     multiplied and the rest of a is reached from below, so the sup is a*m."""
-    if len(a.terms) != 1:
+    if len(a.terms) != 1 or m == 0:
         return mul(a, m)
     e, k = a.terms[0]
     return omega_power(e, (k - 1) * m + 1)

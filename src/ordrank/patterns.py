@@ -543,47 +543,87 @@ class NKind(NamedTuple):
     """A kind of atom affine in a natural n: `at(a, n)` is the atom at n
     (ordinal thresholds, `at_omega`, also at n = W, where they climb to
     their sup); `neg` is the kind of the complement atom, with the same
-    fields (None when it is no atom); the truth at a fixed point is
-    monotone in n, and `shrinks` says the sets shrink as n grows."""
+    fields (None when it is no atom); `shrinks` says the sets shrink as n
+    grows.  Every threshold base + slope*n is nondecreasing in n (ordinal
+    sum and product are monotone in the right argument), so the truth at a
+    fixed point x is `shrinks` below one n and the other value from it on:
+    `switch(a, x)` is that n, 0 when the truth is never `shrinks` and None
+    when it always is.  A kind and its `neg` share one switch."""
     at: Callable[[Pat, int | Ordinal], Pat]
     neg: type | None
     shrinks: bool
+    switch: Callable[[Pat, Ordinal], int | None]
     at_omega: bool = False
 
 
 class EtaKind(NamedTuple):
     """A kind of atom affine in a family index: `at(a, eta)` is the atom
     at eta; `neg` and `shrinks` as in `NKind`, with eta for n; `below(a,
-    theta)` the intersection over eta < theta, a limit."""
+    theta)` the intersection over eta < theta, a limit.  For eta >= shift
+    the threshold base + (eta - shift)*coeff is nondecreasing in eta, so the
+    truth at x is `shrinks` below one index and the other value from it on:
+    `switch(a, x)` is that index, ZERO when the truth is never `shrinks` and
+    None when it always is.  A kind and its `neg` share one switch."""
     at: Callable[[Pat, Ordinal], Pat]
     neg: type
     shrinks: bool
+    switch: Callable[[Pat, Ordinal], Ordinal | None]
     below: Callable[[Pat, Ordinal], Pat] | None = None
+
+
+def _nat_switch(a: Pat, v: int | None) -> int | None:
+    """The least n with v < base + slope*n, v a digit or the least exponent
+    of x (None for x = 0, which no divpow holds)."""
+    if v is None or v < a.base:
+        return 0
+    return None if a.slope == 0 else (v - a.base) // a.slope + 1
+
+
+def _ord_switch(a: Pat, x: Ordinal) -> int | None:
+    """The least n with x < base + slope*n (None from their sup on)."""
+    if x.terms < a.base.terms:
+        return 0
+    if x.terms >= o.add(a.base, o.mul(a.slope, o.W)).terms:
+        return None
+    return o.max_mult(a.slope, o.left_sub(x, a.base)) + 1
 
 
 def _eta_threshold(a: Pat, eta: Ordinal) -> Ordinal:
     return o.add(a.base, o.mul(o.left_sub(eta, a.shift), a.coeff))
 
 
+def _eta_switch(a: Pat, x: Ordinal) -> Ordinal | None:
+    """The least eta with x < base + (eta - shift)*coeff: shift plus the
+    least z with z*coeff > x - base (None for coeff 0: base at every eta)."""
+    if x.terms < a.base.terms:
+        return ZERO
+    if a.coeff == 0:
+        return None
+    return o.add(a.shift, o.least_multiple_above(o.left_sub(x, a.base), a.coeff))
+
+
 PARAM_N: dict[type, NKind] = {
-    PDigitGeN: NKind(lambda a, n: digit_ge(a.i, a.base + a.slope * n), PDigitLtN, True),
+    PDigitGeN: NKind(lambda a, n: digit_ge(a.i, a.base + a.slope * n), PDigitLtN, True,
+                     lambda a, x: _nat_switch(a, x.digit(a.i))),
     PDigitLtN: NKind(lambda a, n: digit_in(a.i, ds_lt(a.base + a.slope * n)),
-                     PDigitGeN, False),
+                     PDigitGeN, False, lambda a, x: _nat_switch(a, x.digit(a.i))),
     POrdGeN: NKind(lambda a, n: ord_ge(o.add(a.base, o.mul(a.slope, n))),
-                   POrdLtN, True, at_omega=True),
+                   POrdLtN, True, _ord_switch, at_omega=True),
     POrdLtN: NKind(lambda a, n: ord_lt(o.add(a.base, o.mul(a.slope, n))),
-                   POrdGeN, False, at_omega=True),
+                   POrdGeN, False, _ord_switch, at_omega=True),
     # not divpow: x = 0 or a digit below base + slope*n is nonzero
-    PDivN: NKind(lambda a, n: divpow(a.base + a.slope * n), None, True),
+    PDivN: NKind(lambda a, n: divpow(a.base + a.slope * n), None, True,
+                 lambda a, x: _nat_switch(a, x.min_exp())),
 }
 
 PARAM_ETA: dict[type, EtaKind] = {
     # the thresholds grow with eta, so the intersection is x >= their sup
     # below theta; for coeff >= 2 that is not the threshold at theta
     POrdGeEta: EtaKind(lambda a, eta: ord_ge(_eta_threshold(a, eta)), POrdLtEta, True,
-                       lambda a, theta: ord_ge(o.add(a.base, o.sup_mul_below(
+                       _eta_switch, lambda a, theta: ord_ge(o.add(a.base, o.sup_mul_below(
                            o.left_sub(theta, a.shift), a.coeff)))),
-    POrdLtEta: EtaKind(lambda a, eta: ord_lt(_eta_threshold(a, eta)), POrdGeEta, False),
+    POrdLtEta: EtaKind(lambda a, eta: ord_lt(_eta_threshold(a, eta)), POrdGeEta, False,
+                       _eta_switch),
 }
 
 

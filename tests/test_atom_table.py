@@ -13,7 +13,8 @@ from ordrank import ordinal as o
 from ordrank.derivative import _max_atom_base
 from ordrank.errors import UnsupportedProgression
 from ordrank.family import _eta_breakpoints
-from ordrank.functions import FnFamily, _breakpoints, _max_mult, eventual
+from ordrank.functions import FnFamily, _breakpoints, eventual
+from ordrank.ordinal import max_mult as _max_mult
 from ordrank.ordinal import W, ZERO, add, from_int, mul, omega_power
 from ordrank.patterns import (
     FALSE, TRUE, PAnd, PDigitGeN, PDigitLtN, PDiv, PDivN, PMinDigit, PNot, POr,

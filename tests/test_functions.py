@@ -11,7 +11,8 @@ from ordrank.functions import (FnFamily, StepFn, UniformPresentation, char_fn,
                                fn_add, fn_add_const, fn_max_const, fn_scale,
                                fn_sub, make_stepfn, monotonize_and_diff,
                                oscillation, semi_borel_class, sup_dist,
-                               union_from_param, usc_check, _max_mult)
+                               union_from_param, usc_check)
+from ordrank.ordinal import max_mult as _max_mult
 from ordrank.ordinal import (W, ZERO, Ordinal, add, compare, from_int, mul,
                              omega_power)
 from ordrank.patterns import (PDigitGeN, PDigitLtN, PDivN, POrdGeN, POrdLtN,

@@ -2,8 +2,9 @@
 
 The sequences are nonnegative combinations of decreasing set families, so
 the index map eta -> f_eta(x) is a step function of eta with finitely
-many ordinal thresholds.  Its value trace is swept from the families' truth
-intervals at x and memoised per (sequence, point); the length certificate
+many ordinal thresholds.  Its value trace is swept from the families'
+intervals of constant membership of x (`TransfiniteFamily.pieces`) and
+memoised per (sequence, point); the length certificate
 builds it once per sampled point, reads the identity from it, and reads the
 partial sum and f_theta(x) at every checked even stage in one sweep of it.
 The alternating sum up to theta is evaluated exactly by crossing the
@@ -19,7 +20,9 @@ memoised trace holds every value f_eta(x) as an integer numerator over D.
 Every value and every partial sum is an integer combination of the weights,
 so it is a multiple of 1/D, and the integer sums are exact: an evaluation
 builds one Fraction, numerator over D, per answer.  The certificate compares
-its residual sandwich on numerators too, which is exact because D > 0.
+its identity and its residual sandwich on numerators too, which is exact
+because D > 0: each value of f, less the constant, becomes its numerator
+over D once, and a Fraction is built only for a failure's message.
 """
 from __future__ import annotations
 
@@ -79,13 +82,14 @@ class ComboSeq:
     def _num_trace(self, x: Ordinal) -> tuple[tuple[Ordinal, int], ...]:
         """`value_trace` with each value as its integer numerator over `_den`.
 
-        Swept from the families' truth intervals: a term's weight enters
-        where an interval of x in F_eta starts and leaves where it ends.
-        Memoized: a length certificate and the evaluations after it read
-        the same points of the same sequence."""
+        Swept from the families' pieces at x: a term's weight enters where
+        an interval of x in F_eta starts and leaves where it ends, so at a
+        cut between two such intervals it leaves and enters again, which
+        changes no sum.  Memoized: a length certificate and the evaluations
+        after it read the same points of the same sequence."""
         delta = {ZERO: 0}
         for w, (_, fam) in zip(self._nums, self.terms):
-            for start, end, val in fam.truth_intervals(x):
+            for start, end, val in fam.pieces(x):
                 if val:
                     delta[start] = delta.get(start, 0) + w
                     delta[end] = delta.get(end, 0) - w
@@ -365,16 +369,19 @@ def length_upper_certificate(f: StepFn, witness: DUSBSeq, lam: int,
             pts.append(x)
     claims = []
     # one value trace and one f(x) per point serve the identity and every
-    # stage; traces and sums are numerators over seq._den
+    # stage; traces and sums are numerators over seq._den, and so is each
+    # value of f less const (None when it is no multiple of 1/seq._den,
+    # which no sum equals)
     seq = witness.seq
+    wants = [_numerator((v - const) * seq._den) for v, _ in f.pieces]
     checked = []
     for x in pts:
         trace = seq._num_trace(x)
         total = _trace_sum(trace, witness.length)
-        got = const + Fraction(total, seq._den)
-        want = f.eval(x)
-        if got != want:
-            raise WitnessMismatch("identity fails at %s: %s != %s" % (x, got, want))
+        i = f.piece_of(x)
+        if total != wants[i]:
+            raise WitnessMismatch("identity fails at %s: %s != %s"
+                                  % (x, const + Fraction(total, seq._den), f.pieces[i][0]))
         checked.append((x, trace, total))
     claims.append("f = const + alternating sum at %d sampled points" % len(pts))
     thetas = _even_stage_samples(witness.length)
@@ -392,6 +399,11 @@ def length_upper_certificate(f: StepFn, witness: DUSBSeq, lam: int,
                 raise ResidualViolation(x, theta)
     claims.append("residual sandwich at %d even stages" % len(thetas))
     return Certificate("length_upper", lam, witness.xi, tuple(claims))
+
+
+def _numerator(q: Fraction) -> int | None:
+    """q as an int, or None when it is not one."""
+    return q.numerator if q.denominator == 1 else None
 
 
 def _even_stage_samples(length: Ordinal) -> list[Ordinal]:

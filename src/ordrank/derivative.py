@@ -199,7 +199,7 @@ class CellTemplate:
         digits: dict[int, DigitSet] = {}
         for kind, i, step, ds, t0 in self.digits:
             if kind != "const" and at_w:
-                if kind == "pos" and 0 in ds:
+                if kind == "pos" and ds.has0:
                     raise UnsupportedProgression("moving digit position with 0 allowed")
                 return None
             if kind == "pos":

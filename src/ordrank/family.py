@@ -29,11 +29,15 @@ class Segment:
     hi: Ordinal  # exclusive
     body: Pat    # concrete, or with eta atoms
     # the body has no parameter atom, so F_eta is the body on the whole
-    # segment; computed once and kept out of equality, hash and repr
+    # segment, and the body's index atoms, depth first; computed once and
+    # kept out of equality, hash and repr
     concrete: bool = field(init=False, repr=False, compare=False)
+    index_atoms: tuple[Pat, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "concrete", is_concrete(self.body))
+        object.__setattr__(self, "index_atoms",
+                           tuple(a for a in atoms(self.body) if type(a) in PARAM_ETA))
 
 
 @dataclass(frozen=True)
@@ -61,28 +65,31 @@ class TransfiniteFamily:
 
     # -- per-point analysis ---------------------------------------------
 
-    def truth_intervals(self, x: Ordinal) -> list[tuple[Ordinal, Ordinal, bool]]:
-        """Partition of [0, length) into intervals of constant membership of x.
-
-        A concrete segment is one interval, read off its body; a segment
-        with index atoms is cut where an atom's truth at x flips."""
-        out = []
+    def pieces(self, x: Ordinal):
+        """Intervals (start, end, x in F_eta there) that partition [0,
+        length) in order, each inside one segment.  A concrete segment is
+        one interval, read off its body; a segment with index atoms is cut
+        where an atom's truth at x flips.  Neighbours may agree."""
         for s in self.segments:
             if s.concrete:
-                pieces = ((s.lo, s.hi, s.body.holds(x, None)),)
+                yield s.lo, s.hi, s.body.holds(x, None)
             else:
-                pieces = _index_intervals(s, x)
-            for start, end, val in pieces:
-                # one object per ordinal value
-                if out and out[-1][2] == val and out[-1][1] is start:
-                    out[-1] = (out[-1][0], end, val)
-                else:
-                    out.append((start, end, val))
+                yield from _index_intervals(s, x)
+
+    def truth_intervals(self, x: Ordinal) -> list[tuple[Ordinal, Ordinal, bool]]:
+        """Partition of [0, length) into maximal intervals of constant
+        membership of x: the `pieces`, neighbours that agree merged."""
+        out = []
+        for start, end, val in self.pieces(x):
+            if out and out[-1][2] == val:
+                out[-1] = (out[-1][0], end, val)
+            else:
+                out.append((start, end, val))
         return out
 
     def exit_index(self, x: Ordinal) -> Ordinal | None:
         """Least eta < length with x outside F_eta (None if never)."""
-        for start, end, val in self.truth_intervals(x):
+        for start, end, val in self.pieces(x):
             if not val:
                 return start
         return None
@@ -104,7 +111,7 @@ def _index_intervals(s: Segment, x: Ordinal) -> list[tuple[Ordinal, Ordinal, boo
     each one's truth is the body's at its start, its index atoms decided
     there by threshold."""
     cuts = {s.lo}
-    for t in _eta_breakpoints(s.body, x):
+    for t in _eta_breakpoints(s.index_atoms, x):
         if s.lo.terms < t.terms < s.hi.terms:
             cuts.add(t)
     marks = sorted(cuts, key=lambda a: a.terms)
@@ -113,10 +120,10 @@ def _index_intervals(s: Segment, x: Ordinal) -> list[tuple[Ordinal, Ordinal, boo
             for start, end in zip(marks, ends)]
 
 
-def _eta_breakpoints(body: Pat, x: Ordinal):
-    """The indices where an index atom of body switches at x: their
+def _eta_breakpoints(index_atoms, x: Ordinal):
+    """The indices where one of these index atoms switches at x: their
     switches (`EtaKind.switch`) other than None."""
-    switches = (PARAM_ETA[type(a)].switch(a, x) for a in atoms(body) if type(a) in PARAM_ETA)
+    switches = (PARAM_ETA[type(a)].switch(a, x) for a in index_atoms)
     return (eta for eta in switches if eta is not None)
 
 
@@ -200,7 +207,9 @@ def validate_set_family(fam: TransfiniteFamily, t: Topology, xi: int = 1) -> lis
     check implies it.  Inside a segment, a body whose index atoms have
     coeff <= 1 is continuous at every limit: base + (eta - shift) is
     continuous in eta, and finite unions and intersections of decreasing
-    chains commute with the intersection below a limit.  With coeff >= 2
+    chains commute with the intersection below a limit.  A coeff-0 atom is
+    base at every index, so it is one rule whether it is the whole body or
+    a part of one: constant, hence decreasing and continuous.  With coeff >= 2
     the least limit theta above the start is checked; the later members
     lie in F_theta, so an empty one settles every later limit, and a
     nonempty one leaves them unsupported.  At xi = 1 a concrete body is
@@ -217,8 +226,6 @@ def validate_set_family(fam: TransfiniteFamily, t: Topology, xi: int = 1) -> lis
             _check_step(fam, o.predecessor(s.lo), space)
         elif o.classify(s.lo) is Kind.LIMIT:
             _check_limit(fam, s.lo, fam.pointwise_intersection_tail(s.lo), space)
-        if isinstance(s.body, POrdGeEta) and s.body.coeff < 1:
-            raise VerificationError("decreasing", "nonpositive coefficient")
         index_atoms = [a for a in atoms(_nnf(s.body, False)) if type(a) in PARAM_ETA]
         if not all(PARAM_ETA[type(a)].shrinks for a in index_atoms):
             if not o.left_sub(s.hi, s.lo).is_finite:

@@ -38,7 +38,11 @@ class StepFn:
     space: SpaceDesc
 
     def eval(self, x: Ordinal) -> Fraction:
-        hits = [v for v, p in self.pieces if holds_at(p, x)]
+        return self.pieces[self.piece_of(x)][0]
+
+    def piece_of(self, x: Ordinal) -> int:
+        """The index of the one piece holding x."""
+        hits = [i for i, (_, p) in enumerate(self.pieces) if holds_at(p, x)]
         if len(hits) != 1:
             raise PartitionViolation("point %s hit %d cells" % (x, len(hits)))
         return hits[0]

@@ -230,7 +230,7 @@ def _block_points(m: int, k: int) -> tuple[tuple[Ordinal, ...], tuple[Ordinal, .
 
 def _block_restrict(cell, b: int, starts: tuple[Ordinal, ...]) -> DigitSet:
     for i, ds in cell.digits:
-        if i >= 2 and 0 not in ds:
+        if i >= 2 and not ds.has0:
             return DS_EMPTY
     if cell.div >= 2:
         return DS_EMPTY

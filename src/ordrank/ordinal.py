@@ -5,7 +5,9 @@ terms with positive coefficients; the empty list is 0.  Exponents are
 naturals with no upper limit here; the fixture reader holds the ones a user
 writes to `fixtures.MAX_POSITION`.  Values are immutable; `compare` orders
 them by the term list itself, and arithmetic goes through `add`, `mul` and
-`left_sub` (there are no operators).
+`left_sub` (there are no operators).  Where an identity gives the answer
+(0 + b = b, a + 0 = a, a*1 = a, a - 0 = a, and a + 1 as the least z with
+z*1 > a) the operand is returned as it is: it already is the result.
 
 There is one `Ordinal` object per value: `Ordinal(terms)` returns the live
 object of those terms from a weak table (`InternTable`), and checks the
@@ -199,6 +201,8 @@ def add(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
         b = _coerce(b)
     if not b.terms:
         return a
+    if not a.terms:
+        return b
     e = b.terms[0][0]
     kept = [t for t in a.terms if t[0] > e]
     merged = list(b.terms)
@@ -210,6 +214,8 @@ def add(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
 
 
 def _times_nat(a: Ordinal, n: int) -> Ordinal:
+    if n == 1:
+        return a
     if n == 0 or not a.terms:
         return ZERO
     e0, c0 = a.terms[0]
@@ -242,6 +248,8 @@ def left_sub(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
         a = _coerce(a)
     if type(b) is not Ordinal:
         b = _coerce(b)
+    if not b.terms:
+        return a
     if compare(a, b) < 0:
         raise ValueError("left_sub needs b <= a (%s < %s)" % (a, b))
     for j, (eb, cb) in enumerate(b.terms):
@@ -268,6 +276,8 @@ def least_multiple_above(a: Ordinal | int, m: int) -> Ordinal:
         a = _coerce(a)
     if m < 1:
         raise ValueError("multiplier must be >= 1")
+    if m == 1:
+        return add(a, 1)
     if not a.terms:
         return from_int(1)
     (e, k), rest = a.terms[0], Ordinal(a.terms[1:])

@@ -14,20 +14,22 @@ The normal form used by every decision procedure is a finite union of
 constraints are eventually periodic subsets of the naturals, which keeps
 the whole algebra exact and closed under complement.  There is one
 `DigitSet` object per value, kept in a weak table by `mk_digitset`, the
-only constructor, and one `Cell` object per value, kept in a weak table by
-its constructor; with the interned `Ordinal`s they compare and hash by
-identity (an ordinal also equals the int of its value).  The digit-set
-operations are memoized; the cells of an or are the maximal cells among
-its parts' cached cells, so growing a pattern by a disjunct re-normalises
-only the new part.  The hash of a digit set, an ordinal, a cell or a
-pattern thus differs between processes, and no result may depend on the
-order of a set of them.
+only constructor, one `Cell` object per value and one pattern object per
+value, each kept in a weak table by its constructor; with the interned
+`Ordinal`s they compare by identity (an ordinal also equals the int of its
+value), and all but patterns hash by it (a pattern hashes its class and
+its fields' identities, once; see `Pat`).  The digit-set operations are
+memoized; the cells of an or are the maximal cells among its parts' cached
+cells, so growing a pattern by a disjunct re-normalises only the new part.
+The hash of a digit set, an ordinal, a cell or a pattern thus differs
+between processes, and no result may depend on the order of a set of
+them: no set of them is iterated, and dicts keep insertion order.
 """
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -60,10 +62,13 @@ class DigitSet:
     One object per value: `mk_digitset`, the only constructor, canonicalises
     its arguments and returns the live object of that value from a weak
     table, so equality and hash are identity.  `DigitSet(...)` raises
-    TypeError; a copy or an unpickled set is the canonical object."""
+    TypeError; a copy or an unpickled set is the canonical object.  `has0`,
+    whether 0 is a member (the cell kernel's most frequent question), is
+    read off once per value."""
     prefix: tuple[bool, ...]
     period: int
     residues: frozenset[int]
+    has0: bool = field(init=False, repr=False, compare=False)
 
     def __new__(cls, *_args, **_kwargs):
         raise TypeError("a DigitSet is made by mk_digitset only")
@@ -143,6 +148,7 @@ def mk_digitset(prefix, period, residues) -> DigitSet:
     if ds is None:
         ds = object.__new__(DigitSet)
         ds.__init__(*key)
+        object.__setattr__(ds, "has0", 0 in ds)
         _DIGITSETS[key] = ds
     return ds
 
@@ -224,45 +230,104 @@ def ds_not(a: DigitSet) -> DigitSet:
 # ---------------------------------------------------------------------------
 # Formula AST.
 
+# The live patterns by class and field values.
+_PATS = InternTable()
+
+
 class Pat:
     """A pattern: and/or/not over atoms.  `holds(x, eta)` says whether the
     point x lies in it, its family-index atoms taken at the index eta; the
     natural-parameter atoms, and index atoms when eta is None, have no
-    truth value there, and reach this method."""
-    __slots__ = ()
+    truth value there, and reach this method.
+
+    One object per value: `Cls(*fields)` (also by keyword) returns the live
+    pattern of that class and those field values from a weak table, so
+    equality is identity.  The fields are interned values, ints and tuples
+    of patterns, and an int given for an `Ordinal` field is taken as the
+    ordinal of its value, so equal patterns are the same object.  The hash
+    is that of the table key, (class, fields), computed once: an identity
+    hash would let a pattern take the hash of a dead twin (a `POr` made
+    where an equal-fielded `PAnd` was just freed gets its address).  A copy
+    or an unpickled pattern is the canonical object."""
+    __slots__ = ("_hash",)
+    # each class's field names, their defaults and the positions of its
+    # Ordinal fields; set by `_pattern`
+    _names: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+    _ordinals: tuple[int, ...] = ()
+
+    def __new__(cls, *args, **kwargs) -> "Pat":
+        if kwargs or len(args) != len(cls._names):
+            args = cls._bind(args, kwargs)
+        for i in cls._ordinals:
+            if type(args[i]) is not Ordinal:
+                args = args[:i] + (o._coerce(args[i]),) + args[i + 1:]
+        key = (cls,) + args
+        ref = _PATS.get(key)
+        if ref is not None:
+            p = ref()
+            if p is not None:
+                return p
+        p = object.__new__(cls)
+        for name, value in zip(cls._names, args):
+            object.__setattr__(p, name, value)
+        object.__setattr__(p, "_hash", hash(key))
+        return _PATS.put(key, p)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values in field order, keywords and defaults filled in."""
+        names = cls._names
+        if len(args) > len(names):
+            raise TypeError("%s takes %d fields, got %d" % (cls.__name__, len(names), len(args)))
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError("%s() missing field %r" % (cls.__name__, name))
+        if kwargs:
+            raise TypeError("%s() got unexpected fields %s" % (cls.__name__, sorted(kwargs)))
+        return tuple(values)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._names)
 
     def holds(self, _x: Ordinal, _eta: Ordinal | None) -> bool:
         raise UnsupportedProgression("parametric atom in concrete evaluation: %r" % (self,))
 
 
-# A dataclass hashes its fields only, so every class whose fields agree with
-# another's (PTrue and PFalse, PAnd and POr, POrdLt and POrdGe, and the
-# parametric twins) hashes its class too.
+def _pattern(cls: type) -> type:
+    """A frozen dataclass for its fields and repr, made by `Pat.__new__`;
+    equality stays identity and the hash `Pat`'s."""
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    fs = fields(cls)
+    cls._names = tuple(f.name for f in fs)
+    cls._defaults = {f.name: f.default for f in fs if f.default is not MISSING}
+    cls._ordinals = tuple(i for i, f in enumerate(fs) if f.type == "Ordinal")
+    return cls
 
-@dataclass(frozen=True)
+
+@_pattern
 class PTrue(Pat):
-    def __hash__(self) -> int:
-        return hash(PTrue)
-
     def holds(self, _x: Ordinal, _eta: Ordinal | None) -> bool:
         return True
 
 
-@dataclass(frozen=True)
+@_pattern
 class PFalse(Pat):
-    def __hash__(self) -> int:
-        return hash(PFalse)
-
     def holds(self, _x: Ordinal, _eta: Ordinal | None) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+@_pattern
 class PAnd(Pat):
     parts: tuple[Pat, ...]
-
-    def __hash__(self) -> int:
-        return hash((PAnd, self.parts))
 
     def holds(self, x: Ordinal, eta: Ordinal | None) -> bool:
         for q in self.parts:
@@ -271,12 +336,9 @@ class PAnd(Pat):
         return True
 
 
-@dataclass(frozen=True)
+@_pattern
 class POr(Pat):
     parts: tuple[Pat, ...]
-
-    def __hash__(self) -> int:
-        return hash((POr, self.parts))
 
     def holds(self, x: Ordinal, eta: Ordinal | None) -> bool:
         for q in self.parts:
@@ -285,7 +347,7 @@ class POr(Pat):
         return False
 
 
-@dataclass(frozen=True)
+@_pattern
 class PNot(Pat):
     part: Pat
 
@@ -293,7 +355,7 @@ class PNot(Pat):
         return not self.part.holds(x, eta)
 
 
-@dataclass(frozen=True)
+@_pattern
 class PDigit(Pat):
     """digit_i(x) lies in an eventually periodic set."""
     i: int
@@ -305,23 +367,17 @@ class PDigit(Pat):
 
 # Ordinals order by their term tuples.
 
-@dataclass(frozen=True)
+@_pattern
 class POrdLt(Pat):
     b: Ordinal
-
-    def __hash__(self) -> int:
-        return hash((POrdLt, self.b))
 
     def holds(self, x: Ordinal, _eta: Ordinal | None) -> bool:
         return x.terms < self.b.terms
 
 
-@dataclass(frozen=True)
+@_pattern
 class POrdGe(Pat):
     b: Ordinal
-
-    def __hash__(self) -> int:
-        return hash((POrdGe, self.b))
 
     def holds(self, x: Ordinal, _eta: Ordinal | None) -> bool:
         return x.terms >= self.b.terms
@@ -329,7 +385,7 @@ class POrdGe(Pat):
 
 # The last term of a nonzero x is its least exponent and that coefficient.
 
-@dataclass(frozen=True)
+@_pattern
 class PDiv(Pat):
     """x != 0 and w^e divides x (all digits below e vanish)."""
     e: int
@@ -338,7 +394,7 @@ class PDiv(Pat):
         return bool(x.terms) and x.terms[-1][0] >= self.e
 
 
-@dataclass(frozen=True)
+@_pattern
 class PMinDigit(Pat):
     """x != 0 and the coefficient at the least exponent of x lies in ds.
 
@@ -352,45 +408,33 @@ class PMinDigit(Pat):
 
 
 # Atoms affine in a natural parameter n.
-@dataclass(frozen=True)
+@_pattern
 class PDigitGeN(Pat):
     i: int
     base: int
     slope: int
 
-    def __hash__(self) -> int:
-        return hash((PDigitGeN, self.i, self.base, self.slope))
 
-
-@dataclass(frozen=True)
+@_pattern
 class PDigitLtN(Pat):
     i: int
     base: int
     slope: int
 
-    def __hash__(self) -> int:
-        return hash((PDigitLtN, self.i, self.base, self.slope))
 
-
-@dataclass(frozen=True)
+@_pattern
 class POrdGeN(Pat):
     base: Ordinal
     slope: Ordinal
 
-    def __hash__(self) -> int:
-        return hash((POrdGeN, self.base, self.slope))
 
-
-@dataclass(frozen=True)
+@_pattern
 class POrdLtN(Pat):
     base: Ordinal
     slope: Ordinal
 
-    def __hash__(self) -> int:
-        return hash((POrdLtN, self.base, self.slope))
 
-
-@dataclass(frozen=True)
+@_pattern
 class PDivN(Pat):
     base: int
     slope: int
@@ -398,15 +442,12 @@ class PDivN(Pat):
 
 # Atoms affine in the ordinal index of a transfinite family; without an
 # index they have no truth value.
-@dataclass(frozen=True)
+@_pattern
 class POrdGeEta(Pat):
     """x >= base + (eta - shift)*coeff; segments guarantee eta >= shift."""
     base: Ordinal
     shift: Ordinal
     coeff: int = 1
-
-    def __hash__(self) -> int:
-        return hash((POrdGeEta, self.base, self.shift, self.coeff))
 
     def holds(self, x: Ordinal, eta: Ordinal | None) -> bool:
         if eta is None:
@@ -414,14 +455,11 @@ class POrdGeEta(Pat):
         return x.terms >= _eta_threshold(self, eta).terms
 
 
-@dataclass(frozen=True)
+@_pattern
 class POrdLtEta(Pat):
     base: Ordinal
     shift: Ordinal
     coeff: int = 1
-
-    def __hash__(self) -> int:
-        return hash((POrdLtEta, self.base, self.shift, self.coeff))
 
     def holds(self, x: Ordinal, eta: Ordinal | None) -> bool:
         if eta is None:
@@ -831,7 +869,7 @@ def _mk_cell(lo: Ordinal, hi: Ordinal | None, digits: dict[int, DigitSet],
     if md is not None and md == ds_ge(1):
         md = None  # x != 0 alone, which lo now says
     for i, ds in digits.items():
-        if ds.is_empty or (i < div and 0 not in ds):
+        if ds.is_empty or (i < div and not ds.has0):
             return None
     if hi is not None and bound is not None and o.compare(hi, bound) >= 0:
         hi = None  # clamp to the bound, represented as None
@@ -929,7 +967,7 @@ def cell_and(c: Cell, b: Cell, bound: Ordinal | None) -> Cell | None:
                 return None
         if i >= div:
             digits.append((i, ds))
-        elif 0 not in ds:
+        elif not ds.has0:
             return None
     out = Cell(lo, hi, tuple(digits), div, md)
     return None if cell_is_empty(out, bound) else out
@@ -1004,7 +1042,7 @@ def _cell_subsumes(big: Cell, small: Cell) -> bool:
         sets = dict(small.digits)
         for i, ds_big in big.digits:
             if i < small.div:
-                if 0 not in ds_big:
+                if not ds_big.has0:
                     return False
                 continue
             ds = sets.get(i)
@@ -1196,7 +1234,7 @@ def cell_min_geq(c: Cell, lower: Ordinal) -> Ordinal | None:
     box = _cell_box(c, top + 1)
     best: Ordinal | None = None
     for e in range(c.div, top + 2):
-        if e and 0 not in box[e - 1]:
+        if e and not box[e - 1].has0:
             break
         at_e = ds_and(ds_and(box[e], c.md), ds_ge(1))
         if at_e.is_empty:
@@ -1222,7 +1260,9 @@ def iter_cell(c: Cell, bound: Ordinal | None, count: int):
     Without md, one box serves every point: each point after the least one
     keeps its leading exponent at or below the first box's top, where the
     box is full, so the box for its successor is the same one, or one with
-    another full position above, which changes no answer."""
+    another full position above, which changes no answer.  A member x and
+    x + 1 differ only in digit 0, so x + 1 is the next member when the box
+    allows its digit 0."""
     eff_hi = c.hi if c.hi is not None else bound
     hi = None if eff_hi is None else eff_hi.terms
     box = None if c.md is not None else _cell_box(c, _box_top(c, c.lo))
@@ -1233,4 +1273,9 @@ def iter_cell(c: Cell, bound: Ordinal | None, count: int):
         yield x
         count -= 1
         nxt = o.add(x, 1)
-        x = cell_min_geq(c, nxt) if box is None else _least_in_box(box, nxt)
+        if box is None:
+            x = cell_min_geq(c, nxt)
+        elif nxt.terms[-1][1] in box[0]:  # x + 1 ends in its digit 0
+            x = nxt
+        else:
+            x = _least_in_box(box, nxt)

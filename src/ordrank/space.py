@@ -126,14 +126,14 @@ def _cofinal_below(c: Cell, e: int) -> bool:
             return False
         return all(not c.constraint(i).is_empty for i in range(c.div, e - 1))
     if (not ds_and(c.constraint(e - 1), c.md).is_finite
-            and all(0 in c.constraint(i) for i in range(c.div, e - 1))):
+            and all(c.constraint(i).has0 for i in range(c.div, e - 1))):
         return True
     if c.constraint(e - 1).is_finite:
         return False
     for p in range(c.div, e - 1):
         if ds_and(c.constraint(p), c.md).min_geq(1) is None:
             continue
-        if not all(0 in c.constraint(i) for i in range(c.div, p)):
+        if not all(c.constraint(i).has0 for i in range(c.div, p)):
             continue
         if all(not c.constraint(i).is_empty for i in range(p + 1, e - 1)):
             return True

@@ -145,3 +145,29 @@ def test_validate_matches_brute_force():
         _check(from_segments(n, [(ZERO, n, _regrowth(rng))]), rng.choice(SPACES), tally)
     assert tally["unsupported"] == tally["F0"] == 0, tally
     assert min(tally["certified"], tally["increasing"]) >= 10, tally
+
+
+def _coeff_zero(rng, lo):
+    """A coeff-0 index atom, x >= base at every index, as a whole body or
+    inside an and: the two shapes that once had two rules."""
+    atom = POrdGeEta(ZERO if rng.random() < 0.5 else _point(rng), rng.choice([ZERO, lo]), 0)
+    return atom if rng.random() < 0.5 else and_(atom, ord_lt(W))
+
+
+def test_coeff_zero_is_one_rule():
+    """A coeff-0 family is constant on its segment, so decreasing and
+    continuous: the validator's verdict is the brute force's, bare atom and
+    and alike, on one segment and after a first one."""
+    rng = random.Random(2805)
+    tally = dict.fromkeys(("certified", "F0", "increasing", "unsupported"), 0)
+    for _ in range(240):
+        n = rng.randint(2, 12)
+        if rng.random() < 0.4:
+            segs = [(ZERO, from_int(n), _coeff_zero(rng, ZERO))]
+        else:
+            k = from_int(rng.randint(1, n - 1))
+            first = rng.choice([_coeff_zero(rng, ZERO), TRUE, POrdGeEta(ZERO, ZERO, 1)])
+            segs = [(ZERO, k, first), (k, from_int(n), _coeff_zero(rng, k))]
+        _check(from_segments(from_int(n), segs), rng.choice(SPACES), tally)
+    assert tally["unsupported"] == 0, tally
+    assert min(tally["certified"], tally["F0"], tally["increasing"]) >= 15, tally

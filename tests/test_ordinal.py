@@ -249,3 +249,68 @@ def test_distributive_left():
     for _ in range(500):
         a, b, c = (rand_ordinal(rng) for _ in range(3))
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+
+
+# The general paths of add, of a*n, of left_sub and of least_multiple_above
+# on term tuples, as they run when no identity shortcut is taken.
+
+def _general_add(a, b):
+    """a + b for b != 0: a's terms above b's leading exponent, then b's
+    terms, the leading coefficient raised by a's at that exponent."""
+    e = b.terms[0][0]
+    merged = list(b.terms)
+    for ea, ca in a.terms:
+        if ea == e:
+            merged[0] = (e, ca + b.terms[0][1])
+    return tuple(t for t in a.terms if t[0] > e) + tuple(merged)
+
+
+def _general_times_nat(a, n):
+    return () if n == 0 or not a.terms else ((a.terms[0][0], a.terms[0][1] * n),) + a.terms[1:]
+
+
+def _general_left_sub(a, b):
+    for j, (eb, cb) in enumerate(b.terms):
+        ea, ca = a.terms[j]
+        if ea > eb:
+            return a.terms[j:]
+        if ca > cb:
+            return ((ea, ca - cb),) + a.terms[j + 1:]
+    return a.terms[len(b.terms):]
+
+
+def _general_least_multiple_above(a, m):
+    if not a.terms:
+        return ((0, 1),)
+    (e, k), rest = a.terms[0], Ordinal(a.terms[1:])
+    if k % m:
+        return ((e, k // m + 1),)
+    return add(add(omega_power(e, k // m), rest), 1).terms
+
+
+def test_identities_return_the_operand():
+    """0 + b, a + 0, a*1, a - 0 and the least z with z*1 > a: the operand
+    itself (a + 1 for the last), equal by terms to the general path."""
+    rng = random.Random(2801)
+    pool = [rand_ordinal(rng) for _ in range(300)] + [ZERO, W, from_int(1)]
+    for a in pool:
+        for zero in (ZERO, 0):
+            assert add(zero, a) is a and add(a, zero) is a and left_sub(a, zero) is a
+        assert mul(a, 1) is a and mul(a, from_int(1)) is a
+        succ = least_multiple_above(a, 1)
+        assert succ is add(a, 1) and compare(succ, a) > 0
+        if a.terms:
+            assert _general_add(ZERO, a) == a.terms
+        assert _general_times_nat(a, 1) == a.terms
+        assert _general_left_sub(a, ZERO) == a.terms
+        assert _general_least_multiple_above(a, 1) == succ.terms
+        # the general paths agree with the functions away from the identities
+        b = rand_ordinal(rng)
+        if b.terms:
+            assert _general_add(a, b) == add(a, b).terms
+        n = rng.randint(0, 4)
+        assert _general_times_nat(a, n) == mul(a, n).terms
+        lo, hi = sorted((a, b), key=lambda x: x.terms)
+        assert _general_left_sub(hi, lo) == left_sub(hi, lo).terms
+        m = rng.randint(1, 4)
+        assert _general_least_multiple_above(a, m) == least_multiple_above(a, m).terms

@@ -5,6 +5,7 @@ alternating sums, each against an independent reference.
   against the pattern's own cells, on random formulas at sampled points;
 - `TransfiniteFamily.member` and `truth_intervals` against the walker on
   `subst_eta(body, eta)`, at every index below a finite bound and at limits;
+- `TransfiniteFamily.pieces` against `truth_intervals` and `exit_index`;
 - `iter_cell` against a loop of `cell_min_geq(c, x + 1)`, md cells included;
 - `_trace_sum` against the literal recursion, on finite lengths and, block by
   block with the limit rule, below w^2;
@@ -152,6 +153,38 @@ def test_member_and_truth_intervals_match_substitution():
                 assert got is want, (fam, eta, x)
                 inside += want
     assert inside > 1000
+
+
+def test_pieces_merge_to_truth_intervals():
+    """The pieces partition [0, length) in order, each inside one segment;
+    merging neighbours that agree gives `truth_intervals`, and `exit_index`
+    is the start of the first piece without x."""
+    rng = random.Random(2804)
+    cut = exits = 0
+    for _ in range(40):
+        fam = _random_family(rng)
+        for x in _points(rng, omega_power(2), 6) + [ZERO, W, mul(W, 2)]:
+            pieces = list(fam.pieces(x))
+            assert pieces[0][0] is ZERO and pieces[-1][1] is fam.length
+            for (_, end, _), (start, _, _) in zip(pieces, pieces[1:]):
+                assert end is start
+            for start, end, _ in pieces:
+                assert start.terms < end.terms
+                assert any(s.lo.terms <= start.terms and end.terms <= s.hi.terms
+                           for s in fam.segments)
+            merged = []
+            for start, end, val in pieces:
+                if merged and merged[-1][2] == val:
+                    merged[-1] = (merged[-1][0], end, val)
+                else:
+                    merged.append((start, end, val))
+            assert merged == fam.truth_intervals(x), (fam, x)
+            cut += len(pieces) > len(merged)
+            first_out = next((start for start, _, val in pieces if not val), None)
+            assert fam.exit_index(x) is first_out, (fam, x)
+            exits += first_out is not None
+    # pieces that merge, and points that leave the family, are both common
+    assert cut > 100 and exits > 100, (cut, exits)
 
 
 def _ref_iter(c, bound, count):

@@ -10,6 +10,13 @@ process) come back as the canonical object, and that the tables let go of
 unused values.  Identity hashes follow memory addresses, so the last test
 shifts them in a fresh process before it runs the golden outputs.  The
 `Pat` classes whose fields agree hash their class too.
+
+Patterns are one object per value as well (the last section): every smart
+constructor and every rewrite returns the canonical pattern, an int given
+for an ordinal field gives the same object as its ordinal, copies and
+pickles come back as it, the table lets go of unused patterns, the repr
+text is the recorded one, and the goldens hold with shifted pattern
+addresses.
 """
 import copy
 import dataclasses
@@ -383,3 +390,253 @@ def test_equal_patterns_hash_equal():
     for p in pool:
         q = copy.deepcopy(p)
         assert q == p and hash(q) == hash(p)
+
+
+# -- patterns as values -----------------------------------------------------------
+
+def _field_rebuilt(v):
+    """A field value from fresh parts: ordinals, digit sets, patterns and
+    tuples of them rebuilt; ints as they are."""
+    if isinstance(v, Ordinal):
+        return _rebuilt_ordinal(v)
+    if isinstance(v, patterns.DigitSet):
+        return mk_digitset(list(v.prefix), v.period, set(v.residues))
+    if isinstance(v, patterns.Pat):
+        return _rebuilt_pattern(v)
+    if isinstance(v, tuple):
+        return tuple(_field_rebuilt(q) for q in list(v))
+    return v
+
+
+def _rebuilt_pattern(p):
+    """The same value from fresh fields, by keyword."""
+    return type(p)(**{name: _field_rebuilt(v) for name, v in vars(p).items()})
+
+
+def _pattern_value(p):
+    """The pattern as plain data, for comparing values without identity."""
+    def plain(v):
+        if isinstance(v, Ordinal):
+            return ("o", v.terms)
+        if isinstance(v, patterns.DigitSet):
+            return ("ds", v.prefix, v.period, v.residues)
+        if isinstance(v, patterns.Pat):
+            return _pattern_value(v)
+        if isinstance(v, tuple):
+            return tuple(plain(q) for q in v)
+        return v
+    return (type(p).__name__,) + tuple(plain(v) for v in vars(p).values())
+
+
+def _is_canonical(p):
+    """p is the table's pattern of its class and fields, and so is each part."""
+    key = (type(p),) + tuple(vars(p).values())
+    parts = p.parts if isinstance(p, (PAnd, POr)) else (p.part,) if isinstance(
+        p, patterns.PNot) else ()
+    return (patterns._PATS[key]() is p and _rebuilt_pattern(p) is p
+            and type(p)(*vars(p).values()) is p and all(_is_canonical(q) for q in parts))
+
+
+def _pattern_pool(seed, n):
+    """Concrete and parametric formulas, and each smart constructor's result."""
+    from test_atom_table import _rand_formula
+    from ordrank.patterns import (cell_pattern, cells_pattern, digit_eq, digit_ge, digit_in,
+                                  divpow, ds_mod, ds_window, interval, min_digit_in, not_,
+                                  or_, ord_ge, singleton)
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        p, q = rand_pattern(rng), _rand_formula(rng, eta=True)
+        a, b = rand_ordinal(rng, max_exp=2, max_coeff=3), rng.randint(0, 5)
+        out += [p, q, patterns.and_(p, q), or_(q, p), not_(p), not_(not_(q)),
+                digit_eq(b, rng.randint(0, 4)), digit_ge(b, rng.randint(0, 4)),
+                digit_mod(b, 3, rng.randint(0, 2)),
+                digit_in(b, ds_window(rng.randint(0, 2), rng.randint(0, 6))),
+                ord_lt(a), ord_ge(a), ord_lt(b), divpow(rng.randint(0, 3)),
+                min_digit_in(ds_mod(rng.randint(1, 4), rng.randint(0, 3))),
+                interval(a, add(a, b)), interval(b, None), singleton(a)]
+        cells = to_cells(p, BOUNDS[i % len(BOUNDS)])
+        out += [cell_pattern(c) for c in cells] + [cells_pattern(cells)]
+    return out
+
+
+def test_every_pattern_operation_returns_canonical_objects():
+    from ordrank.patterns import PARAM_ETA, _nnf, map_atoms, subst_eta, subst_n
+    from ordrank.errors import UnsupportedProgression
+    pool = _pattern_pool(2801, 60)
+    results = list(pool)
+    for p in pool:
+        results.append(map_atoms(p, lambda a: a))
+        results.append(subst_n(p, 3))
+        try:
+            results.append(subst_eta(p, add(W, 2)))
+        except ValueError:  # an index atom's shift above the index
+            pass
+        for neg in (False, True):
+            try:
+                results.append(_nnf(p, neg))
+            except UnsupportedProgression:  # a divpow-n has no negation
+                pass
+    kinds = {type(a) for p in results for a in patterns.atoms(p)}
+    assert len(results) > 2000 and set(PARAM_ETA) <= kinds and patterns.PDivN in kinds
+    for p in results:
+        assert _is_canonical(p), p
+
+
+def test_pattern_identity_holds_exactly_when_values_are_equal():
+    pool = _pattern_pool(2802, 12)
+    pool += [_rebuilt_pattern(p) for p in pool[::2]]
+    values = [_pattern_value(p) for p in pool]
+    equal = 0
+    for i, p in enumerate(pool):
+        for j, q in enumerate(pool):
+            same = values[i] == values[j]
+            assert (p is q) == same and (p == q) == same
+            assert hash(p) == hash(q) or not same
+            equal += same and i != j
+    assert equal > 200
+
+
+def test_int_ordinal_fields_give_the_ordinal_s_pattern():
+    from ordrank.patterns import POrdGeEta, POrdGeN, POrdLtEta, POrdLtN
+    for n in (0, 1, 3, 10 ** 20):
+        a = from_int(n)
+        assert POrdLt(n) is POrdLt(a) and POrdGe(b=n) is POrdGe(a)
+        assert type(POrdLt(n).b) is Ordinal
+        assert POrdGeN(n, 2) is POrdGeN(a, from_int(2))
+        assert POrdLtN(slope=n, base=1) is POrdLtN(ONE, a)
+        assert POrdGeEta(n, 0) is POrdGeEta(a, ZERO, 1) is POrdGeEta(base=a, shift=ZERO)
+        assert POrdLtEta(n, 0, 2) is POrdLtEta(a, ZERO, 2)
+    with pytest.raises(TypeError):
+        POrdLt()
+    with pytest.raises(TypeError):
+        POrdLt(1, 2)
+    with pytest.raises(TypeError):
+        POrdLt(c=1)
+
+
+def test_pattern_copies_and_pickles_are_the_same_object():
+    for p in _pattern_pool(2803, 6):
+        assert copy.copy(p) is p and copy.deepcopy(p) is p
+        assert copy.deepcopy([p, (p,)])[1][0] is p
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(p, protocol)) is p
+
+
+def test_patterns_are_frozen():
+    p = patterns.and_(digit_mod(0, 3, 1), ord_lt(W))
+    for name in ("parts", "_hash", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(p, name)
+    assert vars(p) == {"parts": p.parts}
+    assert [f.name for f in dataclasses.fields(patterns.POrdGeEta)] == ["base", "shift", "coeff"]
+
+
+def test_unused_pattern_leaves_the_table():
+    # a value no other test or module makes, held by nothing but these names
+    lo = Ordinal(((91, 5), (0, 3)))
+
+    def entries():
+        """The table's keys for POrdGe(lo) and for ands with it as a part."""
+        return [k for k in patterns._PATS
+                if k[0] is POrdGe and k[1] is lo
+                or k[0] is PAnd and any(type(q) is POrdGe and q.b is lo for q in k[1])]
+
+    a = POrdGe(lo)
+    p = patterns.and_(a, digit_mod(7, 11, 4))
+    assert len(entries()) == 2 and patterns._PATS[(POrdGe, lo)]() is a
+    del a, p
+    gc.collect()
+    assert entries() == []
+    again = POrdGe(lo)
+    assert patterns._PATS[(POrdGe, lo)]() is again
+
+
+_PICKLED_PATTERNS = """
+import pickle, sys
+sys.path.insert(0, sys.argv[1])
+from test_value_identity import _pickled_patterns
+sys.stdout.buffer.write(pickle.dumps(_pickled_patterns()))
+"""
+
+
+def _pickled_patterns():
+    """Patterns that a fresh process makes in another order."""
+    from ordrank.patterns import POrdGeEta, PDigitGeN, and_, min_digit_in, ds_mod, not_, or_
+    return [not_(and_(POrdGeEta(W, ONE, 2), digit_mod(1, 3, 2))),
+            or_(min_digit_in(ds_mod(2, 1)), ord_lt(add(mul(W, 2), 4))),
+            PDigitGeN(0, 1, 2), TRUE, FALSE]
+
+
+def test_patterns_pickled_in_another_process_load_as_the_canonical_objects():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", _PICKLED_PATTERNS, TESTS],
+                         env=env, capture_output=True, check=True).stdout
+    here = _pickled_patterns()
+    there = pickle.loads(out)
+    assert len(there) == len(here) and all(p is q for p, q in zip(there, here))
+    assert {p: i for i, p in enumerate(here)}[there[0]] == 0
+
+
+# The repr of each pattern below, as it read before patterns were interned.
+_REPRS = [
+    "PTrue()",
+    "PFalse()",
+    "PAnd(parts=(PDigit(i=0, ds=DigitSet(prefix=(), period=2, residues=frozenset({1}))), "
+    "POrdLt(b=Ordinal(w*1))))",
+    "POr(parts=(POrdGe(b=Ordinal(w*1 + 3)), PDiv(e=2)))",
+    "PNot(part=PDigit(i=1, ds=DigitSet(prefix=(False, False, False, False, True), period=1, "
+    "residues=frozenset())))",
+    "PDigit(i=2, ds=DigitSet(prefix=(False, False, False), period=1, residues=frozenset({0})))",
+    "PMinDigit(ds=DigitSet(prefix=(), period=3, residues=frozenset({2})))",
+    "PAnd(parts=(POrdGe(b=Ordinal(2)), POrdLt(b=Ordinal(w*2))))",
+    "PAnd(parts=(POrdGe(b=Ordinal(w^2*3 + 1)), POrdLt(b=Ordinal(w^2*3 + 2))))",
+    "PDigitGeN(i=0, base=1, slope=2)",
+    "PDigitLtN(i=1, base=0, slope=3)",
+    "POrdGeN(base=Ordinal(w*1 + 1), slope=Ordinal(w*1))",
+    "POrdLtN(base=Ordinal(0), slope=Ordinal(2))",
+    "PDivN(base=1, slope=1)",
+    "POrdGeEta(base=Ordinal(w*1), shift=Ordinal(0), coeff=2)",
+    "POrdLtEta(base=Ordinal(3), shift=Ordinal(2), coeff=1)",
+    "PNot(part=PAnd(parts=(POrdGeEta(base=Ordinal(0), shift=Ordinal(0), coeff=1), "
+    "PDigit(i=0, ds=DigitSet(prefix=(False, False, True, True, True), period=1, "
+    "residues=frozenset())))))",
+]
+
+
+def test_pattern_repr_is_the_recorded_text():
+    from ordrank.patterns import (PDigitGeN, PDigitLtN, PDivN, POrdGeEta, POrdGeN,
+                                  POrdLtEta, POrdLtN, and_, digit_eq, digit_ge, digit_in,
+                                  divpow, ds_mod, ds_window, interval, min_digit_in, not_,
+                                  or_, ord_ge, singleton)
+    pats = [TRUE, FALSE, and_(digit_mod(0, 2, 1), ord_lt(W)), or_(ord_ge(add(W, 3)), divpow(2)),
+            not_(digit_eq(1, 4)), digit_ge(2, 3), min_digit_in(ds_mod(3, 2)),
+            interval(from_int(2), mul(W, 2)), singleton(add(omega_power(2, 3), 1)),
+            PDigitGeN(0, 1, 2), PDigitLtN(1, 0, 3), POrdGeN(add(W, 1), W),
+            POrdLtN(ZERO, from_int(2)), PDivN(1, 1), POrdGeEta(W, ZERO, 2),
+            POrdLtEta(from_int(3), from_int(2)),
+            not_(and_(POrdGeEta(ZERO, ZERO), digit_in(0, ds_window(2, 5))))]
+    assert [repr(p) for p in pats] == _REPRS
+
+
+_SHIFT_PATTERNS = """
+from ordrank.patterns import POrdGe, POrdLt, PDigit, and_, or_
+pats = [f(a) for a in made if type(a) is Ordinal for f in (POrdGe, POrdLt)]
+made += [and_(p, q) for p, q in zip(pats, pats[1:])] + [or_(p, q) for p, q in zip(pats, pats[2:])]
+made += [PDigit(rng.randint(0, 3), rng.choice(sets)) for _ in range(500)]
+rng.shuffle(made)
+"""
+
+
+def test_goldens_hold_with_shifted_pattern_addresses(tmp_path):
+    script = _PERTURBED.replace("rng.shuffle(made)\n", _SHIFT_PATTERNS, 1)
+    assert script != _PERTURBED
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-c", script, "2812", DATA, str(tmp_path)],
+                   env=env, check=True, timeout=120)
+    for got, golden in (("reproduce_all", "reproduce_all.golden"),
+                        ("rank_trace", "rank_trace.golden")):
+        with open(tmp_path / got, "rb") as fh, open(os.path.join(DATA, golden), "rb") as want:
+            assert fh.read() == want.read(), golden

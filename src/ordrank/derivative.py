@@ -1,17 +1,21 @@
 """Derivative operators on closed sets and their transfinite iteration.
 
-Iteration runs successor stages by direct application; when the last few
-stages fit one affine template (every cell slot constant or progressing
-affinely), the engine verifies the recurrence at probe indices, checks
-that instantiations stay nonempty for every later index, and jumps to the
-symbolic intersection at the next limit stage.  Unmatched progressions
-fail loudly (`NotStabilized`) instead of guessing.
+Iteration runs successor stages by direct application.  On the ceiling
+space [0, w^w), when the last few stages fit one affine template, the
+engine verifies the recurrence at probe indices, checks that
+instantiations stay nonempty for every later index, and jumps to the
+symbolic intersection at the next limit stage.  A template cell has one
+slot shape: digit i + step*j lies in a fixed set (step 0: a fixed
+position), besides a lower end and a divisibility growing affinely in the
+stage index j.  On a bounded space no iteration jumps: every rank there is
+finite (the lemma at `iterate`).  Unmatched progressions fail loudly
+(`NotStabilized`) instead of guessing.
 
-Soundness of a jump: every accepted cell family is either nested
-(constant slots, growing lower bound / cut threshold / divisibility) or
-visits each fixed point finitely often (shifting digit sets, moving
-positions), so the intersection of the stage unions is exactly the union
-of the per-cell intersections computed by the slot rules.
+Soundness of a jump: every accepted cell family is either nested (fixed
+slots, growing lower end or divisibility) or visits each fixed point
+finitely often (moving positions whose set lacks 0), so the intersection
+of the stage unions is exactly the union of the per-cell intersections
+computed by the slot rules.
 
 Stages are canonical cell tuples.  A step meets, closes and prunes cells
 (`patterns.meet`, memoized per cell pair; `space.limit_cells`, memoized
@@ -37,7 +41,7 @@ from .functions import FnFamily, StepFn, eventual, union_from_param
 from .ordinal import Ordinal, ZERO, W
 from .patterns import (
     PARAM_N, Cell, DigitSet, FALSE, Pat, _mk_cell, and_, atoms, cells_difference,
-    cells_pattern, ds_and, ds_ge, meet, or_, prune_cells, subst_n, to_cells,
+    cells_pattern, ds_and, meet, or_, prune_cells, subst_n, to_cells,
 )
 from .space import SpaceDesc, Topology, cells_eq, cells_subset, closure_cells
 
@@ -179,60 +183,65 @@ def apply(op: DerivativeOp, F: Pat) -> Pat:
 
 @dataclass(frozen=True)
 class CellTemplate:
+    """One cell of a stage as an affine function of the stage index j.
+
+    At stage j the cell has lower end lo + lo_step*j, upper end hi,
+    divisibility div + div_step*j, least-digit set md, and one constraint
+    per digit slot (i, step, ds): digit i + step*j lies in ds.  A slot with
+    step 0 keeps its position; the sets never change."""
     lo: Ordinal
-    lo_step: Ordinal          # lo at stage j = lo + lo_step*j
+    lo_step: Ordinal
     hi: Ordinal | None
     div: int
     div_step: int
     md: DigitSet | None
-    digits: tuple             # of slots (kind, i, step, ds, t0); step > 0 unless const
+    digits: tuple[tuple[int, int, DigitSet], ...]
 
     def cell_at(self, j: int | Ordinal, bound: Ordinal | None) -> Cell | None:
         """The cell at stage j, or at j = W the intersection over every stage;
-        None when empty.  At stage j a slot constrains digit i to ds ("const"),
-        digit i + step*j to ds ("pos"), digit i to ds and {>= t0 + step*j}
-        ("cut"), or digit i to ds shifted up by step*j ("shift").  At W only
-        const slots survive, and a moving position that allows 0 is refused."""
+        None when empty.  At W only the fixed slots survive: a moving slot
+        whose set lacks 0 expels every point (each point's digits are 0 from
+        some position on), and one whose set allows 0 is refused."""
         at_w = j == W
         if at_w and self.div_step > 0:
             return None
         digits: dict[int, DigitSet] = {}
-        for kind, i, step, ds, t0 in self.digits:
-            if kind != "const" and at_w:
-                if kind == "pos" and ds.has0:
-                    raise UnsupportedProgression("moving digit position with 0 allowed")
-                return None
-            if kind == "pos":
+        for i, step, ds in self.digits:
+            if step:
+                if at_w:
+                    if ds.has0:
+                        raise UnsupportedProgression("moving digit position with 0 allowed")
+                    return None
                 i += step * j
-            elif kind == "cut":
-                ds = ds_and(ds, ds_ge(t0 + step * j))
-            elif kind == "shift":
-                ds = ds.shift_up(step * j)
             digits[i] = ds_and(digits[i], ds) if i in digits else ds
         div = self.div if at_w else self.div + self.div_step * j
         return _mk_cell(o.add(self.lo, o.mul(self.lo_step, j)), self.hi, digits,
                         div, self.md, bound)
 
-    def nonempty_forever(self, space: SpaceDesc) -> bool:
-        """Do instantiations stay nonempty for every stage index?"""
-        bound = space.bound
-        for kind, i, step, ds, t0 in self.digits:
-            if kind == "const" and ds.is_empty or kind == "cut" and ds.is_finite:
-                return False
-            if kind == "pos" and bound is not None:
-                return False
-            # a growing threshold at digit i needs w^(i+1) below the bound
-            if kind == "cut" and bound is not None and o.compare(
-                    o.omega_power(i + 1), bound) > 0:
-                return False
-        if self.div_step > 0 and bound is not None:
+    def nonempty_forever(self) -> bool:
+        """On the ceiling space, is the cell nonempty at every stage j?
+
+        True only when it is, by this lemma.  Let hi be None, the cell at
+        j = 0 nonempty, no slot whose set lacks 0 slower than div
+        (step < div_step), and no two slots crossing or parting (a slot at
+        or below another never has the larger step).  With no upper end, a
+        cell is nonempty when its box is: each slot's set is nonempty, the
+        slots below div allow 0, and under md some position e >= div with
+        only 0-allowing slots below it has a set that meets md (a position
+        no slot holds always does).  At stage j the slots keep their order
+        and sets, no gap between two of them shrinks, and no set without 0
+        falls below div, so the first two hold as at j = 0.  Stage 0's
+        witness e carries over: a slot stays a witness, and a free position
+        stays free between the slots around it.  When div overtakes that
+        slot, or the slot above the free position, div's own position is
+        free, or the slot there is slower than div while the first slot
+        without 0 is not, so a gap between the two grew and holds a free
+        position above div."""
+        if self.hi is not None or self.cell_at(0, None) is None:
             return False
-        if not self.lo_step.is_zero and bound is not None:
-            lo_inf = o.add(self.lo, o.mul(self.lo_step, W))
-            limit_cap = self.hi if self.hi is not None else bound
-            if o.compare(lo_inf, limit_cap) >= 0:
-                return False
-        return True
+        if any(step < self.div_step for _, step, ds in self.digits if not ds.has0):
+            return False
+        return all(a[1] <= b[1] for a in self.digits for b in self.digits if a[0] <= b[0])
 
 
 _PROBES = (7, 12)  # offsets past the window start at which a template is checked
@@ -256,8 +265,8 @@ class StageTemplate:
     def limit(self, space: SpaceDesc) -> tuple[Cell, ...]:
         return self.instantiate(W, space)
 
-    def nonempty_forever(self, space: SpaceDesc) -> bool:
-        return any(c.nonempty_forever(space) for c in self.cells)
+    def nonempty_forever(self) -> bool:
+        return any(c.nonempty_forever() for c in self.cells)
 
     verified = _verified
 
@@ -285,34 +294,6 @@ def _fit_ord(seq: list[Ordinal]) -> tuple[Ordinal, Ordinal] | None:
     return None
 
 
-def _fit_digit_slot(entries: list[tuple[int, DigitSet]]):
-    positions = [i for i, _ in entries]
-    sets = [ds for _, ds in entries]
-    pos_fit = _fit_int(positions)
-    if pos_fit is None:
-        return None
-    i0, istep = pos_fit
-    if istep != 0:
-        if all(s == sets[0] for s in sets):
-            return ("pos", i0, istep, sets[0], 0)
-        return None
-    if all(s == sets[0] for s in sets):
-        return ("const", i0, 0, sets[0], 0)
-    # threshold cut: ds_j == ds_0-as-base intersected with {>= t0 + d*j}
-    mins = [s.min_value() for s in sets]
-    if None in mins:
-        return None
-    tfit = _fit_int(mins)
-    if tfit is not None and tfit[1] > 0:
-        t0, d = tfit
-        if all(sets[j] == ds_and(sets[0], ds_ge(t0 + d * j)) for j in range(len(sets))):
-            return ("cut", i0, d, sets[0], t0)
-        # shift: ds_j == ds_0 shifted up by d*j
-        if all(sets[j] == sets[0].shift_up(d * j) for j in range(len(sets))):
-            return ("shift", i0, d, sets[0], 0)
-    return None
-
-
 def match_template(window: list[tuple[Cell, ...]]) -> StageTemplate | None:
     if len(window) < 3 or not window[0] or any(len(cs) != len(window[0]) for cs in window):
         return None
@@ -329,11 +310,11 @@ def match_template(window: list[tuple[Cell, ...]]) -> StageTemplate | None:
         if any(c.md != fam[0].md or len(c.digits) != len(fam[0].digits) for c in fam):
             return None
         slots = []
-        for s in range(len(fam[0].digits)):
-            fit = _fit_digit_slot([c.digits[s] for c in fam])
-            if fit is None:
+        for entries in zip(*(c.digits for c in fam)):  # one digit entry per stage
+            pos = _fit_int([i for i, _ in entries])
+            if pos is None or any(ds != entries[0][1] for _, ds in entries):
                 return None
-            slots.append(fit)
+            slots.append((pos[0], pos[1], entries[0][1]))
         out.append(CellTemplate(lo_fit[0], lo_fit[1], fam[0].hi,
                                 div_fit[0], div_fit[1], fam[0].md, tuple(slots)))
     return StageTemplate(tuple(out))
@@ -355,8 +336,8 @@ class PeriodicTemplate:
     def limit(self, space: SpaceDesc) -> tuple[Cell, ...]:
         return self.classes[0].limit(space)
 
-    def nonempty_forever(self, space: SpaceDesc) -> bool:
-        return all(c.nonempty_forever(space) for c in self.classes)
+    def nonempty_forever(self) -> bool:
+        return all(c.nonempty_forever() for c in self.classes)
 
     verified = _verified
 
@@ -421,6 +402,20 @@ class IterationTrace:
 
 
 def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> IterationTrace:
+    """The stages of op from the closed set F0 until one is empty (the rank)
+    or repeats (a nonempty fixpoint).
+
+    Templates are matched, and limits jumped to, only on the ceiling space
+    [0, w^w), the one space where a rank can be transfinite.  Finiteness
+    lemma: on a bounded space [0, beta), beta < w^w, whose Cantor-Bendixson
+    rank r is finite, every iteration ends within r + 1 steps.  A step S
+    keeps no isolated point of F outside a core K of F: F & a & b for
+    separation, F & the persistent disagreement set for convergence, and
+    nothing for the CB, Hausdorff and oscillation steps.  The core is the
+    same at every stage, and from stage 1 on each step keeps its limit
+    points.  So stage k lies within cl(K) u X^(k), X^(k) being the space's
+    k-th CB derivative, stage r within cl(K), and stage r + 1 equals
+    stage r, which is empty when K is."""
     t = op.topology
     bound = t.space.bound
     trace = IterationTrace(op)
@@ -450,6 +445,8 @@ def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> Itera
         stage = o.add(stage, 1)
         cur = nxt
         trace.events.append((stage, cur))
+        if bound is not None:
+            continue  # a finite rank: no jump (see the lemma above)
         window.append(cur)
         if len(window) > budget.window:
             window.pop(0)
@@ -459,7 +456,7 @@ def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> Itera
                 continue
             first = window[0]
             if not (tmpl.verified(lambda dj: _steps(op, first, dj), t.space)
-                    and tmpl.nonempty_forever(t.space)):
+                    and tmpl.nonempty_forever()):
                 continue
             lim = tmpl.limit(t.space)
             if not all(cells_subset(lim, w, bound) for w in window):

@@ -47,15 +47,6 @@ class OracleSet:
     def is_empty(self) -> bool:
         return all(ds.is_empty for ds in self.blocks) and not any(self.tail)
 
-    def points(self, per_block: int = 24) -> list[Ordinal]:
-        starts, trailing = _block_points(self.m, self.k)
-        out = []
-        for b, ds in enumerate(self.blocks):
-            for j in ds.elements(per_block):
-                out.append(o.add(starts[b], j))
-        out.extend(x for x, bit in zip(trailing, self.tail) if bit)
-        return out
-
 
 def oracle_full(space: SpaceDesc) -> OracleSet:
     m, k = oracle_shape(space)

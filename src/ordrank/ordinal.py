@@ -340,10 +340,6 @@ def classify(a: Ordinal | int) -> Kind:
     return Kind.SUCCESSOR if a.terms[-1][0] == 0 else Kind.LIMIT
 
 
-def successor(a: Ordinal | int) -> Ordinal:
-    return add(a, ONE)
-
-
 def predecessor(a: Ordinal | int) -> Ordinal:
     if type(a) is not Ordinal:
         a = _coerce(a)

@@ -112,13 +112,6 @@ class DigitSet:
         """{v + k : v in self}."""
         return self if k == 0 else _shift_up(self, k)
 
-    def elements(self, count: int, start: int = 0):
-        v = self.min_geq(start)
-        while v is not None and count > 0:
-            yield v
-            count -= 1
-            v = self.min_geq(v + 1)
-
 
 @lru_cache(maxsize=4096)
 def _divisors(n: int) -> tuple[int, ...]:

@@ -22,8 +22,8 @@ from ordrank.functions import UniformPresentation, char_fn, constant, fn_scale, 
 from ordrank.ordinal import (Ordinal, W, ZERO, add, even_floor, from_int,
                              fundamental_sequence, is_even, mul, omega_power)
 from ordrank.patterns import (FALSE, TRUE, POrdGeEta, POrdLtEta, and_, digit_in,
-                              digit_mod, divpow, ds_mod, ds_window, min_digit_in,
-                              not_, or_, ord_ge, ord_lt)
+                              digit_mod, divpow, ds_mod, ds_window, holds_at,
+                              min_digit_in, not_, or_, ord_ge, ord_lt)
 from ordrank.space import SpaceDesc, base_topology, sample_points, sem_eq
 
 SW = SpaceDesc(W)
@@ -131,6 +131,30 @@ def test_exit_parity_examples():
     assert exit_parity_eval(fam, from_int(3)) == 0
     big = tails_family(omega_power(2))
     assert exit_parity_eval(big, W) == 1  # exits at w+1, zeta = w even
+
+
+def test_even_diff_union_on_infinite_segments():
+    """Infinite segments of even_diff_union: a concrete one, which adds no
+    interior difference, ending at a limit or at a successor, and a tails
+    segment ending at a successor, whose last index (even or odd) crosses
+    into the next segment.  Checked against exit_parity_eval at every point
+    of w*3 + 2: each set here is, inside a block w*b + j, periodic in j with
+    period 2 from j = 2 on, so j < 16 decides every point."""
+    space = SpaceDesc(add(mul(W, 3), 2))
+    a = or_(EVENS, ord_ge(mul(W, 2)))
+    b = and_(a, ord_ge(W))
+    w1, w2, w3 = add(W, 1), add(W, 2), add(W, 3)
+    one = from_int(1)
+    fams = [from_segments(w2, [(ZERO, one, TRUE), (one, W, a), (W, w1, a), (w1, w2, b)]),
+            from_segments(w2, [(ZERO, one, TRUE), (one, w1, a), (w1, w2, b)]),
+            from_segments(w3, [(ZERO, one, TRUE), (one, w2, a), (w2, w3, b)]),
+            tails_family(w1), tails_family(w2)]
+    points = [add(mul(W, k), j) for k in range(3) for j in range(16)] + [mul(W, 3), add(mul(W, 3), 1)]
+    for fam in fams:
+        validate_set_family(fam, base_topology(space), xi=2)
+        union = even_diff_union(fam)
+        assert [holds_at(union, x) for x in points] == [
+            exit_parity_eval(fam, x) == 1 for x in points], fam
 
 
 def test_monotone_even_partial_sums():

@@ -41,7 +41,7 @@ from ordrank.ordinal import W, ZERO, Ordinal, add, from_int, mul, omega_power
 from ordrank.patterns import (FALSE, TRUE, Cell, PDiv, PMinDigit, _cell_key,
                               _cell_subsumes, _mk_cell, and_, cell_and,
                               cells_difference, cells_pattern, digit_in, divpow,
-                              ds_and, ds_ge, ds_mod, meet, min_digit_in,
+                              ds_ge, ds_mod, meet, min_digit_in,
                               mk_digitset, not_, or_, ord_ge, ord_lt,
                               prune_cells, subst_n, to_cells)
 from ordrank.ranks import alpha_xi_verify
@@ -265,17 +265,6 @@ def test_cell_hash_contract():
     assert not hasattr(c, "__dict__")
 
 
-def _old_slots(ct):
-    """The slots in the old format (kind, i, i_step, ds, extra)."""
-    out = []
-    for kind, i, step, ds, t0 in ct.digits:
-        if kind == "pos":
-            out.append((kind, i, step, ds, (0, 0)))
-        else:
-            out.append((kind, i, 0, ds, (t0 if kind == "cut" else 0, step)))
-    return out
-
-
 def _ref_instantiate(ct, j, lo=None):
     """The old `CellTemplate.instantiate`: the cell at stage j as a pattern."""
     parts = []
@@ -284,15 +273,8 @@ def _ref_instantiate(ct, j, lo=None):
         parts.append(divpow(div))
     if ct.md is not None:
         parts.append(PMinDigit(ct.md))
-    for kind, i, istep, ds, extra in _old_slots(ct):
-        pos = i + istep * j
-        if kind == "cut":
-            ds_j = ds_and(ds, ds_ge(extra[0] + extra[1] * j))
-        elif kind == "shift":
-            ds_j = ds.shift_up(extra[1] * j)
-        else:
-            ds_j = ds
-        parts.append(digit_in(pos, ds_j))
+    for i, istep, ds in ct.digits:
+        parts.append(digit_in(i + istep * j, ds))
     lo_j = o.add(ct.lo, o.mul(ct.lo_step, j)) if lo is None else lo
     if not lo_j.is_zero:
         parts.append(ord_ge(lo_j))
@@ -305,12 +287,10 @@ def _ref_limit_pattern(ct):
     """The old `CellTemplate.limit_pattern`: the intersection over all stages."""
     if ct.div_step > 0:
         return FALSE
-    for kind, i, istep, ds, extra in _old_slots(ct):
-        if kind == "pos" and istep != 0:
+    for _, istep, ds in ct.digits:
+        if istep != 0:
             if 0 in ds:
                 raise UnsupportedProgression("moving digit position with 0 allowed")
-            return FALSE
-        if kind in ("cut", "shift") and extra[1] > 0:
             return FALSE
     return _ref_instantiate(ct, 0, o.add(ct.lo, o.mul(ct.lo_step, W)))
 
@@ -343,9 +323,9 @@ def _rand_cell_template(rng):
     lo = rng.choice(ords)
     slots = []
     for _ in range(rng.randint(0, 3)):
-        kind = rng.choice(("const", "pos", "cut", "shift"))
-        slots.append((kind, rng.randint(0, 2), 0 if kind == "const" else rng.randint(1, 2),
-                      _rand_ds(rng), rng.randint(0, 3) if kind == "cut" else 0))
+        kind = rng.choice(("const", "pos"))
+        slots.append((rng.randint(0, 2), 0 if kind == "const" else rng.randint(1, 2),
+                      _rand_ds(rng)))
     return CellTemplate(
         lo, rng.choice((ZERO, ZERO, from_int(1), from_int(2), W)),
         rng.choice((None, None, add(lo, rng.choice(ords[1:])))),
@@ -356,15 +336,15 @@ def _rand_cell_template(rng):
 def _compare_templates(rng, rounds):
     """Builder against reference on `rounds` random stage templates; returns
     how often each slot kind, moving field and outcome came up."""
-    seen = {"const": 0, "pos": 0, "cut": 0, "shift": 0, "shared": 0, "md": 0,
+    seen = {"const": 0, "pos": 0, "shared": 0, "md": 0,
             "div_step": 0, "lo_step": 0, "raises": 0, "cells": 0, "limit cells": 0}
     fixed = [
         CellTemplate(ZERO, ZERO, None, 0, 0, None, ()),
         CellTemplate(W, from_int(1), None, 1, 0, ds_mod(2, 1),
-                     (("const", 1, 0, ds_mod(2, 0), 0), ("cut", 1, 1, ds_ge(1), 2))),
+                     ((1, 0, ds_mod(2, 0)), (1, 1, ds_ge(1)))),
         CellTemplate(from_int(1), ZERO, mul(W, 3), 0, 1, None,
-                     (("shift", 0, 2, ds_mod(3, 1), 0), ("pos", 2, 1, ds_ge(1), 0))),
-        CellTemplate(ZERO, W, None, 0, 0, None, (("pos", 0, 1, ds_mod(2, 0), 0),)),
+                     ((0, 2, ds_mod(3, 1)), (2, 1, ds_ge(1)))),
+        CellTemplate(ZERO, W, None, 0, 0, None, ((0, 1, ds_mod(2, 0)),)),
     ]
     for n in range(rounds):
         space = _TEMPLATE_SPACES[n % 3]
@@ -372,10 +352,9 @@ def _compare_templates(rng, rounds):
         cts = fixed if n < 3 else [_rand_cell_template(rng)
                                    for _ in range(rng.randint(1, 3))]
         for ct in cts:
-            kinds = [s[0] for s in ct.digits]
-            for k in kinds:
-                seen[k] += 1
-            seen["shared"] += len(kinds) > len({s[1] for s in ct.digits})
+            for _, step, _ in ct.digits:
+                seen["pos" if step else "const"] += 1
+            seen["shared"] += len(ct.digits) > len({s[0] for s in ct.digits})
             seen["md"] += ct.md is not None
             seen["div_step"] += ct.div_step > 0
             seen["lo_step"] += not ct.lo_step.is_zero

@@ -277,6 +277,22 @@ def test_monotonize_and_diff_strict_rejects():
         monotonize_and_diff([bad, bad], f, strict=True)
 
 
+def test_monotonize_and_diff_shifts_a_non_monotone_sequence():
+    """f^1 < f^0 at every even: each f^k is shifted down by 2^-(k+3) and
+    clipped at 0, which makes the sequence nondecreasing within the strict
+    bounds; a drop larger than the shifts still raises."""
+    f = char_fn(EVENS, W1)
+    f0, f1 = fn_add_const(f, Fraction(1, 64)), fn_add_const(f, -Fraction(1, 128))
+    assert fn_sub(f1, f0).inf() < 0
+    pres = monotonize_and_diff([f0, f1], f)
+    assert pres.terms[0].pieces == fn_max_const(fn_add_const(f0, -Fraction(1, 8)), 0).pieces
+    assert all(g.inf() >= 0 for g in pres.terms)
+    assert sup_dist(pres.partial(len(pres.terms)), f) <= Fraction(1, 8)
+    with pytest.raises(CertificateViolation) as drop:
+        monotonize_and_diff([f, fn_scale(f, Fraction(1, 4))], f, strict=False)
+    assert drop.value.args == (0,)  # the shifted f^0 and f^1 are out of order
+
+
 def test_uniform_presentation_bounds():
     f = char_fn(EVENS, W1)
     with pytest.raises(CertificateViolation):

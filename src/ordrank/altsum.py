@@ -357,7 +357,7 @@ def length_upper_certificate(f: StepFn, witness: DUSBSeq, lam: int,
         raise WitnessMismatch("witness length %s exceeds w^%d"
                               % (witness.length, lam))
     # in turn from every cell of every piece, so infinite points are sampled
-    turns = zip_longest(*(iter_cell(c, space.bound, _SAMPLE_CAP) for _, p in f.pieces
+    turns = zip_longest(*(iter_cell(c, _SAMPLE_CAP) for _, p in f.pieces
                           for c in to_cells(p, space.bound)))
     pts: list[Ordinal] = []
     seen: set[Ordinal] = set()  # the list keeps the sampling order

@@ -23,7 +23,8 @@ per cell) and is cached per operator and cell tuple in `_apply_cached`;
 `iterate`, its probes and `IterationTrace.stage_at` step through `_steps`.
 Templates instantiate as cells too: `CellTemplate.cell_at` is the one slot
 builder, for a stage j and for j = W (the limit), and builds each cell
-through `patterns._mk_cell`.  The trace records the stages as they are;
+through `patterns._mk_cell`.  A cell is one set on every space, so steps
+and stage checks take no bound.  The trace records the stages as they are;
 cells become patterns only at `apply`, `IterationTrace.stage_at` and
 `log_lines`.
 """
@@ -56,8 +57,8 @@ class SeparationDeriv:
 
     def step(self, F: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
         bound = t.space.bound
-        return meet(closure_cells(meet(F, to_cells(self.a, bound), bound), t),
-                    closure_cells(meet(F, to_cells(self.b, bound), bound), t), bound)
+        return meet(closure_cells(meet(F, to_cells(self.a, bound)), t),
+                    closure_cells(meet(F, to_cells(self.b, bound)), t))
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,10 @@ class HausdorffStep:
     a: Pat
 
     def half(self, F: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
-        bound = t.space.bound
-        return closure_cells(prune_cells(cells_difference(F, to_cells(self.a, bound), bound)), t)
+        return closure_cells(prune_cells(cells_difference(F, to_cells(self.a, t.space.bound))), t)
 
     def step(self, F: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
-        bound = t.space.bound
-        return closure_cells(meet(self.half(F, t), to_cells(self.a, bound), bound), t)
+        return closure_cells(meet(self.half(F, t), to_cells(self.a, t.space.bound)), t)
 
 
 @dataclass(frozen=True)
@@ -92,13 +91,12 @@ class OscDeriv:
     eps: Fraction
 
     def step(self, F: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
-        bound = t.space.bound
         pieces = self.fn.pieces
-        cls = [closure_cells(meet(F, to_cells(p, bound), bound), t) for _, p in pieces]
+        cls = [closure_cells(meet(F, to_cells(p, t.space.bound)), t) for _, p in pieces]
         parts = [c for i in range(len(pieces)) for j in range(i + 1, len(pieces))
                  if abs(pieces[i][0] - pieces[j][0]) >= self.eps
-                 for c in meet(cls[i], cls[j], bound)]
-        return meet(F, prune_cells(parts), bound)
+                 for c in meet(cls[i], cls[j])]
+        return meet(F, prune_cells(parts))
 
 
 @dataclass(frozen=True)
@@ -140,15 +138,15 @@ class ConvDeriv:
         n_star = 8 + _max_atom_base(wparam)
 
         def limit_part(n: int) -> tuple[Cell, ...]:
-            wn = meet(F, to_cells(subst_n(wparam, n), bound), bound)
-            return prune_cells(cells_difference(closure_cells(wn, t), wn, bound))
+            wn = meet(F, to_cells(subst_n(wparam, n), bound))
+            return prune_cells(cells_difference(closure_cells(wn, t), wn))
 
         lp = limit_part(n_star)
         for probe in (n_star + 7, n_star + 19):
-            if not cells_eq(limit_part(probe), lp, bound):
+            if not cells_eq(limit_part(probe), lp):
                 raise UnsupportedProgression(
                     "convergence limit points did not stabilize")
-        return meet(F, prune_cells(lp + core), bound)
+        return meet(F, prune_cells(lp + core))
 
 
 def _max_atom_base(p: Pat) -> int:
@@ -175,7 +173,8 @@ def _apply_cached(op: DerivativeOp, F: tuple[Cell, ...]) -> tuple[Cell, ...]:
 
 def apply(op: DerivativeOp, F: Pat) -> Pat:
     """One derivative step; result is closed and contained in F."""
-    return cells_pattern(_apply_cached(op, to_cells(F, op.topology.space.bound)))
+    bound = op.topology.space.bound
+    return cells_pattern(_apply_cached(op, to_cells(F, bound)), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +249,7 @@ _PROBES = (7, 12)  # offsets past the window start at which a template is checke
 def _verified(tmpl, stage_after, space: SpaceDesc) -> bool:
     """Check a template against the stages stage_after(dj), computed afresh
     dj steps past the window start, at the probe offsets."""
-    return all(cells_eq(tmpl.instantiate(dj, space), stage_after(dj), space.bound)
-               for dj in _PROBES)
+    return all(cells_eq(tmpl.instantiate(dj, space), stage_after(dj)) for dj in _PROBES)
 
 
 @dataclass(frozen=True)
@@ -394,10 +392,11 @@ class IterationTrace:
         if not gap.is_finite:
             raise ValueError("stage %s not recorded and not finitely past %s"
                              % (theta, stage))
-        return cells_pattern(_steps(self.op, cells, gap.to_int()))
+        return cells_pattern(_steps(self.op, cells, gap.to_int()), self.op.topology.space.bound)
 
     def log_lines(self) -> list[str]:
-        return ["stage %s set %s" % (stage, pattern_to_sexpr(cells_pattern(cells)))
+        bound = self.op.topology.space.bound
+        return ["stage %s set %s" % (stage, pattern_to_sexpr(cells_pattern(cells, bound)))
                 for stage, cells in self.events]
 
 
@@ -435,9 +434,9 @@ def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> Itera
             raise BudgetExceeded(trace)
         nxt = _apply_cached(op, cur)
         trace.budget_used += 1
-        if not cells_subset(nxt, cur, bound):
+        if not cells_subset(nxt, cur):
             raise AssertionError("derivative failed to contract")
-        if cells_subset(cur, nxt, bound):  # with nxt <= cur above: nxt == cur
+        if cells_subset(cur, nxt):  # with nxt <= cur above: nxt == cur
             trace.rank = None
             trace.fixpoint = True
             trace.reason = "nonempty fixpoint (rank marker omega_1)"
@@ -459,7 +458,7 @@ def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> Itera
                     and tmpl.nonempty_forever()):
                 continue
             lim = tmpl.limit(t.space)
-            if not all(cells_subset(lim, w, bound) for w in window):
+            if not all(cells_subset(lim, w) for w in window):
                 continue
             target = o.add(run_start, W)
             trace.limit_jumps += 1

@@ -247,10 +247,10 @@ def _block_restrict(cell, b: int, starts: tuple[Ordinal, ...]) -> DigitSet:
         if lo.digit(1) != b or (lo.max_exp() or 0) >= 2:
             return DS_EMPTY
         js = ds_and(js, ds_ge(lo.fin()))
-    if hi is not None:
-        if o.compare(hi, block_start) <= 0:
+    if hi is not None:  # the space's bound when nothing lower; ordinals order by terms
+        if hi.terms <= block_start.terms:
             return DS_EMPTY
-        if o.compare(hi, starts[b + 1]) < 0:
+        if hi.terms < starts[b + 1].terms:
             js = ds_and(js, ds_lt(hi.fin()))
     if b == 0 and cell.div >= 1:
         js = ds_and(js, ds_ge(1))

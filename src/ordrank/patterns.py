@@ -12,18 +12,22 @@ finitely presented.  Whether a point lies in a pattern is each class's own
 The normal form used by every decision procedure is a finite union of
 *cells*: digit-box times interval times divisibility constraint.  Digit
 constraints are eventually periodic subsets of the naturals, which keeps
-the whole algebra exact and closed under complement.  There is one
-`DigitSet` object per value, kept in a weak table by `mk_digitset`, the
-only constructor, one `Cell` object per value and one pattern object per
-value, each kept in a weak table by its constructor; with the interned
-`Ordinal`s they compare by identity (an ordinal also equals the int of its
-value), and all but patterns hash by it (a pattern hashes its class and
-its fields' identities, once; see `Pat`).  The digit-set operations are
-memoized; the cells of an or are the maximal cells among its parts' cached
-cells, so growing a pattern by a disjunct re-normalises only the new part.
-The hash of a digit set, an ordinal, a cell or a pattern thus differs
-between processes, and no result may depend on the order of a set of
-them: no set of them is iterated, and dicts keep insertion order.
+the whole algebra exact and closed under complement.  A cell is one set
+whatever the space (on a bounded space its upper end is explicit and at
+most the bound), so the bound enters only where cells are made
+(`_mk_cell`, `to_cells`) and printed (`cells_pattern`), and the cell
+algebra takes cells alone.  There is one `DigitSet` object per value, kept
+in a weak table by `mk_digitset`, the only constructor, one `Cell` object
+per value and one pattern object per value, each kept in a weak table by
+its constructor; with the interned `Ordinal`s they compare by identity (an
+ordinal also equals the int of its value), and all but patterns hash by it
+(a pattern hashes its class and its fields' identities, once; see `Pat`).
+The digit-set operations are memoized; the cells of an or are the maximal
+cells among its parts' cached cells, so growing a pattern by a disjunct
+re-normalises only the new part.  The hash of a digit set, an ordinal, a
+cell or a pattern thus differs between processes, and no result may depend
+on the order of a set of them: no set of them is iterated, and dicts keep
+insertion order.
 """
 from __future__ import annotations
 
@@ -730,7 +734,9 @@ class Cell:
       since x != 0 alone is carried by lo;
     - digits is sorted by index, every index is >= div, and every set is
       nonempty and not full;
-    - hi is None when it would reach the space bound, and lo < hi;
+    - hi is None only on the ceiling space; otherwise lo < hi <= bound,
+      the bound being w^w there (`_mk_cell` stores a bounded space's bound
+      as the upper end that reaches it);
     - the cell has a member (`cell_is_empty` is False).
 
     So equal sets of constraints give equal cells, `_cell_subsumes` can
@@ -746,7 +752,7 @@ class Cell:
     """
     __slots__ = ("lo", "hi", "digits", "div", "md", "_key", "_sig", "__weakref__")
     lo: Ordinal
-    hi: Ordinal | None  # exclusive; None means up to the space bound
+    hi: Ordinal | None  # exclusive; None only on the ceiling space
     digits: tuple[tuple[int, DigitSet], ...]
     div: int
     md: DigitSet | None  # last-nonzero-coefficient constraint
@@ -864,14 +870,14 @@ def _mk_cell(lo: Ordinal, hi: Ordinal | None, digits: dict[int, DigitSet],
     for i, ds in digits.items():
         if ds.is_empty or (i < div and not ds.has0):
             return None
-    if hi is not None and bound is not None and o.compare(hi, bound) >= 0:
-        hi = None  # clamp to the bound, represented as None
+    if bound is not None and (hi is None or o.compare(hi, bound) >= 0):
+        hi = bound  # clamp to the bound, stored as the upper end
     if hi is not None and o.compare(lo, hi) >= 0:
         return None
     packed = tuple(sorted((i, ds) for i, ds in digits.items()
                           if i >= div and not ds.is_full))
     out = Cell(lo, hi, packed, div, md)
-    return None if cell_is_empty(out, bound) else out
+    return None if cell_is_empty(out) else out
 
 
 def _merge_cell(atoms, space_bound: Ordinal | None) -> Cell | None:
@@ -919,11 +925,11 @@ def _ds_subset(a: DigitSet, b: DigitSet) -> bool:
     return ds_and(a, ds_not(b)).is_empty
 
 
-def cell_and(c: Cell, b: Cell, bound: Ordinal | None) -> Cell | None:
+def cell_and(c: Cell, b: Cell) -> Cell | None:
     """The meet of two canonical cells, canonical; None when empty.
 
     It is built field by field, with no re-normalisation: the larger lo,
-    the smaller hi (both lie below the bound, so no clamp), the larger div,
+    the smaller hi (no clamp: each is at most the bound), the larger div,
     and the intersections of md and of the digit sets.  An intersection of
     two proper subsets of {>= 1}, or of two nonempty sets that are not full,
     is again one when nonempty; a set at a position below the new div is
@@ -963,27 +969,30 @@ def cell_and(c: Cell, b: Cell, bound: Ordinal | None) -> Cell | None:
         elif not ds.has0:
             return None
     out = Cell(lo, hi, tuple(digits), div, md)
-    return None if cell_is_empty(out, bound) else out
+    return None if cell_is_empty(out) else out
 
 
-def cell_minus(c: Cell, b: Cell, bound: Ordinal | None) -> list[Cell]:
+def cell_minus(c: Cell, b: Cell) -> list[Cell]:
     """c minus b as disjoint cells (staircase carving, one constraint a step).
 
     Each step splits the rest by one constraint of b: the part violating
-    it is a piece of the difference, the part satisfying it carries on."""
+    it is a piece of the difference, the part satisfying it carries on.  The
+    carving cells are nonempty ceiling-space cells, and the rest always holds
+    c ∧ b, nonempty past the early returns, so no step ends the carving.  The
+    upper-end step is skipped when c ends at or below b's upper end."""
     if _cell_subsumes(b, c):
         return []
-    if cell_and(c, b, bound) is None:
+    if cell_and(c, b) is None:
         return [c]
 
     def cell(lo: Ordinal = ZERO, hi: Ordinal | None = None, digits=None,
-             md: DigitSet | None = None) -> Cell | None:
-        return _mk_cell(lo, hi, digits or {}, 0, md, bound)
+             md: DigitSet | None = None) -> Cell:
+        return _mk_cell(lo, hi, digits or {}, 0, md, None)
 
-    steps: list[tuple[Cell | None, Cell | None]] = []
+    steps: list[tuple[Cell, Cell]] = []
     if not b.lo.is_zero:
         steps.append((cell(hi=b.lo), cell(lo=b.lo)))
-    if b.hi is not None:
+    if b.hi is not None and (c.hi is None or c.hi.terms > b.hi.terms):
         steps.append((cell(lo=b.hi), cell(hi=b.hi)))
     if b.div >= 1 or b.md is not None:
         steps.append((cell(hi=ONE), cell(lo=ONE)))
@@ -995,23 +1004,20 @@ def cell_minus(c: Cell, b: Cell, bound: Ordinal | None) -> list[Cell]:
         steps.append((cell(md=ds_not(b.md)), cell(md=b.md)))
     steps += [(cell(digits={i: ds_not(ds)}), cell(digits={i: ds})) for i, ds in b.digits]
     out: list[Cell] = []
-    rest: Cell | None = c
+    rest = c
     for outside, inside in steps:
-        # a carving cell of None is an empty piece
-        if outside is not None and (piece := cell_and(rest, outside, bound)) is not None:
+        if (piece := cell_and(rest, outside)) is not None:
             out.append(piece)
-        rest = None if inside is None else cell_and(rest, inside, bound)
-        if rest is None:
-            break
+        rest = cell_and(rest, inside)
     return out
 
 
-def cells_difference(acells, bcells, bound: Ordinal | None) -> list[Cell]:
+def cells_difference(acells, bcells) -> list[Cell]:
     work = list(acells)
     for b in bcells:
         if not work:
             break
-        work = [piece for c in work for piece in cell_minus(c, b, bound)]
+        work = [piece for c in work for piece in cell_minus(c, b)]
     return work
 
 
@@ -1102,8 +1108,7 @@ def prune_cells(cells) -> tuple[Cell, ...]:
 _meet_pair = lru_cache(maxsize=65536)(cell_and)
 
 
-def meet(xs: tuple[Cell, ...], ys: tuple[Cell, ...],
-         bound: Ordinal | None) -> tuple[Cell, ...]:
+def meet(xs: tuple[Cell, ...], ys: tuple[Cell, ...]) -> tuple[Cell, ...]:
     """Cells of the intersection of two canonical cell tuples: the maximal
     pairwise meets, which are the and's own to_cells (its DNF is the product
     of its parts' DNFs, and cell_and is monotone under _cell_subsumes).
@@ -1112,7 +1117,7 @@ def meet(xs: tuple[Cell, ...], ys: tuple[Cell, ...],
 
     Not every pairwise meet is formed.  A nonempty c ∧ d of canonical cells
     lies syntactically inside both c and d: its lo is the larger, its hi the
-    smaller (below the bound, so never clamped), its div the larger, its md
+    smaller (never clamped), its div the larger, its md
     and each of its digit sets the intersection.  So once c ∧ d == c, every
     other meet of c lies in c, and c's row is just (c,); once c ∧ d == d,
     every later meet with d lies in d, and later rows skip d.  Each skipped
@@ -1127,7 +1132,7 @@ def meet(xs: tuple[Cell, ...], ys: tuple[Cell, ...],
         row: list[Cell] = []
         inside = set()
         for d in live:
-            m = _meet_pair(c, d, bound)
+            m = _meet_pair(c, d)
             if m is None:
                 continue
             # one object per cell value
@@ -1147,7 +1152,8 @@ def to_cells(p: Pat, space_bound: Ordinal | None) -> tuple[Cell, ...]:
     return _cells_cached(p, space_bound)
 
 
-def cell_pattern(c: Cell) -> Pat:
+def cell_pattern(c: Cell, bound: Ordinal | None) -> Pat:
+    """The cell as a pattern below bound, which leaves out an upper end equal to it."""
     parts: list[Pat] = []
     if c.div >= 1:
         parts.append(PDiv(c.div))
@@ -1158,13 +1164,13 @@ def cell_pattern(c: Cell) -> Pat:
     implied_one = c.div >= 1 or c.md is not None
     if not c.lo.is_zero and not (implied_one and c.lo == ONE):
         parts.append(ord_ge(c.lo))
-    if c.hi is not None:
+    if c.hi is not bound:
         parts.append(ord_lt(c.hi))
     return and_(*parts)
 
 
-def cells_pattern(cells) -> Pat:
-    return or_(*(cell_pattern(c) for c in cells))
+def cells_pattern(cells, bound: Ordinal | None) -> Pat:
+    return or_(*(cell_pattern(c, bound) for c in cells))
 
 
 # -- minimal element search --------------------------------------------------
@@ -1239,16 +1245,13 @@ def cell_min_geq(c: Cell, lower: Ordinal) -> Ordinal | None:
 
 
 @lru_cache(maxsize=65536)
-def cell_is_empty(c: Cell, bound: Ordinal | None) -> bool:
+def cell_is_empty(c: Cell) -> bool:
     m = cell_min_geq(c, c.lo)
-    if m is None:
-        return True
-    eff_hi = c.hi if c.hi is not None else bound
-    return eff_hi is not None and o.compare(m, eff_hi) >= 0
+    return m is None or (c.hi is not None and m.terms >= c.hi.terms)
 
 
-def iter_cell(c: Cell, bound: Ordinal | None, count: int):
-    """The cell's least `count` members below its hi (or the bound), in order.
+def iter_cell(c: Cell, count: int):
+    """The cell's least `count` members, in order.
 
     Without md, one box serves every point: each point after the least one
     keeps its leading exponent at or below the first box's top, where the
@@ -1256,8 +1259,7 @@ def iter_cell(c: Cell, bound: Ordinal | None, count: int):
     another full position above, which changes no answer.  A member x and
     x + 1 differ only in digit 0, so x + 1 is the next member when the box
     allows its digit 0."""
-    eff_hi = c.hi if c.hi is not None else bound
-    hi = None if eff_hi is None else eff_hi.terms
+    hi = None if c.hi is None else c.hi.terms
     box = None if c.md is not None else _cell_box(c, _box_top(c, c.lo))
     x = cell_min_geq(c, c.lo) if box is None else _least_in_box(box, c.lo)
     while x is not None and count > 0:

@@ -138,9 +138,9 @@ def is_pseudouniform(rep: RankReport) -> bool:
 # ---------------------------------------------------------------------------
 # Modified separation rank: witness verification.
 
-def _least_point(cells: tuple[Cell, ...], bound: Ordinal | None) -> Ordinal:
+def _least_point(cells: tuple[Cell, ...]) -> Ordinal:
     """The least point of nonempty canonical cells."""
-    return min((x for c in cells for x in iter_cell(c, bound, 1)), key=lambda x: x.terms)
+    return min((x for c in cells for x in iter_cell(c, 1)), key=lambda x: x.terms)
 
 
 def alpha_xi_verify(A: Pat, B: Pat, fam: TransfiniteFamily, xi: int,
@@ -151,12 +151,12 @@ def alpha_xi_verify(A: Pat, B: Pat, fam: TransfiniteFamily, xi: int,
     bound = t.space.bound
     claims = tuple(validate_set_family(fam, t, xi=xi))
     u = to_cells(even_diff_union(fam), bound)
-    bad = prune_cells(cells_difference(to_cells(A, bound), u, bound))
+    bad = prune_cells(cells_difference(to_cells(A, bound), u))
     if bad:
-        raise InclusionViolation("A not covered", _least_point(bad, bound))
-    bad = meet(u, to_cells(B, bound), bound)
+        raise InclusionViolation("A not covered", _least_point(bad))
+    bad = meet(u, to_cells(B, bound))
     if bad:
-        raise InclusionViolation("differences meet B", _least_point(bad, bound))
+        raise InclusionViolation("differences meet B", _least_point(bad))
     claims = claims + ("A within the even differences", "differences avoid B")
     lam = fam.length.max_exp() or 0
     return Certificate("alpha_xi", lam, xi, claims)

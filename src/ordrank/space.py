@@ -8,7 +8,8 @@ needs points at every exponent.  A topology is the base order topology plus
 a finite list of declared sets whose generated partition cells become
 clopen; the refined closure operator works cell by cell.
 
-Closure and the Borel classification work on canonical cell tuples; cells
+Closure and the Borel classification work on canonical cell tuples, each
+one set on every space (`cells_subset` and `cells_eq` take no bound); cells
 become patterns only at the boundary, in `closure`, `cb_derivative`,
 `canonicalize` and `difference_chain`'s result.  The difference chain is
 `derivative.iterate` of `HausdorffStep` under the default `Budget`.  A limit
@@ -64,9 +65,8 @@ def base_topology(space: SpaceDesc) -> Topology:
 
 @lru_cache(maxsize=512)
 def partition_cells(t: Topology) -> tuple[Pat, ...]:
-    """Nonempty cells of the boolean algebra generated by the declared sets."""
-    if not t.declared:
-        return (TRUE,)
+    """Nonempty cells of the boolean algebra generated by the declared sets.
+    With none declared the one mask gives the one cell TRUE."""
     m = len(t.declared)
     cells = (and_(*(t.declared[j] if mask >> j & 1 else not_(t.declared[j])
                     for j in range(m))) for mask in range(1 << m))
@@ -76,16 +76,15 @@ def partition_cells(t: Topology) -> tuple[Pat, ...]:
 # ---------------------------------------------------------------------------
 # Semantic operations on canonical cell tuples and on patterns.
 
-def cells_subset(xs: tuple[Cell, ...], ys: tuple[Cell, ...],
-                 bound: Ordinal | None) -> bool:
+def cells_subset(xs: tuple[Cell, ...], ys: tuple[Cell, ...]) -> bool:
     """xs <= ys: each cell of xs not syntactically inside a cell of ys is
     carved by ys, stopping at the first nonempty piece."""
     return all(any(_cell_subsumes(big, small) for big in ys)
-               or not cells_difference((small,), ys, bound) for small in xs)
+               or not cells_difference((small,), ys) for small in xs)
 
 
-def cells_eq(xs: tuple[Cell, ...], ys: tuple[Cell, ...], bound: Ordinal | None) -> bool:
-    return xs == ys or (cells_subset(xs, ys, bound) and cells_subset(ys, xs, bound))
+def cells_eq(xs: tuple[Cell, ...], ys: tuple[Cell, ...]) -> bool:
+    return xs == ys or (cells_subset(xs, ys) and cells_subset(ys, xs))
 
 
 def is_empty(p: Pat, space: SpaceDesc) -> bool:
@@ -93,11 +92,11 @@ def is_empty(p: Pat, space: SpaceDesc) -> bool:
 
 
 def subset(a: Pat, b: Pat, space: SpaceDesc) -> bool:
-    return cells_subset(to_cells(a, space.bound), to_cells(b, space.bound), space.bound)
+    return cells_subset(to_cells(a, space.bound), to_cells(b, space.bound))
 
 
 def sem_eq(a: Pat, b: Pat, space: SpaceDesc) -> bool:
-    return cells_eq(to_cells(a, space.bound), to_cells(b, space.bound), space.bound)
+    return cells_eq(to_cells(a, space.bound), to_cells(b, space.bound))
 
 
 def member(p: Pat, x: Ordinal, t: Topology | SpaceDesc) -> bool:
@@ -108,7 +107,7 @@ def member(p: Pat, x: Ordinal, t: Topology | SpaceDesc) -> bool:
 
 
 def canonicalize(p: Pat, space: SpaceDesc) -> Pat:
-    return cells_pattern(to_cells(p, space.bound))
+    return cells_pattern(to_cells(p, space.bound), space.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +179,7 @@ def _limits_per_partition(xs: tuple[Cell, ...], t: Topology, keep: bool) -> tupl
     out: list[Cell] = []
     for cpat in partition_cells(t):
         part = to_cells(cpat, bound)
-        out += meet(base(meet(xs, part, bound)), part, bound)
+        out += meet(base(meet(xs, part)), part)
     return prune_cells(out)
 
 
@@ -190,7 +189,7 @@ def closure_cells(xs: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
 
 
 def cells_closed(xs: tuple[Cell, ...], t: Topology) -> bool:
-    return cells_subset(closure_cells(xs, t), xs, t.space.bound)
+    return cells_subset(closure_cells(xs, t), xs)
 
 
 def cb_cells(xs: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
@@ -202,7 +201,7 @@ def cb_cells(xs: tuple[Cell, ...], t: Topology) -> tuple[Cell, ...]:
 
 def closure(p: Pat, t: Topology) -> Pat:
     """Topological closure; per partition cell under a refinement."""
-    return cells_pattern(closure_cells(to_cells(p, t.space.bound), t))
+    return cells_pattern(closure_cells(to_cells(p, t.space.bound), t), t.space.bound)
 
 
 def is_closed(p: Pat, t: Topology) -> bool:
@@ -211,13 +210,13 @@ def is_closed(p: Pat, t: Topology) -> bool:
 
 def is_open(p: Pat, t: Topology) -> bool:
     bound = t.space.bound
-    return cells_closed(prune_cells(cells_difference(
-        to_cells(TRUE, bound), to_cells(p, bound), bound)), t)
+    return cells_closed(prune_cells(cells_difference(to_cells(TRUE, bound),
+                                                     to_cells(p, bound))), t)
 
 
 def cb_derivative(p: Pat, t: Topology) -> Pat:
     """Limit points of a closed set (Cantor-Bendixson derivative)."""
-    return cells_pattern(cb_cells(to_cells(p, t.space.bound), t))
+    return cells_pattern(cb_cells(to_cells(p, t.space.bound), t), t.space.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +251,7 @@ def difference_chain(p: Pat, t: Topology) -> list[Pat] | None:
     equal p: F_(k+1) is the closure of F_k minus p for even k, of F_k cap p
     for odd k.  None when the chain is transfinite."""
     chain = _chain_cells(p, t)
-    return None if chain is None else [cells_pattern(c) for c in chain]
+    return None if chain is None else [cells_pattern(c, t.space.bound) for c in chain]
 
 
 def borel_class(p: Pat, t: Topology) -> BorelClass:
@@ -270,10 +269,9 @@ def borel_class(p: Pat, t: Topology) -> BorelClass:
         return BorelClass.CLOSED
     chain = _chain_cells(p, t)
     if chain is not None:
-        bound = t.space.bound
         evens = [c for k in range(0, len(chain) - 1, 2)
-                 for c in cells_difference(chain[k], chain[k + 1], bound)]
-        assert cells_eq(prune_cells(evens), to_cells(p, bound), bound), \
+                 for c in cells_difference(chain[k], chain[k + 1])]
+        assert cells_eq(prune_cells(evens), to_cells(p, t.space.bound)), \
             "difference chain must resolve the set exactly"
     return BorelClass.DELTA2
 
@@ -303,6 +301,6 @@ def refine(t: Topology, sets: tuple[Pat, ...] | list[Pat], xi: int) -> Topology:
 def sample_points(p: Pat, space: SpaceDesc, per_cell: int = 8) -> list[Ordinal]:
     seen = set()
     for c in to_cells(p, space.bound):
-        for x in iter_cell(c, space.bound, per_cell):
+        for x in iter_cell(c, per_cell):
             seen.add(x)
     return sorted(seen, key=lambda x: x.terms)

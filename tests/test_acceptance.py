@@ -146,7 +146,7 @@ def test_criterion_2_alpha_equals_beta_for_characteristic():
                           Budget(60, 2))
             assert osc.rank == sep.rank
             for st, cells in sep.events:
-                assert sem_eq(cells_pattern(cells), osc.stage_at(st), s)
+                assert sem_eq(cells_pattern(cells, s.bound), osc.stage_at(st), s)
     _report("criterion 2", "50 indicators, stagewise equality at 3 eps values")
 
 

@@ -702,7 +702,7 @@ def _frac_certificate(f, witness, lam, t, const=Fraction(0)):
     bound_len = omega_power(lam) if lam else from_int(1)
     if witness.length.terms > bound_len.terms:
         raise WitnessMismatch("witness length %s exceeds w^%d" % (witness.length, lam))
-    turns = zip_longest(*(iter_cell(c, space.bound, _SAMPLE_CAP) for _, p in f.pieces
+    turns = zip_longest(*(iter_cell(c, _SAMPLE_CAP) for _, p in f.pieces
                           for c in to_cells(p, space.bound)))
     pts, seen = [], set()
     for x in chain.from_iterable(turns):

@@ -84,18 +84,18 @@ def _ref_per_partition_cell(base, p, t):
     if not t.declared:
         return base(p, t.space)
     parts = [and_(base(and_(p, cpat), t.space), cpat) for cpat in partition_cells(t)]
-    return cells_pattern(to_cells(or_(*parts), t.space.bound))
+    return cells_pattern(to_cells(or_(*parts), t.space.bound), t.space.bound)
 
 
 def _ref_closure(p, t):
     return _ref_per_partition_cell(
-        lambda q, s: cells_pattern(to_cells(or_(q, *_ref_limit_points(q, s)), s.bound)),
+        lambda q, s: cells_pattern(to_cells(or_(q, *_ref_limit_points(q, s)), s.bound), s.bound),
         p, t)
 
 
 def _ref_cb(p, t):
     return _ref_per_partition_cell(
-        lambda q, s: cells_pattern(to_cells(or_(*_ref_limit_points(q, s)), s.bound)),
+        lambda q, s: cells_pattern(to_cells(or_(*_ref_limit_points(q, s)), s.bound), s.bound),
         p, t)
 
 
@@ -162,7 +162,7 @@ def _cell_pool(rng, bound, rounds):
         base += to_cells(p, bound)
     pool = list(base)
     pool += [m for c in base for d in rng.sample(base, min(6, len(base)))
-             if (m := cell_and(c, d, bound)) is not None]
+             if (m := cell_and(c, d)) is not None]
     pool += [lc for c in base for lc in limit_cells(c, bound)]
     return pool
 
@@ -185,10 +185,10 @@ def test_prune_cells_matches_reference():
     assert distinct > 1000 and 0 < kept < distinct
 
 
-def _ref_meet(xs, ys, bound):
+def _ref_meet(xs, ys):
     """The maximal cells of the whole pairwise product."""
     return prune_cells([m for c in xs for d in ys
-                        if (m := cell_and(c, d, bound)) is not None])
+                        if (m := cell_and(c, d)) is not None])
 
 
 def test_meet_matches_product_reference():
@@ -218,15 +218,15 @@ def test_meet_matches_product_reference():
             xs, ys = ys, xs
         for c in xs:
             for d in ys:
-                m = cell_and(c, d, bound)
+                m = cell_and(c, d)
                 if m is not None:
                     # the lemma the absorption rests on
                     assert _cell_subsumes(c, m) and _cell_subsumes(d, m), (c, d)
                     seen["c"] += m == c
                     seen["d"] += m == d and m != c
-        got = meet(xs, ys, bound)
-        assert got == _ref_meet(xs, ys, bound), (bound, xs, ys)
-        assert meet(ys, xs, bound) == got
+        got = meet(xs, ys)
+        assert got == _ref_meet(xs, ys), (bound, xs, ys)
+        assert meet(ys, xs) == got
         seen["meets"] += bool(got)
     assert min(seen.values()) >= 50, seen
 
@@ -241,8 +241,8 @@ def test_cell_hash_contract():
                      tuple((i, mk_digitset(ds.prefix, ds.period, ds.residues))
                            for i, ds in c.digits), c.div, c.md),
                 _mk_cell(c.lo, c.hi, dict(c.digits), c.div, c.md, bound),
-                cell_and(c, c, bound),
-                cell_and(c, Cell(ZERO, None, (), 0), bound),
+                cell_and(c, c),
+                cell_and(c, Cell(ZERO, None, (), 0)),
             )
             for r in rebuilt:
                 assert r == c and hash(r) == hash(c), (c, r)
@@ -252,7 +252,7 @@ def test_cell_hash_contract():
         assert carve == twin and hash(carve) == hash(twin)
         assert carve != Cell(ZERO, None, ((1, ds_mod(2, 1)),), 0)
         for c in pool[:5]:
-            met = cell_and(c, carve, bound)
+            met = cell_and(c, carve)
             if met is not None:
                 again = _mk_cell(met.lo, met.hi, dict(met.digits), met.div, met.md, bound)
                 assert again == met and hash(again) == hash(met)
@@ -428,8 +428,8 @@ def _borel_topologies():
 
 
 def _ref_sem_difference(a, b, space):
-    return cells_pattern(cells_difference(to_cells(a, space.bound),
-                                          to_cells(b, space.bound), space.bound))
+    return cells_pattern(cells_difference(to_cells(a, space.bound), to_cells(b, space.bound)),
+                         space.bound)
 
 
 def _ref_difference_chain(p, t, budget=16):
@@ -477,19 +477,19 @@ def _ref_borel_class(p, t):
 def _ref_conv_step(cd, F, t):
     """The convergence step with F folded into the parametric W_N."""
     bound = t.space.bound
-    wparam = and_(cd.tail_disagreement_param(), cells_pattern(F))
+    wparam = and_(cd.tail_disagreement_param(), cells_pattern(F, bound))
     core = to_cells(eventual(wparam), bound)
     n_star = 8 + _max_atom_base(wparam)
 
     def limit_part(n):
         wn = to_cells(subst_n(wparam, n), bound)
-        return prune_cells(cells_difference(closure_cells(wn, t), wn, bound))
+        return prune_cells(cells_difference(closure_cells(wn, t), wn))
 
     lp = limit_part(n_star)
     for probe in (n_star + 7, n_star + 19):
-        if not cells_eq(limit_part(probe), lp, bound):
+        if not cells_eq(limit_part(probe), lp):
             raise UnsupportedProgression("convergence limit points did not stabilize")
-    return meet(F, prune_cells(lp + core), bound)
+    return meet(F, prune_cells(lp + core))
 
 
 def _ref_alpha_xi_verify(A, B, fam, xi, t):
@@ -539,8 +539,8 @@ def test_borel_layer_matches_pattern_reference():
         elif got is not None:
             cs = [to_cells(F, bound) for F in got]
             evens = [c for k in range(0, len(cs) - 1, 2)
-                     for c in cells_difference(cs[k], cs[k + 1], bound)]
-            assert not cs[-1] and cells_eq(prune_cells(evens), to_cells(p, bound), bound), \
+                     for c in cells_difference(cs[k], cs[k + 1])]
+            assert not cs[-1] and cells_eq(prune_cells(evens), to_cells(p, bound)), \
                 (p, t)
             gave_up["finite"] += 1
         else:
@@ -623,8 +623,8 @@ def test_trace_stages_are_cells():
                                           if ev[0] == ZERO or not ev[0].is_finite])
             for st, cells in tr.events:
                 assert isinstance(cells, tuple) and all(isinstance(c, Cell) for c in cells)
-                assert tr.stage_at(st) == cells_pattern(cells), (v, st)
-                assert thin.stage_at(st) == cells_pattern(cells), (v, st)
+                assert tr.stage_at(st) == cells_pattern(cells, t.space.bound), (v, st)
+                assert thin.stage_at(st) == cells_pattern(cells, t.space.bound), (v, st)
                 checked += 1
             assert tr.log_lines()[-1].startswith("stage %s set " % tr.events[-1][0])
     assert checked >= 200, checked

@@ -65,6 +65,6 @@ def test_ceiling_parity_chain_is_transfinite():
     assert len(pairs) == 6
     for F, G in pairs:
         H = step.half(F, t)
-        assert cells_subset(prune_cells(cells_difference(F, H, bound)), inside, bound)
-        assert cells_subset(prune_cells(cells_difference(H, G, bound)), outside, bound)
-        assert not cells_subset(F, G, bound)
+        assert cells_subset(prune_cells(cells_difference(F, H)), inside)
+        assert cells_subset(prune_cells(cells_difference(H, G)), outside)
+        assert not cells_subset(F, G)

@@ -129,7 +129,7 @@ def test_traces_strictly_decrease():
     for _ in range(20):
         A, B = rand_pattern(rng), rand_pattern(rng)
         tr = iterate(DerivativeOp(SeparationDeriv(A, B), t), TRUE)
-        pats = [cells_pattern(c) for _, c in tr.events]
+        pats = [cells_pattern(c, s.bound) for _, c in tr.events]
         for p1, p2 in zip(pats, pats[1:]):
             assert subset(p2, p1, s)
             assert not subset(p1, p2, s) or is_empty(p1, s)
@@ -140,7 +140,7 @@ def test_trace_limit_stage_containment():
     tc = base_topology(sc)
     tr = iterate(DerivativeOp(CantorBendixson(), tc), TRUE, Budget(40, 4))
     # every recorded limit stage is contained in sampled predecessors
-    lim_events = [(s, cells_pattern(c)) for s, c in tr.events if not s.is_finite]
+    lim_events = [(s, cells_pattern(c, sc.bound)) for s, c in tr.events if not s.is_finite]
     assert lim_events
     for s, p in lim_events:
         for n in range(1, 6):

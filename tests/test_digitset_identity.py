@@ -182,11 +182,10 @@ def test_prune_and_meet_do_not_depend_on_input_order():
         xs = prune_cells(_ds_cell_pool(rng, bound, rng.randint(4, 14))
                          + list(to_cells(rand_pattern(rng), bound)))
         ys = prune_cells(_ds_cell_pool(rng, bound, rng.randint(4, 14)))
-        want = meet(xs, ys, bound)
+        want = meet(xs, ys)
         pairs += len(xs) * len(ys)
         for _ in range(3):
-            assert meet(tuple(rng.sample(xs, len(xs))), tuple(rng.sample(ys, len(ys))),
-                        bound) == want
+            assert meet(tuple(rng.sample(xs, len(xs))), tuple(rng.sample(ys, len(ys)))) == want
     assert seen > 300 and 0 < kept < seen and pairs > 300
 
 

@@ -49,7 +49,7 @@ def test_iterate_agrees_with_oracle_iteration():
         # stagewise agreement too
         cur = full
         for st, cells in tr.events:
-            assert orc.o_eq(orc.from_pattern(cells_pattern(cells), s), cur)
+            assert orc.o_eq(orc.from_pattern(cells_pattern(cells, s.bound), s), cur)
             cur = orc.oracle_sep(oa, ob, cur)
 
     tr = iterate(DerivativeOp(CantorBendixson(), t), TRUE, Budget(50, 2))
@@ -73,7 +73,7 @@ def test_limit_stage_vs_ten_predecessors():
     tc = base_topology(sc)
     tr = iterate(DerivativeOp(CantorBendixson(), tc), TRUE, Budget(40, 4))
     from ordrank.space import subset
-    lim_events = [(st, cells_pattern(c)) for st, c in tr.events if not st.is_finite]
+    lim_events = [(st, cells_pattern(c, sc.bound)) for st, c in tr.events if not st.is_finite]
     assert lim_events
     for st, p in lim_events:
         for n in range(1, 11):

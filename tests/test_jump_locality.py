@@ -44,7 +44,7 @@ def _bounded_stages(a, b, space: SpaceDesc) -> list:
     trace = iterate(DerivativeOp(SeparationDeriv(a, b), base_topology(space)), TRUE,
                     Budget(10_000, 0))
     assert trace.rank is not None and trace.limit_jumps == 0, space
-    return [cells_pattern(cells) for _, cells in trace.events]
+    return [cells_pattern(cells, space.bound) for _, cells in trace.events]
 
 
 def _references(a, b) -> list:
@@ -81,7 +81,8 @@ def test_limit_jumps_agree_with_bounded_iteration():
         for _, _, low, high in _level_pairs(f):
             trace = alpha_pair(low, high, t).trace
             assert trace.rank is not None
-            events = [(theta, cells_pattern(cells)) for theta, cells in trace.events]
+            events = [(theta, cells_pattern(cells, CEILING.bound))
+                      for theta, cells in trace.events]
             refs = _references(low, high)
             n, failed = _failures(events, refs)
             assert failed == 0, (f, low, high)

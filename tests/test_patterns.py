@@ -13,10 +13,11 @@ from ordrank.patterns import (MAX_DIGITSET, DigitSet, PAnd, PDigitGeN, PDigitLtN
                               PTrue,
                               ds_and, ds_eq, ds_ge, ds_lt, ds_mod, ds_not,
                               ds_or, ds_window, mk_digitset, cells_difference,
-                              holds_at, not_, and_, or_, to_cells, cell_and,
+                              holds_at, not_, and_, or_, ord_lt, to_cells, cell_and,
+                              meet, prune_cells,
                               cell_pattern, cell_is_empty, _cell_key,
                               _cell_subsumes, _dnf, _merge_cell, _nnf)
-from ordrank.space import SpaceDesc, sample_points
+from ordrank.space import SpaceDesc, cells_eq, sample_points
 from ordrank.ordinal import ONE, ZERO
 from ordrank.patterns import Cell, _mk_cell, cell_minus
 
@@ -128,18 +129,18 @@ def test_cells_difference_pointwise():
         a, b = rand_pattern(rng), rand_pattern(rng)
         ac = to_cells(a, space.bound)
         bc = to_cells(b, space.bound)
-        diff = cells_difference(ac, bc, space.bound)
-        diff_pat = or_(*(cell_pattern(c) for c in diff))
+        diff = cells_difference(ac, bc)
+        diff_pat = or_(*(cell_pattern(c, space.bound) for c in diff))
         for x in sample_points(or_(a, b), space, 6)[:24]:
             want = holds_at(a, x) and not holds_at(b, x)
             assert holds_at(diff_pat, x) == want, (a, b, x)
         # the staircase carve of a single cell is disjoint
         if ac and bc:
             from ordrank.patterns import cell_minus
-            pieces = cell_minus(ac[0], bc[0], space.bound)
+            pieces = cell_minus(ac[0], bc[0])
             for i in range(len(pieces)):
                 for j in range(i + 1, len(pieces)):
-                    for x in sample_points(cell_pattern(pieces[i]), space, 3):
+                    for x in sample_points(cell_pattern(pieces[i], space.bound), space, 3):
                         assert not pieces[j].holds(x)
 
 
@@ -149,7 +150,7 @@ def _whole_formula_cells(p, bound):
     cells = []
     for conj in _dnf(_nnf(p, False)):
         c = _merge_cell(conj, bound)
-        if c is not None and not cell_is_empty(c, bound):
+        if c is not None and not cell_is_empty(c):
             cells.append(c)
     uniq = sorted(set(cells), key=_cell_key)
     return tuple(c for c in uniq
@@ -168,8 +169,39 @@ def test_to_cells_of_union_matches_whole_formula():
             assert to_cells(p, space.bound) == _whole_formula_cells(p, space.bound), p
 
 
-def _atoms(c):
-    p = cell_pattern(c)
+def test_cells_do_not_depend_on_the_space():
+    """A set below b1 has the same cells, object for object, on [0, b1), on
+    a larger [0, b2) and on the ceiling space: an upper end that reaches b1
+    is b1 itself on every space.  So meet and cells_difference, which take
+    no bound, agree too, and give the cells of the and and of the
+    difference."""
+    rng = random.Random(3131)
+    pairs = [(add(W, 1), add(mul(W, 4), 4)), (add(mul(W, 4), 4), add(mul(W, 8), 8)),
+             (from_int(9), o.omega_power(2)), (add(mul(W, 8), 8), None), (from_int(9), None)]
+    seen = {"cells": 0, "meets": 0, "pieces": 0}
+    for i in range(150):
+        b1, b2 = pairs[i % len(pairs)]
+        gen = rand_pattern if rng.random() < 0.5 else rich_pattern
+        p, q = gen(rng), gen(rng)
+        xs, ys = to_cells(p, b1), to_cells(q, b1)
+        wide = to_cells(and_(p, ord_lt(b1)), b2), to_cells(and_(q, ord_lt(b1)), b2)
+        assert wide == (xs, ys), (p, q, b1, b2)
+        assert all(c is d for c, d in zip(xs + ys, wide[0] + wide[1]))
+        assert all(c.hi is not None and o.compare(c.hi, b1) <= 0 for c in xs + ys)
+        both = meet(xs, ys)
+        assert both == meet(*wide)
+        assert cells_eq(both, to_cells(and_(p, q, ord_lt(b1)), b2)), (p, q, b1, b2)
+        diff = prune_cells(cells_difference(xs, ys))
+        assert diff == prune_cells(cells_difference(*wide))
+        assert cells_eq(diff, to_cells(and_(p, not_(q), ord_lt(b1)), b2)), (p, q, b1, b2)
+        seen["cells"] += len(xs) + len(ys)
+        seen["meets"] += len(both)
+        seen["pieces"] += len(diff)
+    assert min(seen.values()) >= 100, seen
+
+
+def _atoms(c, bound):
+    p = cell_pattern(c, bound)
     return p.parts if isinstance(p, PAnd) else (() if isinstance(p, PTrue) else (p,))
 
 
@@ -182,10 +214,12 @@ def _assert_canonical(c, bound):
     idx = [i for i, _ in c.digits]
     assert idx == sorted(set(idx)) and all(i >= c.div for i in idx), c
     assert all(not ds.is_empty and not ds.is_full for _, ds in c.digits), c
+    # hi is None only on the ceiling space, which may still give an upper end
+    assert c.hi is not None or bound is None, c
     if c.hi is not None:
-        assert bound is None or o.compare(c.hi, bound) < 0, c
+        assert bound is None or o.compare(c.hi, bound) <= 0, c
         assert o.compare(c.lo, c.hi) < 0, c
-    assert not cell_is_empty(c, bound), c
+    assert not cell_is_empty(c), c
 
 
 def test_cell_normaliser_fixed_points_and_and():
@@ -202,17 +236,17 @@ def test_cell_normaliser_fixed_points_and_and():
             cells = to_cells(gen(rng), bound)
             for c in cells:
                 _assert_canonical(c, bound)
-                assert _merge_cell(_atoms(c), bound) == c, c
+                assert _merge_cell(_atoms(c, bound), bound) == c, c
             pools.append(cells)
         pairs = 0
         for a, b in zip(pools, pools[1:]):
             for c in a[:4]:
                 for d in b[:4]:
-                    both = cell_and(c, d, bound)
-                    assert both == _merge_cell(_atoms(c) + _atoms(d), bound), (c, d)
+                    both = cell_and(c, d)
+                    assert both == _merge_cell(_atoms(c, bound) + _atoms(d, bound), bound), (c, d)
                     if both is not None:
                         _assert_canonical(both, bound)
-                    for x in sample_points(or_(cell_pattern(c), cell_pattern(d)),
+                    for x in sample_points(or_(cell_pattern(c, bound), cell_pattern(d, bound)),
                                            space, 2)[:8]:
                         assert (both is not None and both.holds(x)) == \
                             (c.holds(x) and d.holds(x)), (c, d, x)
@@ -340,7 +374,7 @@ def test_cell_minus_matches_noncanonical_carving():
         pool = list(dict.fromkeys(_cell_pool(rng, bound, rng.randint(2, 4))))
         for c in pool:
             for b in rng.sample(pool, min(8, len(pool))):
-                got = tuple(cell_minus(c, b, bound))
+                got = tuple(cell_minus(c, b))
                 assert got == tuple(_ref_cell_minus(c, b, bound)), (bound, c, b)
                 seen[bound] += 1
                 if len(got) >= 2:

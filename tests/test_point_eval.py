@@ -204,7 +204,7 @@ def test_iter_cell_matches_successor_loop():
         bound = (add(mul(W, 2), 3), add(mul(W, 8), 8), omega_power(2), CEILING)[i % 4]
         for c in set(_cell_pool(rng, bound, 3)):
             want = _ref_iter(c, bound, 25)
-            assert list(iter_cell(c, bound, 25)) == want, (c, bound)
+            assert list(iter_cell(c, 25)) == want, (c, bound)
             md += c.md is not None
             climbs += len({x.max_exp() for x in want}) > 1
     # md cells, and cells whose members climb to a higher exponent

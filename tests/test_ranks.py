@@ -97,7 +97,7 @@ def test_alpha_equals_beta_for_char():
                           Budget(40, 2))
             assert osc.rank == sep.rank
             for st, cells in sep.events:
-                assert sem_eq(cells_pattern(cells), osc.stage_at(st), s)
+                assert sem_eq(cells_pattern(cells, s.bound), osc.stage_at(st), s)
 
 
 def test_gamma_additive():

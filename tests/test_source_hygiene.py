@@ -4,6 +4,7 @@ Every name a module imports must be read somewhere in that module.
 `__init__.py` is skipped: it imports names to re-export them.
 Every private module-level name must be read by some module of the package.
 Every parameter of a def must be read in its body, unless allowlisted.
+Every def that takes a space's bound is listed with its reason.
 No module rebinds a module-level name through a `global` statement.
 No module imports inside a function, except to break a real import cycle.
 """
@@ -103,29 +104,34 @@ def test_orphan_check_flags_and_spares():
         "a.py: _y (line 3)", "b.py: _alone (line 3)"]
 
 
-def unused_parameters(source: str) -> list[str]:
-    """Parameters of every def (nested ones too) that its body never loads,
-    as qualified names.  `self`, `cls` and `_`-prefixed names are exempt."""
-    out = []
-
+def _defs(source: str):
+    """(qualified name, parameters, node) of every def, nested ones too."""
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, prefix + child.name + ".")
+                yield from visit(child, prefix + child.name + ".")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = child.args
                 params = args.posonlyargs + args.args + args.kwonlyargs
                 params += [a for a in (args.vararg, args.kwarg) if a is not None]
-                loaded = {n.id for stmt in child.body for n in ast.walk(stmt)
-                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-                out.extend("%s%s.%s (line %d)" % (prefix, child.name, a.arg, child.lineno)
-                           for a in params if a.arg not in loaded
-                           and a.arg not in ("self", "cls") and not a.arg.startswith("_"))
-                visit(child, prefix + child.name + ".")
+                yield prefix + child.name, params, child
+                yield from visit(child, prefix + child.name + ".")
             else:
-                visit(child, prefix)
+                yield from visit(child, prefix)
 
-    visit(ast.parse(source), "")
+    return visit(ast.parse(source), "")
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of every def (nested ones too) that its body never loads,
+    as qualified names.  `self`, `cls` and `_`-prefixed names are exempt."""
+    out = []
+    for name, params, node in _defs(source):
+        loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out.extend("%s.%s (line %d)" % (name, a.arg, node.lineno)
+                   for a in params if a.arg not in loaded
+                   and a.arg not in ("self", "cls") and not a.arg.startswith("_"))
     return out
 
 
@@ -156,6 +162,45 @@ def test_unused_parameter_check_flags_and_spares():
     assert unused_parameters(src) == [
         "f.b (line 1)", "f.args (line 1)", "f.kw (line 1)", "K.m.y (line 4)",
         "K.m.inner.w (line 5)"]
+
+
+# def -> why it takes a space's bound.  A cell is one set on every space, so
+# the bound enters only where cells are made from constraints or printed;
+# the cell algebra (meet, cell_and, cell_minus, cells_difference,
+# cell_is_empty, iter_cell, cells_subset, cells_eq) takes cells alone.
+BOUND_PARAMETERS = {
+    "derivative.py: CellTemplate.cell_at": "builds a stage's cell through _mk_cell",
+    "patterns.py: _mk_cell": "clamps an upper end that reaches the bound to it",
+    "patterns.py: _merge_cell": "merges a conjunction's atoms into _mk_cell",
+    "patterns.py: _cells_cached": "the to_cells memo, one entry per pattern and space",
+    "patterns.py: to_cells": "a pattern's cells on the space below the bound",
+    "patterns.py: cell_pattern": "leaves out an upper end equal to the bound",
+    "patterns.py: cells_pattern": "cell_pattern of each cell",
+    "pseudouniform.py: remainder_lt": "an ordinal threshold, not a space",
+    "space.py: limit_cells": "a limit cell's upper end hi + 1 is clamped to the bound",
+}
+
+
+def bound_parameters(source: str) -> list[str]:
+    """The defs that take a parameter named bound or space_bound."""
+    return [name for name, params, _ in _defs(source)
+            if any(a.arg in ("bound", "space_bound") for a in params)]
+
+
+def test_bound_parameters_are_pinned():
+    found = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            found += ["%s: %s" % (module, name) for name in bound_parameters(fh.read())]
+    assert sorted(found) == sorted(BOUND_PARAMETERS)
+
+
+def test_bound_parameter_check_flags_and_spares():
+    src = ("def meet(xs, ys):\n    return xs\n"
+           "class T:\n    def cell_at(self, j, bound):\n"
+           "        def inner(space_bound, upper):\n            return upper\n"
+           "        return inner(bound, j)\n")
+    assert bound_parameters(src) == ["T.cell_at", "T.cell_at.inner"]
 
 
 def global_statements(source: str) -> list[str]:

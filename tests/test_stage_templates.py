@@ -7,6 +7,11 @@ checked on three templates that empty at a finite stage, on one whose
 slots part under a least-digit set, and on seeded random templates up to
 j = 64.
 
+On the ceiling space `iterate` jumps only through its gates: a test-only
+step whose six-stage window fits a template is refused when a probe stage
+contradicts the template, and when the template fails `nonempty_forever`;
+with neither, the same step jumps.
+
 `iterate` matches templates only on the ceiling space.  Its docstring's
 finiteness lemma says that on a bounded space [0, beta), beta < w^w, of
 Cantor-Bendixson rank r, every iteration ends (empty or at a fixpoint)
@@ -14,6 +19,7 @@ within r + 1 steps; seeded random iterations of every variant check it
 with no jump budget, under the base topology and a refinement.
 """
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -21,11 +27,11 @@ import pytest
 from ordrank import derivative
 from ordrank.derivative import (Budget, CantorBendixson, CellTemplate, ConvDeriv,
                                 DerivativeOp, HausdorffStep, OscDeriv,
-                                SeparationDeriv, iterate)
-from ordrank.errors import UnsupportedProgression
+                                SeparationDeriv, _steps, iterate, match_any_template)
+from ordrank.errors import BudgetExceeded, UnsupportedProgression
 from ordrank.functions import FnFamily, char_fn
-from ordrank.ordinal import ONE, W, ZERO, add, mul, omega_power
-from ordrank.patterns import TRUE, ds_eq, mk_digitset, not_, ord_lt
+from ordrank.ordinal import ONE, W, ZERO, Ordinal, add, from_int, mul, omega_power
+from ordrank.patterns import TRUE, _mk_cell, ds_eq, mk_digitset, not_, ord_lt
 from ordrank.space import SpaceDesc, base_topology, closure, refine
 
 from test_cell_pipeline import _rand_cell_template
@@ -71,6 +77,66 @@ def test_nonempty_forever_implies_every_stage_nonempty():
             refused_live += 1
     # the rule says True often, and refuses templates live at j = 0 too
     assert said_yes >= 80 and refused_live >= 40, (said_yes, refused_live)
+
+
+# ---------------------------------------------------------------------------
+# The jump gates on the ceiling space.
+
+CEILING = base_topology(SpaceDesc(None))
+
+
+@dataclass(frozen=True)
+class _Climb:
+    """A test-only step: one cell [lo, hi) goes to [lo + 1, hi), and to the
+    empty set once lo + 1 reaches stop.  Its stages 1..6 fit the template
+    lo = 1 + j, so only the gates after the match keep it from jumping."""
+    hi: Ordinal | None
+    stop: int | None
+
+    def step(self, F, t):
+        if not F:
+            return ()
+        lo = add(F[0].lo, 1)
+        if self.stop is not None and lo.to_int() >= self.stop:
+            return ()
+        c = _mk_cell(lo, self.hi, {}, 0, None, t.space.bound)
+        return () if c is None else (c,)
+
+
+def _first_window_template(op, trace):
+    """The template of the first full window, which iterate saw at stage 6."""
+    window = [cells for _, cells in trace.events[1:7]]
+    tmpl = match_any_template(window)
+    assert tmpl is not None
+    return tmpl, tmpl.verified(lambda dj: _steps(op, window[0], dj), CEILING.space)
+
+
+@pytest.mark.parametrize("climb, gate", [
+    # stage 13 (the second probe from the window start) is empty, while the
+    # template says [13, w^w); a jump would give a limit stage [w, w^w)
+    (_Climb(None, 10), "probe"),
+    # the upper end 40 is fixed, so the template's cell is empty from j = 39
+    (_Climb(from_int(40), None), "nonempty_forever"),
+])
+def test_jump_gates_refuse(climb, gate):
+    op = DerivativeOp(climb, CEILING)
+    trace = iterate(op, TRUE)
+    assert trace.limit_jumps == 0 and trace.rank == from_int(climb.stop or 40)
+    tmpl, verified = _first_window_template(op, trace)
+    assert verified == (gate != "probe")
+    assert tmpl.nonempty_forever() == (gate != "nonempty_forever")
+
+
+def test_jump_gates_pass_a_template_that_holds():
+    """The control: with no stop and no upper end every gate passes, and
+    the iteration jumps to the limit stage w, which is [w, w^w)."""
+    op = DerivativeOp(_Climb(None, None), CEILING)
+    with pytest.raises(BudgetExceeded) as err:
+        iterate(op, TRUE, Budget(20, 1))
+    trace = err.value.args[0]
+    assert trace.limit_jumps == 1
+    stage, cells = next(ev for ev in trace.events if not ev[0].is_finite)
+    assert stage == W and cells == (_mk_cell(W, None, {}, 0, None, None),)
 
 
 # ---------------------------------------------------------------------------

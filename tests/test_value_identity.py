@@ -239,10 +239,10 @@ def test_every_cell_operation_returns_canonical_objects():
         pool = _cell_pool(rng, bound, 2)
         for c in pool[:12]:
             d = rng.choice(pool)
-            results += [m for m in (cell_and(c, d, bound),
+            results += [m for m in (cell_and(c, d),
                                     _mk_cell(c.lo, c.hi, dict(c.digits), c.div, c.md, bound))
                         if m is not None]
-            results += cell_minus(c, d, bound)
+            results += cell_minus(c, d)
     assert len(results) > 500
     for c in results:
         assert type(c) is Cell and _rebuilt_cell(c) is c
@@ -251,7 +251,7 @@ def test_every_cell_operation_returns_canonical_objects():
 
 
 def test_cell_identity_holds_exactly_when_values_are_equal():
-    pool = _cells(2307, 10)
+    pool = _cells(2307, 20)
     pool += [_rebuilt_cell(c) for c in pool]
     values = [_cell_value(c) for c in pool]
     equal = 0
@@ -455,8 +455,9 @@ def _pattern_pool(seed, n):
                 ord_lt(a), ord_ge(a), ord_lt(b), divpow(rng.randint(0, 3)),
                 min_digit_in(ds_mod(rng.randint(1, 4), rng.randint(0, 3))),
                 interval(a, add(a, b)), interval(b, None), singleton(a)]
-        cells = to_cells(p, BOUNDS[i % len(BOUNDS)])
-        out += [cell_pattern(c) for c in cells] + [cells_pattern(cells)]
+        bound = BOUNDS[i % len(BOUNDS)]
+        cells = to_cells(p, bound)
+        out += [cell_pattern(c, bound) for c in cells] + [cells_pattern(cells, bound)]
     return out
 
 

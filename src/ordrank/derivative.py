@@ -405,16 +405,29 @@ def iterate(op: DerivativeOp, F0: Pat, budget: Budget = DEFAULT_BUDGET) -> Itera
     or repeats (a nonempty fixpoint).
 
     Templates are matched, and limits jumped to, only on the ceiling space
-    [0, w^w), the one space where a rank can be transfinite.  Finiteness
-    lemma: on a bounded space [0, beta), beta < w^w, whose Cantor-Bendixson
-    rank r is finite, every iteration ends within r + 1 steps.  A step S
-    keeps no isolated point of F outside a core K of F: F & a & b for
-    separation, F & the persistent disagreement set for convergence, and
-    nothing for the CB, Hausdorff and oscillation steps.  The core is the
+    [0, w^w), the one space where a rank can be transfinite.
+
+    Finiteness lemma: on a bounded space [0, beta), beta < w^w, the CB rank
+    r = `SpaceDesc.cb_rank` is finite, and every iteration ends within
+    r + 1 steps.  A step S keeps no isolated point of F outside a core K
+    of F: F & a & b for separation, F & the persistent disagreement set
+    for convergence, and nothing for the CB, Hausdorff and oscillation
+    steps.  The core is the
     same at every stage, and from stage 1 on each step keeps its limit
     points.  So stage k lies within cl(K) u X^(k), X^(k) being the space's
     k-th CB derivative, stage r within cl(K), and stage r + 1 equals
-    stage r, which is empty when K is."""
+    stage r, which is empty when K is.
+
+    Window-containment lemma: a jump's limit lies inside every window
+    stage, so the containment check before a jump never refuses; it is
+    kept as a guard.  A template cell's limit `cell_at(W)` lies inside its
+    cell at every stage j: its lower end lo + lo_step*W is at least
+    lo + lo_step*j, and its upper end, md, divisibility and slots are the
+    same (a growing divisibility or a moving slot leaves no limit cell).
+    So the limit lies inside the template's stage at the last probe offset
+    (`_PROBES[-1]` = 12, in class 0 for period 1 and 2), which verification
+    has just shown equal to the stage 12 steps past the window start; the
+    stages decrease, so that stage lies inside every window stage."""
     t = op.topology
     bound = t.space.bound
     trace = IterationTrace(op)

@@ -4,6 +4,13 @@ For step functions the suprema over rational pairs p < q and over eps > 0
 reduce to finite lists: the level pairs are the gaps between consecutive
 values, and the oscillation thresholds are the pairwise value gaps (the
 derivative is constant between consecutive attainable oscillations).
+
+Two lemmas stop the suprema early; each is stated where it is used.
+- Separation (`alpha_fn`): no separation rank of two disjoint sets exceeds
+  the space's Cantor-Bendixson rank (`SpaceDesc.cb_rank`), so the supremum
+  stops at the first level pair whose rank reaches it.
+- Oscillation and convergence (`beta`, `gamma_seq`): the rank does not
+  increase with eps, so the supremum is the rank at the least gap.
 """
 from __future__ import annotations
 
@@ -41,7 +48,6 @@ class RankReport:
     value: RankValue
     witness_param: object
     trace: IterationTrace | None
-    per_param: tuple = ()
 
     @property
     def ordinal(self) -> Ordinal:
@@ -79,56 +85,60 @@ def _level_pairs(f: StepFn) -> list[tuple[Fraction, Fraction, Pat, Pat]]:
     return out
 
 
-def _sup_rank(kind: str, params, rank_at, default) -> RankReport:
-    """Supremum of ranks over finitely many parameters.
-
-    rank_at(param) gives (value, trace).  The report carries the parameter
-    of the largest rank, or of the first rank that did not stabilize; with
-    no parameters it is rank_at(default) alone."""
-    if not params:
-        value, trace = rank_at(default)
-        return RankReport(kind, value, default, trace)
-    best = None
-    per = []
-    for prm in params:
-        value, trace = rank_at(prm)
-        per.append((prm, value))
-        if isinstance(value, NotStabilized):
-            return RankReport(kind, value, prm, trace, tuple(per))
-        if best is None or o.compare(value, best[0]) > 0:
-            best = (value, prm, trace)
-    return RankReport(kind, best[0], best[1], best[2], tuple(per))
-
-
 def alpha_fn(f: StepFn, t: Topology, budget: Budget = DEFAULT_BUDGET) -> RankReport:
-    """Separation rank: supremum of alpha over the level pairs of f."""
-    sets = {(p, q): (A, B) for p, q, A, B in _level_pairs(f)}
+    """Separation rank: supremum of alpha over the level pairs of f.
 
-    def rank_at(pq):
-        # a constant f has no level pair: separate the empty set from all
-        rep = alpha_pair(*(sets[pq] if pq else (FALSE, TRUE)), t, budget)
-        return rep.value, rep.trace
-    return _sup_rank("alpha_fn", list(sets), rank_at, None)
+    The report carries the pair of the first largest rank, or of the first
+    rank that did not stabilize.  The scan stops at the first pair whose
+    rank reaches the space's CB rank rho (`SpaceDesc.cb_rank`), by this
+    lemma: the separation rank of disjoint A and B is at most rho.  A point
+    of cl(F & A) & cl(F & B), F closed, is a limit point of F: were it
+    isolated in F, it would lie in A and in B.  So, by induction (a limit
+    stage is an intersection on both sides), stage theta lies in the
+    space's theta-th CB derivative, and stage rho is empty.  In a refined
+    topology the derived sets are smaller, so the bound holds there too.
+    Every level pair {f <= p}, {f >= q} with p < q is disjoint, so no later
+    pair changes the value or the pair reported."""
+    pairs = _level_pairs(f)
+    if not pairs:  # a constant f: separate the empty set from all
+        rep = alpha_pair(FALSE, TRUE, t, budget)
+        return RankReport("alpha_fn", rep.value, None, rep.trace)
+    rho = t.space.cb_rank
+    best = None
+    for p, q, A, B in pairs:
+        rep = alpha_pair(A, B, t, budget)
+        if isinstance(rep.value, NotStabilized):
+            return RankReport("alpha_fn", rep.value, (p, q), rep.trace)
+        if best is None or o.compare(rep.value, best.value) > 0:
+            best = RankReport("alpha_fn", rep.value, (p, q), rep.trace)
+            if o.compare(rep.value, rho) >= 0:
+                break
+    return best
 
 
-def _gaps(values) -> list[Fraction]:
-    vals = sorted(set(values))
-    gaps = sorted({b - a for i, a in enumerate(vals) for b in vals[i + 1:]})
-    return [g for g in gaps if g > 0]
+def _least_gap_rank(kind: str, variant, fn, t: Topology, budget: Budget) -> RankReport:
+    """The rank of variant(fn, eps) at the least gap eps between fn's values
+    (eps = 1 for one value), which is the supremum over every gap by this
+    lemma: the rank does not increase with eps.  Both steps (`OscDeriv`,
+    `ConvDeriv`) are monotone in F and shrink as eps grows (fewer value
+    pairs are eps apart), so by induction each stage for a larger eps lies
+    inside the stage for a smaller one, and empties no later.  The report
+    carries the least gap as the parameter of the rank."""
+    vals = sorted(set(fn.values()))
+    eps = min((b - a for a, b in zip(vals, vals[1:])), default=Fraction(1))
+    value, trace = _rank_of(DerivativeOp(variant(fn, eps), t), budget)
+    return RankReport(kind, value, eps, trace)
 
 
 def beta(f: StepFn, t: Topology, budget: Budget = DEFAULT_BUDGET) -> RankReport:
-    """Oscillation rank: supremum over the (finitely many) relevant eps."""
-    return _sup_rank("beta", _gaps(f.values()),
-                     lambda eps: _rank_of(DerivativeOp(OscDeriv(f, eps), t), budget),
-                     Fraction(1))
+    """Oscillation rank: the supremum over eps, the rank at the least gap."""
+    return _least_gap_rank("beta", OscDeriv, f, t, budget)
 
 
 def gamma_seq(fam: FnFamily, t: Topology, budget: Budget = DEFAULT_BUDGET) -> RankReport:
-    """Convergence rank of a function sequence; pseudouniform iff <= w."""
-    return _sup_rank("gamma_seq", _gaps(fam.values()),
-                     lambda eps: _rank_of(DerivativeOp(ConvDeriv(fam, eps), t), budget),
-                     Fraction(1))
+    """Convergence rank of a function sequence; pseudouniform iff <= w.
+    The supremum over eps, the rank at the least gap."""
+    return _least_gap_rank("gamma_seq", ConvDeriv, fam, t, budget)
 
 
 def is_pseudouniform(rep: RankReport) -> bool:

@@ -52,6 +52,21 @@ class SpaceDesc:
     def contains(self, x: Ordinal) -> bool:
         return self.bound is None or o.compare(x, self.bound) < 0
 
+    @property
+    def cb_rank(self) -> Ordinal:
+        """The Cantor-Bendixson rank rho: the least theta whose derived set
+        X^(theta) is empty.  A nonzero point's least exponent is its CB rank
+        (0 is isolated), so X^(k), k >= 1, holds the nonzero multiples of
+        w^k in the space.  Below w^w each X^(k) holds w^k and no point lies
+        in all of them, so rho = w.  On [0, b), X^(k) is nonempty iff
+        w^k < b, so rho is the least k >= 1 with b <= w^k: b's top exponent
+        e, plus 1 unless b = w^e."""
+        b = self.bound
+        if b is None:
+            return o.W
+        e = b.max_exp()
+        return o.from_int(max(1, e if b == o.omega_power(e) else e + 1))
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -145,9 +160,11 @@ def limit_cells(c: Cell, bound: Ordinal | None) -> tuple[Cell, ...]:
 
     Such a limit x lies in [lo + 1, hi + 1).  With least exponent e > div
     it is one iff the cell is cofinal below w^e; its digit e is then one
-    more than a digit the cell allows there, its digits above e the cell's."""
+    more than a digit the cell allows there, its digits above e the cell's.
+    An upper end at the bound (None on the ceiling space) stays: hi + 1
+    would be clamped back."""
     lo = o.add(c.lo, 1) if not c.lo.is_zero else c.lo
-    hi = o.add(c.hi, 1) if c.hi is not None else None
+    hi = c.hi if c.hi == bound else o.add(c.hi, 1)
     maxd = max((i for i, _ in c.digits), default=-1)
     # Above e_uniform the cofinality conditions no longer depend on e.
     e_uniform = max(maxd + (2 if c.md is None else 3), c.div + 1)

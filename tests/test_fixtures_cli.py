@@ -592,6 +592,14 @@ def test_cli_reproduce_all_golden():
         assert proc.stdout == fh.read()
 
 
+def test_cli_reproduce_all_golden_in_process(capsys):
+    """reproduce all in this interpreter, byte for byte, against the same
+    golden: a line tracer of the test process sees the suites run."""
+    assert main(["reproduce", "all"]) == 0
+    with open(os.path.join(DATA, "reproduce_all.golden"), "rb") as fh:
+        assert capsys.readouterr().out.encode("utf-8") == fh.read()
+
+
 def test_cli_reproduce(capsys):
     assert main(["reproduce", "alternating"]) == 0
     out = capsys.readouterr().out

@@ -224,10 +224,11 @@ class CellTemplate:
         j = 0 nonempty, no slot whose set lacks 0 slower than div
         (step < div_step), and no two slots crossing or parting (a slot at
         or below another never has the larger step).  With no upper end, a
-        cell is nonempty when its box is: each slot's set is nonempty, the
-        slots below div allow 0, and under md some position e >= div with
-        only 0-allowing slots below it has a set that meets md (a position
-        no slot holds always does).  At stage j the slots keep their order
+        cell is nonempty when its box is, by the box lemma of
+        `patterns.cell_is_empty`: each slot's set is nonempty, the slots
+        below div allow 0, and under md some position e >= div with only
+        0-allowing slots below it has a set that meets md (a position no
+        slot holds always does).  At stage j the slots keep their order
         and sets, no gap between two of them shrinks, and no set without 0
         falls below div, so the first two hold as at j = 0.  Stage 0's
         witness e carries over: a slot stays a witness, and a free position

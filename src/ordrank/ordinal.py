@@ -314,41 +314,33 @@ def sup_mul_below(a: Ordinal, m: int) -> Ordinal:
     return omega_power(e, (k - 1) * m + 1)
 
 
-def parity(a: Ordinal | int) -> Parity:
+def parity(a: Ordinal) -> Parity:
     """Write a = L + n with L limit-or-zero; even iff n is even (limits are even)."""
-    if type(a) is not Ordinal:
-        a = _coerce(a)
     return Parity.EVEN if a.fin() % 2 == 0 else Parity.ODD
 
 
-def is_even(a: Ordinal | int) -> bool:
+def is_even(a: Ordinal) -> bool:
     return parity(a) is Parity.EVEN
 
 
-def even_floor(a: Ordinal | int) -> Ordinal:
+def even_floor(a: Ordinal) -> Ordinal:
     """The largest even ordinal <= a."""
-    if type(a) is not Ordinal:
-        a = _coerce(a)
     return a if is_even(a) else add(a.limit_part(), from_int(a.fin() - 1))
 
 
-def classify(a: Ordinal | int) -> Kind:
-    if type(a) is not Ordinal:
-        a = _coerce(a)
+def classify(a: Ordinal) -> Kind:
     if not a.terms:
         return Kind.ZERO
     return Kind.SUCCESSOR if a.terms[-1][0] == 0 else Kind.LIMIT
 
 
-def predecessor(a: Ordinal | int) -> Ordinal:
-    if type(a) is not Ordinal:
-        a = _coerce(a)
+def predecessor(a: Ordinal) -> Ordinal:
     if classify(a) is not Kind.SUCCESSOR:
         raise ValueError("no predecessor: %s" % a)
     return add(a.limit_part(), from_int(a.fin() - 1))
 
 
-def fundamental_sequence(a: Ordinal | int, n: int, even_only: bool = False) -> Ordinal:
+def fundamental_sequence(a: Ordinal, n: int, even_only: bool = False) -> Ordinal:
     """The n-th element of the canonical fundamental sequence of a limit ordinal.
 
     The last CNF term w^e*c expands to w^e*(c-1) + w^(e-1)*n.  With
@@ -356,8 +348,6 @@ def fundamental_sequence(a: Ordinal | int, n: int, even_only: bool = False) -> O
     so every element is even while the sequence stays strictly increasing
     and cofinal.
     """
-    if type(a) is not Ordinal:
-        a = _coerce(a)
     if classify(a) is not Kind.LIMIT:
         raise NotLimit(a)
     if n < 0:

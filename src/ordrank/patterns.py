@@ -748,7 +748,8 @@ class Cell:
     interned ordinals and digit sets, so equal cells are the same object
     and hash by identity.  Cells key the `_meet_pair`, `limit_cells` and
     closure memos.  A cell's `_cell_key` and `_prune_sig` are computed
-    once, the first time `prune_cells` sees it, and kept on the cell.
+    once, the first time `prune_cells` or `meet` needs them, and kept on
+    the cell.
     """
     __slots__ = ("lo", "hi", "digits", "div", "md", "_key", "_sig", "__weakref__")
     lo: Ordinal
@@ -1064,14 +1065,21 @@ def _cells_cached(p: Pat, space_bound: Ordinal | None) -> tuple[Cell, ...]:
 
 def _prune_sig(c: Cell):
     """(div, lo, hi, has md, bitmask of the constrained digit positions,
-    those below div included) as plain values; computed once per cell."""
+    those below div included, bitmask of the positions whose set lacks 0)
+    as plain values; computed once per cell.  `prune_cells` and `meet`
+    read it.  The sets below div are {0}, so the last mask has no bit
+    there: a cell's 0-less positions below another's div are
+    `nz & ((1 << div) - 1)`."""
     sig = c._sig
     if sig is None:
         mask = (1 << c.div) - 1
-        for i, _ in c.digits:
+        nz = 0
+        for i, ds in c.digits:
             mask |= 1 << i
+            if not ds.has0:
+                nz |= 1 << i
         sig = (c.div, c.lo.terms, None if c.hi is None else c.hi.terms, c.md is not None,
-               mask)
+               mask, nz)
         object.__setattr__(c, "_sig", sig)
     return sig
 
@@ -1084,19 +1092,22 @@ def prune_cells(cells) -> tuple[Cell, ...]:
     Before `_cell_subsumes` runs, the signatures reject every k that fails
     one of its necessary conditions: k.lo > c.lo or k.div > c.div; an md on
     k but none on c; a digit position k constrains and c leaves full (k's
-    digit sets are never full); an hi on k that c's hi exceeds or lacks."""
+    digit sets are never full); a position below c.div where k's set lacks
+    0 (`k.nz & ((1 << c.div) - 1)`, exactly where `_cell_subsumes` returns
+    False on c's {0} there); an hi on k that c's hi exceeds or lacks."""
     uniq = sorted(set(cells), key=_cell_key)
     sigs = [_prune_sig(c) for c in uniq]
     out = []
     end = 0
     for j, c in enumerate(uniq):
-        div, lo, hi, md, mask = sigs[j]
+        div, lo, hi, md, mask, _ = sigs[j]
+        below = (1 << div) - 1
         while end < len(uniq) and sigs[end][:2] <= (div, lo):
             end += 1
         for m in range(end):
-            kdiv, klo, khi, kmd, kmask = sigs[m]
-            if (m == j or kmask & ~mask or kdiv > div or klo > lo or (kmd and not md)
-                    or (khi is not None and (hi is None or hi > khi))):
+            kdiv, klo, khi, kmd, kmask, knz = sigs[m]
+            if (m == j or kmask & ~mask or knz & below or kdiv > div or klo > lo
+                    or (kmd and not md) or (khi is not None and (hi is None or hi > khi))):
                 continue
             if _cell_subsumes(uniq[m], c):
                 break
@@ -1125,13 +1136,24 @@ def meet(xs: tuple[Cell, ...], ys: tuple[Cell, ...]) -> tuple[Cell, ...]:
     order (transitive, antisymmetric on canonical cells), so the maximal
     cells of the kept meets are those of the whole product: a product cell
     outside the kept ones lies strictly below a kept one, and a kept cell
-    below some product cell lies below a kept one."""
+    below some product cell lies below a kept one.
+
+    Before the pair memo, the two cells' `_prune_sig`s skip a pair at two
+    of `cell_and`'s own None exits: the intervals are disjoint (d.lo >= c.hi
+    or c.lo >= d.hi), or one cell has a set without 0 at a position below
+    the other's div, where every member of the other has digit 0.  A
+    skipped pair is an empty meet, which adds nothing."""
     out: list[Cell] = []
-    live = list(ys)
+    live = [(d, _prune_sig(d)) for d in ys]
     for c in xs:
+        cdiv, clo, chi, _, _, cnz = _prune_sig(c)
+        cbelow = (1 << cdiv) - 1
         row: list[Cell] = []
         inside = set()
-        for d in live:
+        for d, (ddiv, dlo, dhi, _, _, dnz) in live:
+            if ((chi is not None and dlo >= chi) or (dhi is not None and clo >= dhi)
+                    or dnz & cbelow or cnz & ((1 << ddiv) - 1)):
+                continue
             m = _meet_pair(c, d)
             if m is None:
                 continue
@@ -1144,7 +1166,7 @@ def meet(xs: tuple[Cell, ...], ys: tuple[Cell, ...]) -> tuple[Cell, ...]:
             row.append(m)
         out += row
         if inside:
-            live = [d for d in live if d not in inside]
+            live = [e for e in live if e[0] not in inside]
     return prune_cells(out)
 
 
@@ -1244,10 +1266,45 @@ def cell_min_geq(c: Cell, lower: Ordinal) -> Ordinal | None:
     return best
 
 
+def _md_stop(c: Cell) -> tuple[int, bool]:
+    """For a cell with md, one upward pass over its positions from div: the
+    first position whose set meets md or lacks 0, and whether it meets md.
+    A position the cell leaves free meets md, so the pass ends at the
+    first gap between div and the slots, or just above the last slot."""
+    pos = c.div
+    for i, ds in c.digits:
+        if i > pos:
+            return pos, True
+        if not ds_and(ds, c.md).is_empty:
+            return i, True
+        if not ds.has0:
+            return i, False
+        pos = i + 1
+    return pos, True
+
+
 @lru_cache(maxsize=65536)
 def cell_is_empty(c: Cell) -> bool:
+    """Whether the canonical cell c has no member.
+
+    Box lemma: a canonical cell with no upper end is nonempty iff it has no
+    md, or under md some position e >= div whose set meets md has only
+    0-allowing sets in [div, e) (`_md_stop` finds the first such e or the
+    first 0-less set before it; a free position always meets md).  Its
+    digit sets are nonempty, and the sets below div are {0}.  Take a free
+    position p above every slot, above lo's leading exponent and above e,
+    and the point with digit 1 at p, at every position below p its set's
+    least digit, except, under md, a digit of md and e's set at e and 0
+    below e.  It lies in the box, its least nonzero position is >= div (e
+    under md), and it lifts past lo, its leading exponent being larger.
+    Conversely a member's least nonzero position e is >= div, its digit
+    there lies in md and e's set, and the digits below e are 0, which the
+    sets in [div, e) must allow.  A cell with an upper end takes its least
+    member from `cell_min_geq` and compares it with hi."""
+    if c.hi is None:
+        return c.md is not None and not _md_stop(c)[1]
     m = cell_min_geq(c, c.lo)
-    return m is None or (c.hi is not None and m.terms >= c.hi.terms)
+    return m is None or m.terms >= c.hi.terms
 
 
 def iter_cell(c: Cell, count: int):

@@ -30,7 +30,7 @@ from . import ordinal as o
 from .errors import ClassViolation
 from .ordinal import Ordinal, Kind
 from .patterns import (
-    Cell, Pat, _cell_subsumes, _mk_cell, and_, cells_difference, cells_pattern,
+    Cell, Pat, _cell_subsumes, _md_stop, _mk_cell, and_, cells_difference, cells_pattern,
     ds_and, holds_at, iter_cell, meet, not_, prune_cells, to_cells, TRUE,
 )
 
@@ -133,25 +133,24 @@ def _cofinal_below(c: Cell, e: int) -> bool:
 
     Tails are z = w^(e-1)*c + lower with digits constrained by the cell;
     with a least-digit constraint the tail's own least nonzero coefficient
-    must satisfy it, either at level e-1 (lower = 0) or inside lower.
+    must satisfy it, either at level e-1 (lower = 0) or inside lower.  So
+    the set at e-1 must be infinite.  Without md that is all: every lower
+    position of a canonical cell allows a digit (its sets are nonempty, {0}
+    below div).  Under md, lower may carry the least nonzero coefficient at
+    a position p in [div, e-1) whose set meets md when the sets in [div, p)
+    allow 0; `_md_stop`'s pass finds the first such p, or the first set
+    without 0 before it, above which there is none.  When the pass reaches
+    e-1 first, lower is 0, and md's part of the set at e-1 must be infinite.
     """
-    if c.md is None:
-        if c.constraint(e - 1).is_finite:
-            return False
-        return all(not c.constraint(i).is_empty for i in range(c.div, e - 1))
-    if (not ds_and(c.constraint(e - 1), c.md).is_finite
-            and all(c.constraint(i).has0 for i in range(c.div, e - 1))):
-        return True
-    if c.constraint(e - 1).is_finite:
+    top = c.constraint(e - 1)
+    if top.is_finite:
         return False
-    for p in range(c.div, e - 1):
-        if ds_and(c.constraint(p), c.md).min_geq(1) is None:
-            continue
-        if not all(c.constraint(i).has0 for i in range(c.div, p)):
-            continue
-        if all(not c.constraint(i).is_empty for i in range(p + 1, e - 1)):
-            return True
-    return False
+    if c.md is None:
+        return True
+    p, meets = _md_stop(c)
+    if p < e - 1:
+        return meets
+    return not ds_and(top, c.md).is_finite
 
 
 @lru_cache(maxsize=8192)

@@ -4,9 +4,9 @@ The sequences are nonnegative combinations of decreasing set families, so
 the index map eta -> f_eta(x) is a step function of eta with finitely
 many ordinal thresholds.  Its value trace is swept from the families'
 intervals of constant membership of x (`TransfiniteFamily.pieces`) and
-memoised per (sequence, point); the length certificate
-builds it once per sampled point, reads the identity from it, and reads the
-partial sum and f_theta(x) at every checked even stage in one sweep of it.
+kept per point on the sequence; the length certificate builds it once per
+sampled point, and reads the identity, the partial sum and f_theta(x) at
+every checked even stage in one sweep of it (`_stage_readings`, as every sum).
 The alternating sum up to theta is evaluated exactly by crossing the
 constant intervals: over a stretch of constant value v starting at an even
 index, the partial sum
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, zip_longest
 from math import lcm
 
@@ -49,15 +48,17 @@ from .space import SpaceDesc, Topology, sample_points, sem_eq
 class ComboSeq:
     """f_eta = sum of weight_i * chi(F^i_eta); weights nonnegative.
 
-    Sequences key the value-trace memo, so the hash of the three fields
-    is computed once, at construction, as are the common denominator
-    `_den` of the weights and their integer numerators `_nums` over it."""
+    The hash of the three fields is computed once, at construction, as
+    are the common denominator `_den` of the weights and their integer
+    numerators `_nums` over it.  The value traces are kept per point in
+    `_traces`, which lives on the sequence."""
     terms: tuple[tuple[Fraction, TransfiniteFamily], ...]
     length: Ordinal
     space: SpaceDesc
     _hash: int = field(init=False, repr=False, compare=False)
     _den: int = field(init=False, repr=False, compare=False)
     _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _traces: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.terms, self.length, self.space)))
@@ -78,15 +79,17 @@ class ComboSeq:
         """The step function eta -> f_eta(x) on [0, length) as ((from, value), ...)."""
         return tuple((m, Fraction(v, self._den)) for m, v in self._num_trace(x))
 
-    @lru_cache(maxsize=256)
     def _num_trace(self, x: Ordinal) -> tuple[tuple[Ordinal, int], ...]:
         """`value_trace` with each value as its integer numerator over `_den`.
 
         Swept from the families' pieces at x: a term's weight enters where
         an interval of x in F_eta starts and leaves where it ends, so at a
         cut between two such intervals it leaves and enters again, which
-        changes no sum.  Memoized: a length certificate and the evaluations
-        after it read the same points of the same sequence."""
+        changes no sum.  Kept in `_traces`: a length certificate and the
+        evaluations after it read the same points of the same sequence."""
+        trace = self._traces.get(x)
+        if trace is not None:
+            return trace
         delta = {ZERO: 0}
         for w, (_, fam) in zip(self._nums, self.terms):
             for start, end, val in fam.pieces(x):
@@ -102,7 +105,8 @@ class ComboSeq:
             total += delta[m]
             if not out or out[-1][1] != total:
                 out.append((m, total))
-        return tuple(out)
+        trace = self._traces[x] = tuple(out)
+        return trace
 
     def value(self, eta: Ordinal, x: Ordinal) -> Fraction:
         return sum((w for w, fam in self.terms if fam.member(eta, x)
@@ -177,29 +181,16 @@ def altsum_eval(d: DUSBSeq | ComboSeq, x: Ordinal, theta: Ordinal) -> Fraction:
         raise ValueError("theta beyond the sequence length")
     if theta.is_zero:
         return Fraction(0)
-    return Fraction(_trace_sum(seq._num_trace(x), theta), seq._den)
-
-
-def _trace_sum(trace: tuple[tuple[Ordinal, Num], ...], theta: Ordinal) -> Num:
-    """Alternating sum over eta < theta of a value trace."""
-    total = 0
-    th = theta.terms
-    for i, (start, val) in enumerate(trace):
-        if start.terms >= th:
-            break
-        end = trace[i + 1][0] if i + 1 < len(trace) else theta
-        if end.terms > th:
-            end = theta
-        total = _cross(total, start, end, val)
-    return total
+    return Fraction(_stage_readings(seq._num_trace(x), [theta])[0][0], seq._den)
 
 
 def _stage_readings(trace: tuple[tuple[Ordinal, Num], ...],
                     thetas: list[Ordinal]) -> list[tuple[Num, Num]]:
     """(alternating sum below theta, f_theta(x)) for each theta of an
-    ascending list, from one sweep of a value trace: the sum is
-    `_trace_sum(trace, theta)` and the value that of the last mark at or
-    below theta (0 before the first mark)."""
+    ascending list, from one sweep of a value trace: the sum crosses every
+    interval of constant value that starts below theta, cut at theta, and
+    the value is that of the last mark at or below theta (0 before the
+    first mark)."""
     out = []
     total = 0
     i = 0
@@ -369,27 +360,28 @@ def length_upper_certificate(f: StepFn, witness: DUSBSeq, lam: int,
             pts.append(x)
     claims = []
     # one value trace and one f(x) per point serve the identity and every
-    # stage; traces and sums are numerators over seq._den, and so is each
+    # stage, read in one sweep of the trace over the checked stages and the
+    # length; traces and sums are numerators over seq._den, and so is each
     # value of f less const (None when it is no multiple of 1/seq._den,
     # which no sum equals)
     seq = witness.seq
     wants = [_numerator((v - const) * seq._den) for v, _ in f.pieces]
-    checked = []
-    for x in pts:
-        trace = seq._num_trace(x)
-        total = _trace_sum(trace, witness.length)
+    thetas = _even_stage_samples(witness.length)
+    staged = max(6, len(pts) // 4)  # points checked at every stage too
+    readings = []
+    for k, x in enumerate(pts):
+        stages = _stage_readings(seq._num_trace(x),
+                                 (thetas if k < staged else []) + [witness.length])
+        total = stages.pop()[0]
         i = f.piece_of(x)
         if total != wants[i]:
             raise WitnessMismatch("identity fails at %s: %s != %s"
                                   % (x, const + Fraction(total, seq._den), f.pieces[i][0]))
-        checked.append((x, trace, total))
+        if k < staged:
+            readings.append((x, total, stages))
     claims.append("f = const + alternating sum at %d sampled points" % len(pts))
-    thetas = _even_stage_samples(witness.length)
-    # every stage of a point is read in one sweep of its trace; with the
-    # identity f(x) - const = total / seq._den, the residual is
+    # with the identity f(x) - const = total / seq._den, the residual is
     # (total - partial) / seq._den
-    readings = [(x, total, _stage_readings(trace, thetas))
-                for x, trace, total in checked[: max(6, len(pts) // 4)]]
     for j, theta in enumerate(thetas):
         inside = o.compare(theta, witness.length) < 0
         for x, total, stages in readings:

@@ -18,8 +18,8 @@ of the stage unions is exactly the union of the per-cell intersections
 computed by the slot rules.
 
 Stages are canonical cell tuples.  A step meets, closes and prunes cells
-(`patterns.meet`, memoized per cell pair; `space.limit_cells`, memoized
-per cell) and is cached per operator and cell tuple in `_apply_cached`;
+(`patterns.meet`, memoized per cell pair; `space.limit_cells`, kept on
+the cell) and is cached per operator and cell tuple in `_apply_cached`;
 `iterate`, its probes and `IterationTrace.stage_at` step through `_steps`.
 Templates instantiate as cells too: `CellTemplate.cell_at` is the one slot
 builder, for a stage j and for j = W (the limit), and builds each cell
@@ -280,13 +280,13 @@ def _fit_int(seq: list[int]) -> tuple[int, int] | None:
 
 
 def _fit_ord(seq: list[Ordinal]) -> tuple[Ordinal, Ordinal] | None:
+    """(seq[0], d) when seq[j] = seq[0] + d*j; d is 0 only when every
+    entry is seq[0], since a zero left difference fails the check below."""
     if all(x == seq[0] for x in seq):
         return seq[0], ZERO
     try:
         d = o.left_sub(seq[1], seq[0])
     except ValueError:
-        return None
-    if d.is_zero:
         return None
     if all(o.add(seq[j], d) == seq[j + 1] for j in range(len(seq) - 1)):
         return seq[0], d

@@ -16,8 +16,8 @@ from functools import lru_cache
 from . import ordinal as o
 from .errors import NotOracleSpace, UnsupportedProgression
 from .ordinal import Ordinal, W
-from .patterns import (DS_EMPTY, DS_FULL, DigitSet, Pat, and_, digit_eq, digit_in,
-                       ds_and, ds_eq, ds_ge, ds_lt, ds_not, ds_or, holds_at,
+from .patterns import (DS_EMPTY, DS_FULL, DS_POS, DS_ZERO, DigitSet, Pat, and_, digit_eq,
+                       digit_in, ds_and, ds_ge, ds_lt, ds_not, ds_or, holds_at,
                        mk_digitset, or_, singleton, to_cells)
 from .space import SpaceDesc
 
@@ -78,7 +78,7 @@ def _mark(s: OracleSet, b: int) -> OracleSet:
     """Add the block-limit point w*b."""
     if b < s.m:
         blocks = list(s.blocks)
-        blocks[b] = ds_or(blocks[b], ds_eq(0))
+        blocks[b] = ds_or(blocks[b], DS_ZERO)
         return OracleSet(s.m, s.k, tuple(blocks), s.tail)
     if s.k >= 1:
         tail = list(s.tail)
@@ -231,15 +231,15 @@ def _block_restrict(cell, b: int, starts: tuple[Ordinal, ...]) -> DigitSet:
     if cell.div == 1:
         if b == 0:
             return DS_EMPTY
-        js = ds_and(js, ds_eq(0))
+        js = ds_and(js, DS_ZERO)
     if cell.md is not None:
         # least digit of w*b + j is j when j >= 1, else b itself
         mdset = cell.md
         if b >= 1 and b in cell.md:
-            mdset = ds_or(mdset, ds_eq(0))
+            mdset = ds_or(mdset, DS_ZERO)
         js = ds_and(js, mdset)
         if b == 0:
-            js = ds_and(js, ds_ge(1))
+            js = ds_and(js, DS_POS)
     # interval restriction
     lo, hi = cell.lo, cell.hi
     block_start = starts[b]
@@ -253,7 +253,7 @@ def _block_restrict(cell, b: int, starts: tuple[Ordinal, ...]) -> DigitSet:
         if hi.terms < starts[b + 1].terms:
             js = ds_and(js, ds_lt(hi.fin()))
     if b == 0 and cell.div >= 1:
-        js = ds_and(js, ds_ge(1))
+        js = ds_and(js, DS_POS)
     return js
 
 

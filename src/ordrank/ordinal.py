@@ -222,9 +222,7 @@ def _times_nat(a: Ordinal, n: int) -> Ordinal:
     return Ordinal(((e0, c0 * n),) + a.terms[1:])
 
 
-def mul(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
-    if type(a) is not Ordinal:
-        a = _coerce(a)
+def mul(a: Ordinal, b: Ordinal | int) -> Ordinal:
     if type(b) is int:  # a * n: no Ordinal for n
         if b < 0:
             raise ValueError(_NEGATIVE)
@@ -242,10 +240,8 @@ def mul(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     return acc
 
 
-def left_sub(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
+def left_sub(a: Ordinal, b: Ordinal | int) -> Ordinal:
     """The unique z with b + z == a, for b <= a."""
-    if type(a) is not Ordinal:
-        a = _coerce(a)
     if type(b) is not Ordinal:
         b = _coerce(b)
     if not b.terms:
@@ -266,14 +262,12 @@ def left_sub(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     return Ordinal(a.terms[len(b.terms):])
 
 
-def least_multiple_above(a: Ordinal | int, m: int) -> Ordinal:
+def least_multiple_above(a: Ordinal, m: int) -> Ordinal:
     """Least z with z*m > a, for finite m >= 1 (z*m = z + ... + z, m times).
 
     With a = w^e*k + r, z*m has leading term w^e*(j*m) when z has w^e*j,
     and keeps z's remainder; so the least z is w^e*(k//m + 1), or
     w^e*(k/m) + r + 1 when m divides k."""
-    if type(a) is not Ordinal:
-        a = _coerce(a)
     if m < 1:
         raise ValueError("multiplier must be >= 1")
     if m == 1:

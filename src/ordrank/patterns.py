@@ -22,12 +22,13 @@ per value and one pattern object per value, each kept in a weak table by
 its constructor; with the interned `Ordinal`s they compare by identity (an
 ordinal also equals the int of its value), and all but patterns hash by it
 (a pattern hashes its class and its fields' identities, once; see `Pat`).
-The digit-set operations are memoized; the cells of an or are the maximal
-cells among its parts' cached cells, so growing a pattern by a disjunct
-re-normalises only the new part.  The hash of a digit set, an ordinal, a
-cell or a pattern thus differs between processes, and no result may depend
-on the order of a set of them: no set of them is iterated, and dicts keep
-insertion order.
+A memo of one value lives on it (a digit set's complement and shift by one,
+a cell's sort key, prune signature, md pass and limit cells); the cells of
+an or are the maximal cells among its parts' cached cells, so growing a
+pattern by a disjunct re-normalises only the new part.  The hash of a digit
+set, an ordinal, a cell or a pattern thus differs between processes, and no
+result may depend on the order of a set of them: no set of them is iterated,
+and dicts keep insertion order.
 """
 from __future__ import annotations
 
@@ -68,11 +69,14 @@ class DigitSet:
     table, so equality and hash are identity.  `DigitSet(...)` raises
     TypeError; a copy or an unpickled set is the canonical object.  `has0`,
     whether 0 is a member (the cell kernel's most frequent question), is
-    read off once per value."""
+    read off once per value; its complement (`ds_not`) and its shift by one
+    (`shift_up`) are kept on it, each made the first time it is asked for."""
     prefix: tuple[bool, ...]
     period: int
     residues: frozenset[int]
     has0: bool = field(init=False, repr=False, compare=False)
+    _not: DigitSet | None = field(init=False, default=None, repr=False, compare=False)
+    _up: DigitSet | None = field(init=False, default=None, repr=False, compare=False)
 
     def __new__(cls, *_args, **_kwargs):
         raise TypeError("a DigitSet is made by mk_digitset only")
@@ -113,13 +117,14 @@ class DigitSet:
         return None
 
     def shift_up(self, k: int) -> "DigitSet":
-        """{v + k : v in self}."""
-        return self if k == 0 else _shift_up(self, k)
-
-
-@lru_cache(maxsize=4096)
-def _divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+        """{v + k : v in self}: the kept shift by one, k times."""
+        ds = self
+        for _ in range(k):
+            if ds._up is None:
+                object.__setattr__(ds, "_up", mk_digitset(
+                    (False,) + ds.prefix, ds.period, {r + 1 for r in ds.residues}))
+            ds = ds._up
+        return ds
 
 
 # The live digit sets by canonical value; an entry goes with its last
@@ -131,9 +136,9 @@ def mk_digitset(prefix, period, residues) -> DigitSet:
     _check_size(period, "period")
     prefix = tuple(bool(b) for b in prefix)
     residues = frozenset(r % period for r in residues)
-    for d in _divisors(period):
-        if all(((r % period) in residues) == (((r + d) % period) in residues)
-               for r in range(period)):
+    for d in range(1, period + 1):  # the least period
+        if period % d == 0 and all(((r % period) in residues) == (((r + d) % period) in residues)
+                                   for r in range(period)):
             residues = frozenset(r for r in range(d) if r in residues)
             period = d
             break
@@ -148,16 +153,6 @@ def mk_digitset(prefix, period, residues) -> DigitSet:
         object.__setattr__(ds, "has0", 0 in ds)
         _DIGITSETS[key] = ds
     return ds
-
-
-@lru_cache(maxsize=16384)
-def _shift_up(ds: DigitSet, k: int) -> DigitSet:
-    res = frozenset((r + k) % ds.period for r in ds.residues)
-    return mk_digitset((False,) * k + ds.prefix, ds.period, res)
-
-
-DS_FULL = mk_digitset((), 1, {0})
-DS_EMPTY = mk_digitset((), 1, set())
 
 
 @lru_cache(maxsize=1024)
@@ -195,6 +190,12 @@ def ds_mod(m: int, r: int) -> DigitSet:
     return mk_digitset((), m, {r % m})
 
 
+DS_FULL = mk_digitset((), 1, {0})
+DS_EMPTY = mk_digitset((), 1, set())
+DS_ZERO = ds_eq(0)
+DS_POS = ds_ge(1)
+
+
 def _aligned(a: DigitSet, b: DigitSet):
     t = max(len(a.prefix), len(b.prefix))
     m = math.lcm(a.period, b.period)
@@ -218,10 +219,14 @@ def ds_or(a: DigitSet, b: DigitSet) -> DigitSet:
     return mk_digitset(tuple(x or y for x, y in zip(pa, pb)), m, ra | rb)
 
 
-@lru_cache(maxsize=16384)
 def ds_not(a: DigitSet) -> DigitSet:
-    return mk_digitset(tuple(not x for x in a.prefix), a.period,
-                       frozenset(range(a.period)) - a.residues)
+    """The complement, kept on a, and a kept on it."""
+    if a._not is None:
+        b = mk_digitset(tuple(not x for x in a.prefix), a.period,
+                        frozenset(range(a.period)) - a.residues)
+        object.__setattr__(a, "_not", b)
+        object.__setattr__(b, "_not", a)
+    return a._not
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +556,10 @@ def divpow(e: int) -> Pat:
 
 
 def min_digit_in(ds: DigitSet) -> Pat:
-    ds = ds_and(ds, ds_ge(1))  # the last coefficient is always >= 1
+    ds = ds_and(ds, DS_POS)  # the last coefficient is always >= 1
     if ds.is_empty:
         return FALSE
-    if ds == ds_ge(1):
+    if ds == DS_POS:
         return ord_ge(1)
     return PMinDigit(ds)
 
@@ -566,9 +571,7 @@ def interval(lo: Ordinal | int, hi: Ordinal | int | None) -> Pat:
     return and_(*parts)
 
 
-def singleton(x: Ordinal | int) -> Pat:
-    if type(x) is not Ordinal:
-        x = o._coerce(x)
+def singleton(x: Ordinal) -> Pat:
     return and_(ord_ge(x), ord_lt(o.add(x, 1)))
 
 
@@ -746,12 +749,14 @@ class Cell:
     One object per value: `Cell(lo, hi, digits, div, md)` returns the live
     cell of those five fields from a weak table, and its fields are
     interned ordinals and digit sets, so equal cells are the same object
-    and hash by identity.  Cells key the `_meet_pair`, `limit_cells` and
-    closure memos.  A cell's `_cell_key` and `_prune_sig` are computed
-    once, the first time `prune_cells` or `meet` needs them, and kept on
-    the cell.
+    and hash by identity.  Cells key the `_meet_pair` and closure memos.
+    A cell's `_cell_key`, `_prune_sig` and `_md_stop` answer, and its limit
+    cells (`space.limit_cells`, one tuple for an upper end at the bound and
+    one for an upper end below it), are computed once, the first time they
+    are needed, and kept on the cell.
     """
-    __slots__ = ("lo", "hi", "digits", "div", "md", "_key", "_sig", "__weakref__")
+    __slots__ = ("lo", "hi", "digits", "div", "md", "_key", "_sig", "_stop",
+                 "_lim_end", "_lim_open", "__weakref__")
     lo: Ordinal
     hi: Ordinal | None  # exclusive; None only on the ceiling space
     digits: tuple[tuple[int, DigitSet], ...]
@@ -769,8 +774,8 @@ class Cell:
         c = object.__new__(cls)
         for name, value in zip(("lo", "hi", "digits", "div", "md"), key):
             object.__setattr__(c, name, value)
-        object.__setattr__(c, "_key", None)  # filled by _cell_key
-        object.__setattr__(c, "_sig", None)  # filled by _prune_sig
+        for slot in ("_key", "_sig", "_stop", "_lim_end", "_lim_open"):
+            object.__setattr__(c, slot, None)  # filled by their readers
         return _CELLS.put(key, c)
 
     __setattr__ = __delattr__ = frozen_setattr
@@ -784,7 +789,7 @@ class Cell:
 
     def constraint(self, i: int) -> DigitSet:
         if i < self.div:
-            return ds_eq(0)
+            return DS_ZERO
         for j, ds in self.digits:
             if j == i:
                 return ds
@@ -861,12 +866,12 @@ def _mk_cell(lo: Ordinal, hi: Ordinal | None, digits: dict[int, DigitSet],
              div: int, md: DigitSet | None, bound: Ordinal | None) -> Cell | None:
     """The canonical cell of these constraints (see `Cell`); None when empty."""
     if md is not None:
-        md = ds_and(md, ds_ge(1))  # the last coefficient is always >= 1
+        md = ds_and(md, DS_POS)  # the last coefficient is always >= 1
         if md.is_empty:
             return None
     if (div >= 1 or md is not None) and o.compare(lo, ONE) < 0:
         lo = ONE  # both imply x != 0
-    if md is not None and md == ds_ge(1):
+    if md is not None and md == DS_POS:
         md = None  # x != 0 alone, which lo now says
     for i, ds in digits.items():
         if ds.is_empty or (i < div and not ds.has0):
@@ -999,7 +1004,7 @@ def cell_minus(c: Cell, b: Cell) -> list[Cell]:
         steps.append((cell(hi=ONE), cell(lo=ONE)))
     # not(div): x = 0 or some digit below the level is nonzero; carve the
     # nonzero-digit branches one position at a time to stay disjoint
-    steps += [(cell(digits={i: ds_ge(1)}), cell(digits={i: ds_eq(0)}))
+    steps += [(cell(digits={i: DS_POS}), cell(digits={i: DS_ZERO}))
               for i in range(b.div)]
     if b.md is not None:
         steps.append((cell(md=ds_not(b.md)), cell(md=b.md)))
@@ -1234,7 +1239,7 @@ def _box_top(c: Cell, lower: Ordinal) -> int:
 def _cell_box(c: Cell, top: int) -> list[DigitSet]:
     """The cell's digit sets at positions 0..top: {0} below div, its own
     sets where it has them, every digit elsewhere."""
-    box = [ds_eq(0)] * c.div + [DS_FULL] * (top + 1 - c.div)
+    box = [DS_ZERO] * c.div + [DS_FULL] * (top + 1 - c.div)
     for i, ds in c.digits:
         box[i] = ds
     return box
@@ -1257,10 +1262,10 @@ def cell_min_geq(c: Cell, lower: Ordinal) -> Ordinal | None:
     for e in range(c.div, top + 2):
         if e and not box[e - 1].has0:
             break
-        at_e = ds_and(ds_and(box[e], c.md), ds_ge(1))
+        at_e = ds_and(ds_and(box[e], c.md), DS_POS)
         if at_e.is_empty:
             continue
-        x = _least_in_box([ds_eq(0)] * e + [at_e] + box[e + 1:top + 1], lower)
+        x = _least_in_box([DS_ZERO] * e + [at_e] + box[e + 1:top + 1], lower)
         if x is not None and (best is None or x.terms < best.terms):
             best = x
     return best
@@ -1269,18 +1274,16 @@ def cell_min_geq(c: Cell, lower: Ordinal) -> Ordinal | None:
 def _md_stop(c: Cell) -> tuple[int, bool]:
     """For a cell with md, one upward pass over its positions from div: the
     first position whose set meets md or lacks 0, and whether it meets md.
-    A position the cell leaves free meets md, so the pass ends at the
-    first gap between div and the slots, or just above the last slot."""
-    pos = c.div
-    for i, ds in c.digits:
-        if i > pos:
-            return pos, True
-        if not ds_and(ds, c.md).is_empty:
-            return i, True
-        if not ds.has0:
-            return i, False
-        pos = i + 1
-    return pos, True
+    A position the cell leaves free meets md, so the pass ends at the first
+    gap between div and the slots, or just above the last slot; kept on c."""
+    if c._stop is None:
+        pos = c.div
+        for i, ds in c.digits:
+            if i > pos or not ds.has0 or not ds_and(ds, c.md).is_empty:
+                break
+            pos = i + 1
+        object.__setattr__(c, "_stop", (pos, not ds_and(c.constraint(pos), c.md).is_empty))
+    return c._stop
 
 
 @lru_cache(maxsize=65536)

@@ -17,8 +17,8 @@ point x with least exponent e accumulates a cell iff the cell's digit box is
 cofinal inside the final w^e-segment below x, which reduces to finitely many
 digit-set checks (the last constrained level must be infinite, levels below
 it nonempty, the level-e constraint shifts by one).  So a cell's limit points
-are again finitely many cells (`limit_cells`, memoized per cell), and the
-closure is the prune of the cells and their limit cells.
+are again finitely many cells (`limit_cells`, kept on the cell), and the
+closure, memoized per cell tuple, prunes the cells with their limit cells.
 """
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ from . import ordinal as o
 from .errors import ClassViolation
 from .ordinal import Ordinal, Kind
 from .patterns import (
-    Cell, Pat, _cell_subsumes, _md_stop, _mk_cell, and_, cells_difference, cells_pattern,
-    ds_and, holds_at, iter_cell, meet, not_, prune_cells, to_cells, TRUE,
+    Cell, Pat, _cell_subsumes, _md_stop, _mk_cell, _prune_sig, and_, cells_difference,
+    cells_pattern, ds_and, holds_at, iter_cell, meet, not_, prune_cells, to_cells, TRUE,
 )
 
 
@@ -93,8 +93,10 @@ def partition_cells(t: Topology) -> tuple[Pat, ...]:
 
 def cells_subset(xs: tuple[Cell, ...], ys: tuple[Cell, ...]) -> bool:
     """xs <= ys: each cell of xs not syntactically inside a cell of ys is
-    carved by ys, stopping at the first nonempty piece."""
-    return all(any(_cell_subsumes(big, small) for big in ys)
+    carved by ys, stopping at the first nonempty piece.  `_cell_subsumes`
+    is not asked when big lacks 0 below small.div, as in `prune_cells`."""
+    return all(any(not _prune_sig(big)[5] & ((1 << small.div) - 1)
+                   and _cell_subsumes(big, small) for big in ys)
                or not cells_difference((small,), ys) for small in xs)
 
 
@@ -153,7 +155,6 @@ def _cofinal_below(c: Cell, e: int) -> bool:
     return not ds_and(top, c.md).is_finite
 
 
-@lru_cache(maxsize=8192)
 def limit_cells(c: Cell, bound: Ordinal | None) -> tuple[Cell, ...]:
     """Cells of the limit ordinals at which the cell accumulates.
 
@@ -161,9 +162,17 @@ def limit_cells(c: Cell, bound: Ordinal | None) -> tuple[Cell, ...]:
     it is one iff the cell is cofinal below w^e; its digit e is then one
     more than a digit the cell allows there, its digits above e the cell's.
     An upper end at the bound (None on the ceiling space) stays: hi + 1
-    would be clamped back."""
+    would be clamped back.
+
+    Lemma: the result depends on the bound only through whether hi is the
+    bound.  When it is, every limit cell keeps hi; when not, hi < bound, so
+    hi + 1 <= bound is left as it is by the clamp in `_mk_cell`.  So the
+    cells are built with no bound, and the cell keeps both answers."""
+    slot = "_lim_end" if c.hi is bound else "_lim_open"
+    if getattr(c, slot) is not None:
+        return getattr(c, slot)
     lo = o.add(c.lo, 1) if not c.lo.is_zero else c.lo
-    hi = c.hi if c.hi == bound else o.add(c.hi, 1)
+    hi = c.hi if c.hi is bound else o.add(c.hi, 1)
     maxd = max((i for i, _ in c.digits), default=-1)
     # Above e_uniform the cofinality conditions no longer depend on e.
     e_uniform = max(maxd + (2 if c.md is None else 3), c.div + 1)
@@ -172,10 +181,11 @@ def limit_cells(c: Cell, bound: Ordinal | None) -> tuple[Cell, ...]:
         if _cofinal_below(c, e):
             digits = {i: ds for i, ds in c.digits if i > e}
             digits[e] = c.constraint(e).shift_up(1)
-            out.append(_mk_cell(lo, hi, digits, e, None, bound))
+            out.append(_mk_cell(lo, hi, digits, e, None, None))
     if _cofinal_below(c, e_uniform):
-        out.append(_mk_cell(lo, hi, {}, e_uniform, None, bound))
-    return tuple(lc for lc in out if lc is not None)
+        out.append(_mk_cell(lo, hi, {}, e_uniform, None, None))
+    object.__setattr__(c, slot, tuple(lc for lc in out if lc is not None))
+    return getattr(c, slot)
 
 
 @lru_cache(maxsize=8192)

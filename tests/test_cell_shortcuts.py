@@ -11,16 +11,25 @@
   here against `_cell_subsumes` on every ordered pair.
 - `space._cofinal_below` takes one upward pass under md; here against the
   formula it replaced, kept below.
+- `space.cells_subset` passes over a cell of ys with a 0-less set below
+  small.div before `_cell_subsumes`; here against the unfiltered formula,
+  with every `_cell_subsumes` call it makes outside the filter and every
+  cell it carves only where no cell of ys subsumes it.
+- `space.limit_cells` builds its cells with no bound and keeps one answer
+  for an upper end at the bound and one below it, by the lemma in its
+  docstring; here against its bounded formula, kept below, with one cell
+  asked at and below its end in a random order.
 """
 import random
 
 from ordrank import ordinal as o
+from ordrank import space
 from ordrank.ordinal import ONE, Ordinal
 from ordrank.patterns import (Cell, _cell_key, _cell_subsumes, _mk_cell,
                               _prune_sig, cell_and, cell_is_empty, cell_min_geq,
-                              ds_and, ds_eq, ds_ge, ds_lt, ds_mod, ds_not, meet,
-                              prune_cells)
-from ordrank.space import _cofinal_below
+                              cells_difference, ds_and, ds_eq, ds_ge, ds_lt, ds_mod,
+                              ds_not, meet, prune_cells)
+from ordrank.space import _cofinal_below, limit_cells
 
 # nested sets with and without 0, so subsumption and md witnesses both occur
 _POOL = [ds_eq(0), ds_eq(1), ds_eq(2), ds_ge(1), ds_ge(2), ds_lt(2), ds_lt(3),
@@ -180,3 +189,76 @@ def test_cofinal_below_matches_the_old_formula():
             seen["md"] += got and c.md is not None
     assert min(seen.values()) >= 300, seen
 
+
+
+def _unfiltered_subset(xs, ys):
+    """`space.cells_subset` before its signature test."""
+    return all(any(_cell_subsumes(big, small) for big in ys)
+               or not cells_difference((small,), ys) for small in xs)
+
+
+def test_cells_subset_matches_the_unfiltered_formula(monkeypatch):
+    rng = random.Random(3305)
+    calls, carved = [], []
+    monkeypatch.setattr(space, "_cell_subsumes", lambda big, small:
+                        calls.append((big, small)) or _cell_subsumes(big, small))
+    monkeypatch.setattr(space, "cells_difference",
+                        lambda xs, ys: carved.append(xs[0]) or cells_difference(xs, ys))
+    seen = {True: 0, False: 0, "filtered": 0, "subsumed": 0}
+    for r in range(400):
+        bound = None if r % 2 else o.omega_power(4)
+        ys = prune_cells(_rand_cells(rng, rng.randint(1, 6), bound))
+        # meets of ys's cells with others lie inside them, so subsets are common
+        others = _rand_cells(rng, rng.randint(1, 6), bound)
+        xs = prune_cells([m for c in ys for d in others if (m := cell_and(c, d)) is not None]
+                         + _rand_cells(rng, rng.randint(0, 1), bound))
+        calls.clear()
+        carved.clear()
+        got = space.cells_subset(xs, ys)
+        assert got == _unfiltered_subset(xs, ys), (xs, ys)
+        for big, small in calls:
+            assert not _prune_sig(big)[5] & ((1 << small.div) - 1), (big, small)
+        for small in carved:
+            assert not any(_cell_subsumes(big, small) for big in ys), (small, ys)
+        seen[got] += 1
+        seen["filtered"] += sum(1 for small in xs for big in ys
+                                if _prune_sig(big)[5] & ((1 << small.div) - 1))
+        seen["subsumed"] += len(calls) > 0 and _cell_subsumes(*calls[-1])
+    assert min(seen.values()) >= 100, seen
+
+
+def _bounded_limit_cells(c, bound):
+    """`space.limit_cells` as it was, its cells built on the space."""
+    lo = o.add(c.lo, 1) if not c.lo.is_zero else c.lo
+    hi = c.hi if c.hi == bound else o.add(c.hi, 1)
+    maxd = max((i for i, _ in c.digits), default=-1)
+    e_uniform = max(maxd + (2 if c.md is None else 3), c.div + 1)
+    out = []
+    for e in range(c.div + 1, e_uniform):
+        if _cofinal_below(c, e):
+            digits = {i: ds for i, ds in c.digits if i > e}
+            digits[e] = c.constraint(e).shift_up(1)
+            out.append(_mk_cell(lo, hi, digits, e, None, bound))
+    if _cofinal_below(c, e_uniform):
+        out.append(_mk_cell(lo, hi, {}, e_uniform, None, bound))
+    return tuple(lc for lc in out if lc is not None)
+
+
+def test_limit_cells_keep_an_answer_at_and_below_the_end():
+    rng = random.Random(3306)
+    seen = {"at_end": 0, "below": 0, "limits": 0}
+    for _ in range(400):
+        cells = [c for c in _rand_cells(rng, 1, None) if c.hi is not None]
+        if not cells:
+            continue
+        c = cells[0]
+        # the cell on the space its upper end bounds, on the ceiling space,
+        # on a space one point longer and on a longer one
+        bounds = [c.hi, None, o.add(c.hi, 1), o.add(c.hi, o.omega_power(c.div + 4))]
+        rng.shuffle(bounds)
+        for bound in bounds:
+            got = limit_cells(c, bound)
+            assert got == _bounded_limit_cells(c, bound), (c, bound)
+            seen["at_end" if bound is c.hi else "below"] += 1
+            seen["limits"] += len(got)
+    assert min(seen.values()) >= 100, seen

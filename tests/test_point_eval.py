@@ -7,7 +7,7 @@ alternating sums, each against an independent reference.
   `subst_eta(body, eta)`, at every index below a finite bound and at limits;
 - `TransfiniteFamily.pieces` against `truth_intervals` and `exit_index`;
 - `iter_cell` against a loop of `cell_min_geq(c, x + 1)`, md cells included;
-- `_trace_sum` against the literal recursion, on finite lengths and, block by
+- `altsum_eval` against the literal recursion, on finite lengths and, block by
   block with the limit rule, below w^2;
 - every `Pat` subclass evaluates or raises the one parametric-atom error.
 """
@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from ordrank import ordinal as o
-from ordrank.altsum import ComboSeq, _trace_sum, altsum_eval, altsum_unrolled
+from ordrank.altsum import ComboSeq, altsum_eval, altsum_unrolled
 from ordrank.errors import UnsupportedProgression
 from ordrank.family import from_segments
 from ordrank.ordinal import W, ZERO, add, from_int, mul, omega_power
@@ -255,14 +255,15 @@ def test_trace_sum_matches_literal_recursion():
                 unrolled = altsum_unrolled(seq, x, steps)
                 for n in range(steps + 1):
                     theta = from_int(n)
-                    assert Fraction(_trace_sum(trace, theta), seq._den) == unrolled[n]
+                    assert altsum_eval(seq, x, theta) == unrolled[n]
                 assert altsum_eval(seq, x, seq.length) == unrolled[steps]
                 finite += 1
                 continue
             thetas = [t for t in _indices(seq.length) if t.terms <= seq.length.terms]
             thetas += [mul(W, j) for j in range(1, 4) if mul(W, j).terms <= seq.length.terms]
             for theta in thetas:
-                assert _trace_sum(trace, theta) == _ref_altsum(trace, theta), (seq, x, theta)
+                assert altsum_eval(seq, x, theta) * seq._den == _ref_altsum(trace, theta), \
+                    (seq, x, theta)
             transfinite += 1
     assert finite > 40 and transfinite > 80
 

@@ -5,6 +5,7 @@ Every name a module imports must be read somewhere in that module.
 Every private module-level name must be read by some module of the package.
 Every parameter of a def must be read in its body, unless allowlisted.
 Every def that takes a space's bound is listed with its reason.
+Every `lru_cache` is listed with its reason.
 No module rebinds a module-level name through a `global` statement.
 No module imports inside a function, except to break a real import cycle.
 """
@@ -177,7 +178,7 @@ BOUND_PARAMETERS = {
     "patterns.py: cell_pattern": "leaves out an upper end equal to the bound",
     "patterns.py: cells_pattern": "cell_pattern of each cell",
     "pseudouniform.py: remainder_lt": "an ordinal threshold, not a space",
-    "space.py: limit_cells": "a limit cell's upper end hi + 1 is clamped to the bound",
+    "space.py: limit_cells": "whether the cell's upper end is the bound, which keeps it",
 }
 
 
@@ -201,6 +202,70 @@ def test_bound_parameter_check_flags_and_spares():
            "        def inner(space_bound, upper):\n            return upper\n"
            "        return inner(bound, j)\n")
     assert bound_parameters(src) == ["T.cell_at", "T.cell_at.inner"]
+
+
+# memo -> why it stays an lru_cache.  A memo keyed on one value lives on
+# that value (a digit set's complement and shift, a cell's md pass and limit
+# cells, a sequence's value traces); these key on a pair or a tuple, are
+# read by ordbench/tracer.py through cache_info, or build workload inputs.
+LRU_CACHES = {
+    "derivative.py: ConvDeriv.tail_disagreement_param":
+        "a pair key: equal (fam, eps) operators share one entry, 56 values for 600 objects",
+    "derivative.py: _apply_cached": "a tracer read; a pair key (operator, cell tuple)",
+    "oracle.py: _block_points": "a pair key (blocks, trailing points)",
+    "patterns.py: _cells_cached": "a tracer read; a pair key (pattern, bound)",
+    "patterns.py: _ds_subset": "a pair key",
+    "patterns.py: _meet_pair": "a pair key",
+    "patterns.py: cell_is_empty": "a tracer read",
+    "patterns.py: ds_and": "a pair key",
+    "patterns.py: ds_eq": "input construction: an int key",
+    "patterns.py: ds_ge": "input construction: an int key",
+    "patterns.py: ds_lt": "input construction: an int key",
+    "patterns.py: ds_mod": "input construction: an int pair",
+    "patterns.py: ds_or": "a pair key",
+    "patterns.py: ds_window": "input construction: an int pair",
+    "space.py: _limits_per_partition": "a tuple key (cells, topology, keep)",
+    "space.py: partition_cells": "a tracer read",
+}
+
+
+def _is_lru_cache(node) -> bool:
+    """`lru_cache`, `functools.lru_cache` or a call of either."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id == "lru_cache"
+            or isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+
+
+def lru_caches(source: str) -> list[str]:
+    """The defs an `lru_cache` decorates, as qualified names, and the names
+    assigned an `lru_cache(...)(fn)` call."""
+    found = [name for name, _, node in _defs(source)
+             if any(_is_lru_cache(d) for d in node.decorator_list)]
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and _is_lru_cache(node.value.func)):
+            found += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_lru_caches_are_pinned():
+    found = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            found += ["%s: %s" % (module, name) for name in lru_caches(fh.read())]
+    assert sorted(found) == sorted(LRU_CACHES)
+
+
+def test_lru_cache_check_flags_and_spares():
+    src = ("import functools\nfrom functools import lru_cache\n"
+           "@lru_cache(maxsize=8)\ndef f(x):\n    return x\n"
+           "class K:\n    @functools.lru_cache\n    def m(self):\n        return 1\n"
+           "    @staticmethod\n    def s():\n        return 2\n"
+           "_pair = lru_cache(maxsize=4)(f)\n_plain = dict(f=f)\n"
+           "def g(y):\n    return lru_cache(y)\n")
+    # g only returns a cache, and _plain is no call of lru_cache's result
+    assert lru_caches(src) == ["f", "K.m", "_pair"]
 
 
 def global_statements(source: str) -> list[str]:
